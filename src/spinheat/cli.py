@@ -89,7 +89,7 @@ def _trajectory_summary(traj):
                   "rho_dn": float(traj.rho_dn[-1]),
                   "rho_XX": float(traj.rho_XX[-1])},
         "min_eigenvalue": float(np.min(traj.min_eigenvalue)),
-        "used_direct_integration": bool(traj.used_direct_integration),
+        "used_eigen_propagation": bool(traj.used_eigen_propagation),
     }
 
 

@@ -18,7 +18,7 @@ resonantly and lasts one pi pulse, locally refined because the phonon
 dressing detunes the bare pi time slightly.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ from .quantum_core import (
 from .liouvillian import (
     DissipationSpec, StageHamiltonianSpec, build_hamiltonian, build_superoperator,
 )
-from .propagator import diagonalize, integrate_direct, propagate
+from .propagator import evolve
 from .spectral import reorganization_energy, thermal_energy
 
 
@@ -86,7 +86,10 @@ class Trajectory:
     Q1bar: np.ndarray  # mean mode displacement
     min_eigenvalue: np.ndarray
     final_state: Optional[np.ndarray]
-    used_direct_integration: bool = False
+    used_eigen_propagation: bool = False
+
+
+_SERIES = ("rho_up", "rho_dn", "rho_XX", "dN1", "Q1bar", "min_eigenvalue")
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,7 @@ def _stage_grid(duration, grid_dt):
     return times
 
 
-def _sample(states, times, ops, nbar_ref, abort_threshold, used_direct):
+def _sample(states, times, ops, nbar_ref, abort_threshold, used_eigen):
     n = len(states)
     rho_up = np.empty(n)
     rho_dn = np.empty(n)
@@ -202,20 +205,17 @@ def _sample(states, times, ops, nbar_ref, abort_threshold, used_direct):
     ref = nbar[0] if nbar_ref is None else nbar_ref
     return Trajectory(times=times, rho_up=rho_up, rho_dn=rho_dn, rho_XX=rho_xx,
                       dN1=nbar - ref, Q1bar=q1bar, min_eigenvalue=min_eig,
-                      final_state=states[-1],
-                      used_direct_integration=used_direct)
+                      final_state=states[-1].copy(),
+                      used_eigen_propagation=used_eigen)
 
 
-def _run_stage_core(rho0, stage, cfg, ops, v, ep, nbar_ref):
-    if ep.defective:
-        times, states = integrate_direct(rho0, v, stage.duration,
-                                         grid_dt=cfg.grid_dt)
-        used_direct = True
-    else:
-        times = _stage_grid(stage.duration, cfg.grid_dt)
-        states = [propagate(rho0, ep, t) for t in times]
-        used_direct = False
-    return _sample(states, times, ops, nbar_ref, cfg.positivity_abort, used_direct)
+def _evolve_stage(rho0, stage, cfg, ops, v, nbar_ref):
+    """Trajectory of one stage and its states on the output grid."""
+    times = _stage_grid(stage.duration, cfg.grid_dt)
+    states, used_eigen = evolve(rho0, v, times)
+    traj = _sample(states, times, ops, nbar_ref, cfg.positivity_abort,
+                   used_eigen)
+    return traj, states
 
 
 def run_stage(rho0, stage, cfg, nbar_ref=None):
@@ -225,7 +225,7 @@ def run_stage(rho0, stage, cfg, nbar_ref=None):
     a single reference from its own start across both stages).
     """
     ops, v = stage_machinery(stage, cfg)
-    return _run_stage_core(rho0, stage, cfg, ops, v, diagonalize(v), nbar_ref)
+    return _evolve_stage(rho0, stage, cfg, ops, v, nbar_ref)[0]
 
 
 def find_switch_time(traj):
@@ -260,74 +260,63 @@ def make_ledger(energy_gap, transfer_probability):
                        transfer_probability=p)
 
 
+def _stitch(parts, final_state):
+    """One trajectory from (trajectory, row slice, clock offset) parts."""
+    series = {name: np.concatenate([getattr(traj, name)[rows]
+                                    for traj, rows, _ in parts])
+              for name in _SERIES}
+    times = np.concatenate([offset + traj.times[rows]
+                            for traj, rows, offset in parts])
+    return Trajectory(times=times, **series, final_state=final_state,
+                      used_eigen_propagation=any(
+                          traj.used_eigen_propagation for traj, _, _ in parts))
+
+
 def run_cycle(cfg, stage2_duration=None):
     """Heat extraction, hand-off at the switch optimum, then the work pulse.
 
     The work pulse defaults to a pi pulse at the stage-2 Rabi energy,
     refined within +-20% to maximize the final down population (the phonon
     dressing slightly shifts the bare pi time). Pass ``stage2_duration`` to
-    override the refinement entirely.
+    override the refinement entirely. The hand-off state is the stage-1 grid
+    state at the switch time, and one stage-2 generator serves both the
+    refinement and the work pulse.
     """
     rho0 = initial_state(cfg)
     stage1 = heat_extraction_stage(cfg)
     ops, v1 = stage_machinery(stage1, cfg)
-    ep1 = diagonalize(v1)
-    traj1 = _run_stage_core(rho0, stage1, cfg, ops, v1, ep1, None)
+    traj1, states1 = _evolve_stage(rho0, stage1, cfg, ops, v1, None)
     switch = find_switch_time(traj1)
-    if ep1.defective:
-        _, states = integrate_direct(rho0, v1, switch.time, grid_dt=cfg.grid_dt)
-        rho_switch = states[-1]
-    else:
-        rho_switch = propagate(rho0, ep1, switch.time)
+    k_switch = int(np.searchsorted(traj1.times, switch.time))
+    rho_switch = states1[k_switch].copy()
 
-    t_pi = np.pi * HBAR / cfg.rabi2_energy
-    ops2, v2 = stage_machinery(work_output_stage(cfg), cfg)
-    ep2 = diagonalize(v2)
+    stage2 = work_output_stage(cfg)
+    _, v2 = stage_machinery(stage2, cfg)
     if stage2_duration is None:
-        if ep2.defective:
-            stage2_duration = t_pi
-        else:
-            candidates = np.linspace(0.8 * t_pi, 1.2 * t_pi, 41)
-            down = [expectation(propagate(rho_switch, ep2, t), ops2.proj_dn).real
-                    for t in candidates]
-            stage2_duration = float(candidates[int(np.argmax(down))])
+        candidates = np.linspace(0.8 * stage2.duration, 1.2 * stage2.duration,
+                                 41)
+        states, _ = evolve(rho_switch, v2, candidates)
+        down = [expectation(rho, ops.proj_dn).real for rho in states]
+        stage2_duration = float(candidates[int(np.argmax(down))])
 
-    nbar0 = expectation(rho0, ops.number).real
-    keep = traj1.times <= switch.time + 1e-9
-    combined = Trajectory(
-        times=traj1.times[keep], rho_up=traj1.rho_up[keep],
-        rho_dn=traj1.rho_dn[keep], rho_XX=traj1.rho_XX[keep],
-        dN1=traj1.dN1[keep], Q1bar=traj1.Q1bar[keep],
-        min_eigenvalue=traj1.min_eigenvalue[keep],
-        final_state=rho_switch,
-        used_direct_integration=traj1.used_direct_integration)
-
+    parts = [(traj1, slice(0, k_switch + 1), 0.0)]
+    final = rho_switch
     if stage2_duration > 0:
-        stage2 = work_output_stage(cfg, duration=stage2_duration)
-        traj2 = run_stage(rho_switch, stage2, cfg, nbar_ref=nbar0)
-        combined = Trajectory(
-            times=np.concatenate([combined.times, switch.time + traj2.times[1:]]),
-            rho_up=np.concatenate([combined.rho_up, traj2.rho_up[1:]]),
-            rho_dn=np.concatenate([combined.rho_dn, traj2.rho_dn[1:]]),
-            rho_XX=np.concatenate([combined.rho_XX, traj2.rho_XX[1:]]),
-            dN1=np.concatenate([combined.dN1, traj2.dN1[1:]]),
-            Q1bar=np.concatenate([combined.Q1bar, traj2.Q1bar[1:]]),
-            min_eigenvalue=np.concatenate([combined.min_eigenvalue,
-                                           traj2.min_eigenvalue[1:]]),
-            final_state=traj2.final_state,
-            used_direct_integration=(traj1.used_direct_integration
-                                     or traj2.used_direct_integration))
+        nbar0 = expectation(rho0, ops.number).real
+        traj2, _ = _evolve_stage(
+            rho_switch, work_output_stage(cfg, duration=stage2_duration), cfg,
+            ops, v2, nbar0)
+        parts.append((traj2, slice(1, None), switch.time))
+        final = traj2.final_state
+    combined = _stitch(parts, final)
 
-    final = combined.final_state
     pops = (expectation(final, ops.proj_up).real,
             expectation(final, ops.proj_dn).real,
             expectation(final, ops.proj_x).real)
     transfer = combined.rho_dn[-1] - combined.rho_dn[0]
-    ledger = make_ledger(cfg.energy_gap, transfer)
-    assert ledger.W_work == ledger.Q_heat
-    assert ledger.spinlabor == -ledger.spintherm
-    return CycleResult(trajectory=combined, ledger=ledger, switch=switch,
-                       stage2_duration=stage2_duration,
+    return CycleResult(trajectory=combined,
+                       ledger=make_ledger(cfg.energy_gap, transfer),
+                       switch=switch, stage2_duration=stage2_duration,
                        electron_populations=pops)
 
 

@@ -8,11 +8,16 @@ are assembled verbatim, with no secular simplification, so the generator is
 not guaranteed completely positive; positivity is monitored downstream.
 
 Vectorization is column-stacking: vec(A rho B) = (B^T kron A) vec(rho).
+Superoperators are assembled as ``scipy.sparse`` CSR arrays from sparse
+Kronecker products; every term is a product of a few sparse operators on
+the 3 N_c-dimensional dot-mode space, so only 1.7 % of the generator's
+entries are nonzero at N_c = 8, and the share falls as N_c grows.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .constants import HBAR
 from .quantum_core import IDX_DN, IDX_UP, transition_operator, embed
@@ -76,11 +81,15 @@ def build_hamiltonian(spec, ops):
 
 
 def _left(a):
-    return np.kron(np.eye(a.shape[0], dtype=complex), a)
+    """Superoperator of rho -> a rho."""
+    return sp.kron(sp.eye_array(a.shape[0], dtype=complex), sp.csr_array(a),
+                   format="csr")
 
 
 def _right(b):
-    return np.kron(b.T, np.eye(b.shape[0], dtype=complex))
+    """Superoperator of rho -> rho b."""
+    return sp.kron(sp.csr_array(b.T), sp.eye_array(b.shape[0], dtype=complex),
+                   format="csr")
 
 
 def hamiltonian_superoperator(h):
@@ -92,11 +101,12 @@ def lindblad_dissipator(o):
     """Vectorized 2 O rho O^dag - O^dag O rho - rho O^dag O, unit prefactor."""
     o = np.asarray(o, dtype=complex)
     odo = o.conj().T @ o
-    return 2 * np.kron(o.conj(), o) - _left(odo) - _right(odo)
+    return (2 * sp.kron(sp.csr_array(o.conj()), sp.csr_array(o), format="csr")
+            - _left(odo) - _right(odo))
 
 
 def build_superoperator(h, dissipation, ops):
-    """Full master-equation generator acting on vec(rho)."""
+    """Full master-equation generator acting on vec(rho), as a CSR array."""
     if h.shape != ops.identity.shape:
         raise ValueError(
             f"Hamiltonian dimension {h.shape} does not match operators "
@@ -111,4 +121,4 @@ def build_superoperator(h, dissipation, ops):
     v = v + (dissipation.gamma_ph / (1j * HBAR)) * (comm_q @ anti)
     # diffusion: -(2 gamma E_th / hbar^2) [Q, [Q, rho]]
     v = v - (2 * dissipation.gamma_ph * dissipation.E_th / HBAR**2) * (comm_q @ comm_q)
-    return v
+    return v.tocsr()

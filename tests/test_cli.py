@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinheat
 from spinheat.cli import main
 from spinheat.config import (parameter_table, parse_config, to_engine_config)
 from spinheat.errors import ConfigError, NumericalError
@@ -144,6 +148,29 @@ class TestStage1Command:
         assert main(["stage1", "--out", str(tmp_path),
                      "--set", "bogus=1"]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["gamma_ph_meV=1e300",
+                                          "temperature_K=1e308"])
+    def test_unrepresentable_generator_exits_3(self, tmp_path, capsys,
+                                               override):
+        assert main(["stage1", "--out", str(tmp_path),
+                     "--set", override] + TINY) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
+
+    def test_stiff_positivity_abort_exits_4_promptly(self, tmp_path):
+        # Taylor steps would need ~1e9 matrix-vector products here; the
+        # stiff branch diagonalizes once and reaches the positivity check.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(spinheat.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinheat.cli", "stage1",
+             "--out", str(tmp_path), "--set", "n_levels=4",
+             "--set", "gamma_ph_meV=1e6"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("positivity abort:")
 
 
 class TestCycleCommand:
@@ -291,6 +318,15 @@ class TestSweepCommand:
         assert index["points"][1]["status"] == "numerical-error"
         assert "injected" in index["points"][1]["message"]
         assert (out / "point_000" / "stage1.csv").exists()
+
+    def test_unrepresentable_point_recorded_and_index_written(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--set", "n_levels=3",
+                     "--axis", "gamma_ph_meV=1e300,0.001"]) == 0
+        index = json.loads((out / "sweep_index.json").read_text())
+        assert [p["status"] for p in index["points"]] == [
+            "numerical-error", "ok"]
+        assert (out / "point_001" / "stage1.csv").exists()
 
     def test_truncation_axis_emits_convergence_report(self, tmp_path):
         out = tmp_path / "sweep"

@@ -99,7 +99,7 @@ def test_hamiltonian_hermitian():
 
 def test_dissipator_identity_is_zero():
     sup = lindblad_dissipator(np.eye(4, dtype=complex))
-    assert np.allclose(sup, 0.0, atol=1e-14)
+    assert np.allclose(sup.toarray(), 0.0, atol=1e-14)
 
 
 def test_dissipator_two_level_decay():
@@ -130,7 +130,7 @@ def test_hamiltonian_superoperator_closed_form():
     h = h + h.conj().T
     sup = hamiltonian_superoperator(h)
     expected = (np.kron(np.eye(d), h) - np.kron(h.T, np.eye(d))) / (1j * HBAR)
-    assert np.allclose(sup, expected, atol=1e-12)
+    assert np.allclose(sup.toarray(), expected, atol=1e-12)
 
 
 def test_superoperator_matches_dense_oracle():
@@ -164,7 +164,7 @@ def test_superoperator_unitary_limit_imaginary_spectrum():
     ops = product_operators(n_c, OMEGA1)
     h = build_hamiltonian(STAGE1, ops)
     v = build_superoperator(h, DissipationSpec(0.0, 0.0, 0.0), ops)
-    evals = np.linalg.eigvals(v)
+    evals = np.linalg.eigvals(v.toarray())
     assert np.max(np.abs(evals.real)) < 1e-8
 
 
@@ -173,7 +173,7 @@ def test_superoperator_spectrum_left_half_plane():
     ops = product_operators(n_c, OMEGA1)
     h = build_hamiltonian(STAGE1, ops)
     v = build_superoperator(h, dissipation(gamma_ph_mev=0.1), ops)
-    assert np.max(np.linalg.eigvals(v).real) < 1e-8
+    assert np.max(np.linalg.eigvals(v.toarray()).real) < 1e-8
 
 
 def test_superoperator_preserves_hermiticity():

@@ -1,14 +1,18 @@
-"""Eigendecomposition propagation against direct adaptive integration.
+"""Grid propagation, eigendecomposition and direct adaptive integration.
 
-The two evolution paths share nothing but the superoperator itself, so their
-agreement is the module's central evidence. A closed-form Rabi oscillation
-pins the direct integrator independently of both.
+The eigenmode and direct paths share nothing but the superoperator itself,
+so their agreement is the module's central evidence; the production path
+``evolve`` is then pinned to the eigenmode path. A closed-form Rabi
+oscillation pins the direct integrator independently of both.
 """
 
 import numpy as np
 import pytest
 
+from spinheat.config import parse_config, to_engine_config
 from spinheat.constants import HBAR
+from spinheat.engine import heat_extraction_stage, stage_machinery
+from spinheat.errors import NumericalError
 from spinheat.quantum_core import (
     IDX_UP, embed, level_projector, product_operators, thermal_state,
 )
@@ -17,7 +21,7 @@ from spinheat.liouvillian import (
     build_superoperator, hamiltonian_superoperator,
 )
 from spinheat.propagator import (
-    diagonalize, integrate_direct, propagate, truncation_error_estimate,
+    diagonalize, evolve, integrate_direct, is_stiff, propagate,
 )
 from spinheat.spectral import thermal_energy
 
@@ -151,50 +155,44 @@ def test_stationary_state_invariant_under_direct_integration():
     assert np.max(np.abs(states[-1] - rho_ss)) <= 1e-6
 
 
-def test_truncation_none_dropped_bound_is_zero():
-    v, _ = stage1_superoperator(4)
+@pytest.mark.parametrize("times", [
+    np.arange(0.0, 20.0 + 0.025, 0.05),  # stage-1 grid
+    np.append(np.arange(0.0, 1.2 + 0.025, 0.05), 1.23),  # short last step
+    np.linspace(0.8, 1.2, 41) * np.pi * HBAR / 4.316,  # pi-pulse candidates
+], ids=["stage1", "short-last-step", "pi-candidates"])
+def test_evolve_matches_eigenmode_propagation(times):
+    v, _ = stage1_superoperator(6)
+    rho0 = initial_state(6)
+    states, used_eigen = evolve(rho0, v, times)
+    assert not used_eigen
+    assert states.shape == (times.size, 18, 18)
     ep = diagonalize(v)
-    assert truncation_error_estimate(ep, initial_state(4), (0.0, 10.0)) == 0.0
+    worst = max(np.max(np.abs(propagate(rho0, ep, t) - s))
+                for t, s in zip(times, states))
+    assert worst <= 1e-10
 
 
-def test_truncation_bound_exponential_construction():
-    v, _ = stage1_superoperator(4, gamma_ph_mev=0.1)
-    t_mark = 2.0
-    ep = diagonalize(v, v_cut=10.0 / t_mark)
+def test_evolve_stiff_branch_matches_eigenmode_propagation():
+    v, _ = stage1_superoperator(4, gamma_ph_mev=30.0)
     rho0 = initial_state(4)
-    dropped = ep.eigenvalues[ep.kept_count:]
-    c = ep.dual_vectors @ rho0.reshape(-1, order="F")
-    budget = np.sum(np.abs(c[ep.kept_count:])) * np.exp(-10.0)
-    bound = truncation_error_estimate(ep, rho0, (t_mark, 10.0))
-    assert np.all(-dropped.real > 10.0 / t_mark)
-    assert bound <= budget + 1e-15
+    times = np.arange(0.0, 2.0 + 0.025, 0.05)
+    assert is_stiff(v, times[-1])
+    states, used_eigen = evolve(rho0, v, times)
+    assert used_eigen
+    ep = diagonalize(v)
+    assert np.max(np.abs(states[-1] - propagate(rho0, ep, times[-1]))) == 0.0
 
 
-def test_truncation_bound_tracks_observed_error():
-    v, _ = stage1_superoperator(4, gamma_ph_mev=0.1)
-    ep_full = diagonalize(v)
-    # keep the slowest quarter of the spectrum
-    rates = -ep_full.eigenvalues.real
-    v_cut = np.quantile(rates, 0.25)
-    ep = diagonalize(v, v_cut=v_cut)
-    assert ep.kept_count < ep_full.eigenvalues.size
-    rho0 = initial_state(4)
-    window = np.linspace(1.0, 6.0, 26)
-    observed = max(np.max(np.abs(propagate(rho0, ep, t) - propagate(rho0, ep_full, t)))
-                   for t in window)
-    bound = truncation_error_estimate(ep, rho0, (1.0, 6.0))
-    assert observed <= bound
+@pytest.mark.parametrize("gamma_ph, stiff", [(0.001, False), (1e6, True)])
+def test_default_stage_branch(gamma_ph, stiff):
+    cfg = to_engine_config(parse_config(
+        "stage1", overrides=[f"gamma_ph_meV={gamma_ph}"]))
+    _, v = stage_machinery(heat_extraction_stage(cfg), cfg)
+    assert is_stiff(v, cfg.stage1_duration) is stiff
 
 
-def test_truncation_monotone_fidelity():
-    v, _ = stage1_superoperator(4, gamma_ph_mev=0.1)
-    ep_full = diagonalize(v)
-    rho0 = initial_state(4)
-    t_probe = 8.0
-    reference = propagate(rho0, ep_full, t_probe)
-    rates = -ep_full.eigenvalues.real
-    errors = []
-    for q in (0.3, 0.6, 0.9, 1.0):
-        ep = diagonalize(v, v_cut=np.quantile(rates, q))
-        errors.append(np.max(np.abs(propagate(rho0, ep, t_probe) - reference)))
-    assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
+def test_evolve_rejects_non_finite_generator():
+    v, _ = stage1_superoperator(3)
+    v.data[0] = np.nan
+    with pytest.raises(NumericalError):
+        evolve(initial_state(3), v, [0.0, 1.0])
