@@ -18,20 +18,15 @@ import numpy as np
 
 from . import __version__
 from .config import (RunConfig, SWEEP_AXES, convert_value, parameter_table,
-                     parse_config, split_assignment, to_engine_config)
-from .engine import (heat_extraction_stage, initial_state, run_cycle,
-                     run_stage, stage_machinery)
+                     parse_config, split_assignment, to_engine_config,
+                     to_erasure_inputs)
+from .engine import (heat_extraction_stage, initial_state, invariant_checks,
+                     run_cycle, run_stage, truncation_convergence)
 from .errors import ConfigError, NumericalError, PositivityError
-from .hyperfine import (ELECTRON_DN, ELECTRON_UP, CouplingProfile, PulseSpec,
-                        brute_force_oracle, collective_to_vector,
-                        electron_up_population, erasure_step, flop_duration,
-                        gamma_tilde, initial_collective_state,
-                        pulse_feasibility)
-from .propagator import diagonalize, integrate_direct, propagate
+from .hyperfine import pulse_feasibility, verified_erasure_step
 
 TRAJECTORY_COLUMNS = ("t_ps", "rho_up", "rho_dn", "rho_XX", "dN1", "Q1bar",
                       "min_eig")
-CONVERGENCE_DRIFT_LIMIT = 1e-3
 
 
 def _format_value(value):
@@ -130,87 +125,32 @@ def _cycle_artifacts(run_config, out_dir):
     return summary
 
 
-def _erasure_inputs(run_config):
-    v = run_config.values
-    count = v["nucleus_count"]
-    sigma = v["sigma_nm"]
-    x = np.linspace(-2 * sigma, 2 * sigma, count) if count > 1 else np.zeros(1)
-    if v["lattice_jitter_nm"] > 0:
-        rng = np.random.default_rng(v["seed"])
-        x = x + rng.uniform(-v["lattice_jitter_nm"], v["lattice_jitter_nm"],
-                            count)
-    positions = np.zeros((count, 3))
-    positions[:, 0] = x
-    scale = v["coupling_scale_rad_per_ps"]
-    if v["coupling_envelope"] == "gaussian":
-        couplings = scale * np.exp(-x**2 / (4 * sigma**2))
-    else:
-        couplings = np.full(count, scale)
-    tau = v["pulse_duration_ps"]
-    rates = (v["suppression_phi_tau_sigma"] / (tau * sigma)) * x
-    profile = CouplingProfile(positions=positions, couplings=couplings,
-                              sigma=sigma, pulse_rates=rates)
-    pulse = PulseSpec(gradient=0.0, offset=0.0, duration=tau * 1e-3,
-                      g_n=v["g_n"])
-    return profile, pulse
-
-
 def _erasure_artifacts(run_config, out_dir):
     v = run_config.values
-    profile, pulse = _erasure_inputs(run_config)
-    tau = pulse.duration_ps
-    suppression = gamma_tilde(profile, tau)
-    mixture = [(0.5, initial_collective_state(ELECTRON_UP)),
-               (0.5, initial_collective_state(ELECTRON_DN))]
-    stepped = erasure_step(mixture, profile, pulse)
-    flop = flop_duration(profile)
-    branches = []
-    up_map = up_oracle = 0.0
-    for (weight, state), (_, start) in zip(stepped, mixture):
-        oracle = brute_force_oracle(
-            profile, [("exchange", flop), ("pulse", tau)], start)
-        mapped = collective_to_vector(state, profile)
-        overlap = abs(np.vdot(mapped, oracle))**2
-        norm_sq = float(np.vdot(mapped, mapped).real)
-        fidelity = overlap / (norm_sq * float(np.vdot(oracle, oracle).real))
-        branch_up_map = electron_up_population(mapped) / norm_sq
-        branch_up_oracle = electron_up_population(oracle)
-        label = "up" if start.terms[0].electron == ELECTRON_UP else "down"
-        branches.append({
-            "branch": label,
-            "weight": weight,
-            "fidelity": float(fidelity),
-            "up_population_map": float(branch_up_map),
-            "up_population_oracle": float(branch_up_oracle),
-            "term_count": len(state.terms),
-        })
-        up_map += weight * branch_up_map
-        up_oracle += weight * branch_up_oracle
-    feas_pulse = PulseSpec(gradient=v["pulse_gradient_T_per_nm"], offset=0.0,
-                           duration=v["pulse_duration_ns"], g_n=v["g_n"])
-    report = pulse_feasibility(feas_pulse, v["sigma_nm"], v["wire_radius_nm"],
-                               v["standoff_nm"])
-    ratio = suppression.ratio
+    profile, pulse, feasibility_pulse = to_erasure_inputs(run_config)
+    step = verified_erasure_step(profile, pulse)
+    report = pulse_feasibility(feasibility_pulse, v["sigma_nm"],
+                               v["wire_radius_nm"], v["standoff_nm"])
+    suppression = step.suppression
+    branches = [dataclasses.asdict(branch) for branch in step.branches]
     summary = _summary_base(run_config)
     summary["gamma_rad2_per_ps2"] = float(profile.gamma)
-    summary["flop_duration_ps"] = float(flop)
+    summary["flop_duration_ps"] = float(step.flop_duration)
     summary["suppression"] = {
         "phi_tau_sigma": float(v["suppression_phi_tau_sigma"]),
-        "discrete_ratio": float(ratio),
+        "discrete_ratio": float(suppression.ratio),
         "continuum_ratio": float(abs(suppression.continuum) / profile.gamma),
     }
     summary["branches"] = branches
     summary["up_population"] = {
-        "collective_map": float(up_map),
-        "oracle": float(up_oracle),
-        "floor": float(1 - 2 * ratio),
+        "collective_map": float(step.up_population_map),
+        "oracle": float(step.up_population_oracle),
+        "floor": float(step.up_population_floor),
     }
     summary["feasibility"] = {key: float(val) for key, val in
                               dataclasses.asdict(report).items()}
-    columns = ("branch", "weight", "fidelity", "up_population_map",
-               "up_population_oracle", "term_count")
-    rows = [tuple(b[c] for c in columns) for b in branches]
-    _write_csv(os.path.join(out_dir, "erasure.csv"), run_config, columns, rows)
+    _write_csv(os.path.join(out_dir, "erasure.csv"), run_config,
+               tuple(branches[0]), [tuple(b.values()) for b in branches])
     _write_json(os.path.join(out_dir, "erasure_summary.json"), summary)
     return summary
 
@@ -259,95 +199,36 @@ def _sweep_point(run_config, keys, combo, index, out_dir):
     return entry, rho_XX
 
 
-def _convergence_report(axes, points, traces):
-    """Pair up runs differing only in n_levels and measure rho_XX drift."""
-    keys = [key for key, _ in axes]
-    if "n_levels" not in keys:
-        return []
-    level_pos = keys.index("n_levels")
-    groups = {}
-    for index, combo in enumerate(points):
-        if traces[index] is None:
-            continue
-        rest = tuple(v for k, v in enumerate(combo) if k != level_pos)
-        groups.setdefault(rest, []).append((combo[level_pos], index))
-    report = []
-    for rest, members in sorted(groups.items()):
-        members.sort()
-        for (level_a, idx_a), (level_b, idx_b) in zip(members, members[1:]):
-            size = min(traces[idx_a].size, traces[idx_b].size)
-            drift = float(np.max(np.abs(traces[idx_a][:size]
-                                        - traces[idx_b][:size])))
-            report.append({
-                "n_levels": [int(level_a), int(level_b)],
-                "point_indices": [idx_a, idx_b],
-                "max_rho_XX_drift": drift,
-                "converged": bool(drift < CONVERGENCE_DRIFT_LIMIT),
-            })
-    return report
-
-
 def _sweep_artifacts(run_config, axes, jobs, out_dir):
     keys = [key for key, _ in axes]
     points = list(itertools.product(*[values for _, values in axes]))
     if not points:
         points = [()]
-    results = [None] * len(points)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_sweep_point, run_config, keys, combo, index,
                                out_dir)
                    for index, combo in enumerate(points)]
-        for index, future in enumerate(futures):
-            results[index] = future.result()
+        results = [future.result() for future in futures]
     entries = [entry for entry, _ in results]
     traces = [trace for _, trace in results]
     index_payload = _summary_base(run_config)
     index_payload["axes"] = {key: list(values) for key, values in axes}
     index_payload["points"] = entries
-    index_payload["convergence"] = _convergence_report(axes, points, traces)
+    index_payload["convergence"] = truncation_convergence(keys, points,
+                                                          traces)
     _write_json(os.path.join(out_dir, "sweep_index.json"), index_payload)
     return index_payload
 
 
-CHECK_GRID = ((60.0, 0.001), (60.0, 0.1), (150.0, 0.001), (150.0, 0.1))
-
-
-def _run_check(run_config, stream):
-    """Superoperator invariants and propagation agreement, four parameter sets."""
-    failures = 0
-    total = 0
-    for temperature, gamma_ph in CHECK_GRID:
-        cfg = dataclasses.replace(to_engine_config(run_config),
-                                  temperature=temperature,
-                                  gamma_ph_energy=gamma_ph)
-        label = f"T={temperature:g}K gamma_ph={gamma_ph:g}meV"
-        _, v = stage_machinery(heat_extraction_stage(cfg), cfg)
-        dim = 3 * cfg.n_levels
-        vec_identity = np.eye(dim).reshape(-1, order="F")
-        trace_residual = float(np.max(np.abs(vec_identity @ v)))
-        ep = diagonalize(v)
-        rho0 = initial_state(cfg)
-        times, direct_states = integrate_direct(rho0, v, cfg.stage1_duration,
-                                                grid_dt=cfg.grid_dt)
-        agreement = 0.0
-        for t, direct in zip(times, direct_states):
-            agreement = max(agreement, float(np.max(np.abs(
-                propagate(rho0, ep, t) - direct))))
-        checks = (
-            ("trace_annihilation", trace_residual, 1e-10),
-            ("max_real_eigenvalue", float(np.max(ep.eigenvalues.real)), 1e-8),
-            ("biorthonormality", float(ep.biorthonormality_residual), 1e-8),
-            ("propagation_agreement", agreement, 1e-6),
-        )
-        for name, value, tol in checks:
-            ok = value <= tol
-            total += 1
-            failures += 0 if ok else 1
-            status = "PASS" if ok else "FAIL"
-            stream.write(f"{label}: {name} = {value:.3e} "
-                         f"(tolerance {tol:g}) {status}\n")
-    stream.write(f"check: {total - failures}/{total} passed\n")
-    return 0 if failures == 0 else 3
+def _check_report(run_config, stream):
+    records = invariant_checks(to_engine_config(run_config))
+    for record in records:
+        status = "PASS" if record.passed else "FAIL"
+        stream.write(f"{record.label}: {record.name} = {record.value:.3e} "
+                     f"(tolerance {record.tolerance:g}) {status}\n")
+    passed = sum(record.passed for record in records)
+    stream.write(f"check: {passed}/{len(records)} passed\n")
+    return 0 if passed == len(records) else 3
 
 
 def _positive_int(text):
@@ -394,7 +275,7 @@ def _dispatch(args):
     run_config = parse_config(args.kind, config_path=args.config,
                               overrides=args.overrides)
     if args.kind == "check":
-        return _run_check(run_config, sys.stdout)
+        return _check_report(run_config, sys.stdout)
     os.makedirs(args.out, exist_ok=True)
     if args.kind == "stage1":
         summary, _ = _stage1_artifacts(run_config, args.out)

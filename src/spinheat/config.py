@@ -11,8 +11,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .engine import EngineConfig
 from .errors import ConfigError
+from .hyperfine import CouplingProfile, PulseSpec
 
 
 @dataclass(frozen=True)
@@ -162,9 +165,6 @@ class RunConfig:
     values: dict
     provenance: dict  # parameter name -> "default" | "user"
 
-    def __getitem__(self, key):
-        return self.values[key]
-
 
 def split_assignment(text, origin):
     key, separator, raw = text.partition("=")
@@ -223,7 +223,6 @@ def parse_config(kind, config_path=None, overrides=()):
     table = parameter_table(kind)
     values = {name: spec.default for name, spec in table.items()}
     provenance = {name: "default" for name in table}
-    missing = [name for name, value in values.items() if value is None]
     entries = []
     if config_path is not None:
         entries.extend(_read_config_file(config_path))
@@ -235,10 +234,6 @@ def parse_config(kind, config_path=None, overrides=()):
             raise ConfigError(_other_table_hint(kind, key))
         values[key] = convert_value(spec, raw)
         provenance[key] = "user"
-    still_missing = [name for name in missing if values[name] is None]
-    if still_missing:
-        raise ConfigError(
-            "missing required config keys: " + ", ".join(sorted(still_missing)))
     return RunConfig(kind=kind, values=values, provenance=provenance)
 
 
@@ -260,3 +255,46 @@ def to_engine_config(run_config):
         detuning_reference=v["detuning_reference"],
         positivity_abort=v["positivity_abort"],
     )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def to_erasure_inputs(run_config):
+    """Coupling profile, erasure pulse and feasibility pulse of an erasure run.
+
+    Valid keys can still give couplings that underflow to zero, or an
+    envelope or coupling sum that overflows; these are configuration errors.
+    """
+    v = run_config.values
+    count = v["nucleus_count"]
+    sigma = v["sigma_nm"]
+    x = np.linspace(-2 * sigma, 2 * sigma, count) if count > 1 else np.zeros(1)
+    if v["lattice_jitter_nm"] > 0:
+        rng = np.random.default_rng(v["seed"])
+        x = x + rng.uniform(-v["lattice_jitter_nm"], v["lattice_jitter_nm"],
+                            count)
+    positions = np.zeros((count, 3))
+    positions[:, 0] = x
+    scale = v["coupling_scale_rad_per_ps"]
+    tau = v["pulse_duration_ps"]
+    rates = (v["suppression_phi_tau_sigma"] / (tau * sigma)) * x
+    try:
+        if v["coupling_envelope"] == "gaussian":
+            couplings = scale * np.exp(-x**2 / (4 * sigma**2))
+        else:
+            couplings = np.full(count, scale)
+        profile = CouplingProfile(positions=positions, couplings=couplings,
+                                  sigma=sigma, pulse_rates=rates)
+    except (ValueError, OverflowError) as err:
+        raise ConfigError(
+            "no usable nuclear chain from sigma_nm, lattice_jitter_nm and "
+            f"coupling_scale_rad_per_ps: {err}") from None
+    if not 0 < profile.gamma < math.inf:
+        raise ConfigError(
+            f"coupling sum gamma = {profile.gamma:g} rad^2/ps^2 is not "
+            "positive and finite; rescale coupling_scale_rad_per_ps")
+    pulse = PulseSpec(gradient=0.0, offset=0.0, duration=tau * 1e-3,
+                      g_n=v["g_n"])
+    feasibility_pulse = PulseSpec(gradient=v["pulse_gradient_T_per_nm"],
+                                  offset=0.0, duration=v["pulse_duration_ns"],
+                                  g_n=v["g_n"])
+    return profile, pulse, feasibility_pulse

@@ -8,20 +8,7 @@ KB = 0.08617333  # meV / K
 # SI values used only by the hyperfine field estimates.
 HBAR_SI = 1.054571817e-34  # J s
 MU_N_SI = 5.0507837461e-27  # J / T  (nuclear magneton)
-MU_B_SI = 9.2740100783e-24  # J / T  (Bohr magneton)
 MU_0_SI = 4e-7 * np.pi  # T m / A
 
 # Nuclear precession rate per tesla, in package time units.
 NUCLEAR_RATE_PER_TESLA = MU_N_SI / HBAR_SI * 1e-12  # rad / (ps T), per unit g_n
-
-MEV_TO_RAD_PER_PS = 1.0 / HBAR
-
-
-def energy_to_angular(energy_mev):
-    """Convert an energy in meV to an angular frequency in rad/ps."""
-    return energy_mev / HBAR
-
-
-def angular_to_energy(omega_rad_ps):
-    """Convert an angular frequency in rad/ps to an energy in meV."""
-    return omega_rad_ps * HBAR

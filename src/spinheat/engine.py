@@ -16,9 +16,12 @@ The heat-extraction stage drives the up transition red-detuned by the
 photon energy gap; the work-output stage drives the down transition
 resonantly and lasts one pi pulse, locally refined because the phonon
 dressing detunes the bare pi time slightly.
+
+The invariant checks of the stage-1 generator and the truncation-convergence
+report of an n_levels sweep verify the dot dynamics.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -26,13 +29,13 @@ import numpy as np
 from .constants import HBAR
 from .errors import PositivityError
 from .quantum_core import (
-    IDX_DN, IDX_UP, IDX_X, embed, expectation, level_projector,
+    IDX_DN, IDX_UP, embed, expectation, level_projector,
     min_eigenvalue, product_operators, thermal_state,
 )
 from .liouvillian import (
     DissipationSpec, StageHamiltonianSpec, build_hamiltonian, build_superoperator,
 )
-from .propagator import evolve
+from .propagator import diagonalize, evolve, integrate_direct, propagate
 from .spectral import reorganization_energy, thermal_energy
 
 
@@ -320,16 +323,79 @@ def run_cycle(cfg, stage2_duration=None):
                        electron_populations=pops)
 
 
-def inverse_spin_temperature(jz_mean, n_spins):
-    """Inverse spin temperature of a spin-1/2 reservoir, in 1/hbar.
+CHECK_GRID = ((60.0, 0.001), (60.0, 0.1), (150.0, 0.001), (150.0, 0.1))
+CONVERGENCE_DRIFT_LIMIT = 1e-3
 
-    ``jz_mean`` is the mean collective z angular momentum in hbar. Saturated
-    reservoirs (|2 Jz| >= N) have no finite spin temperature.
+
+@dataclass(frozen=True)
+class InvariantCheck:
+    """One invariant at one grid point."""
+
+    label: str
+    name: str
+    value: float
+    tolerance: float
+    passed: bool  # value <= tolerance
+
+
+def invariant_checks(cfg):
+    """Stage-1 generator invariants and oracle agreement over ``CHECK_GRID``:
+    trace annihilation, no growing mode, biorthonormal eigenvectors, and
+    eigenmode propagation matching the direct integrator on the output grid.
     """
-    if abs(2 * jz_mean) >= n_spins:
-        raise ValueError(
-            f"reservoir saturated: |2 Jz| = {abs(2 * jz_mean)} >= N = {n_spins}")
-    return float(np.log((n_spins - 2 * jz_mean) / (n_spins + 2 * jz_mean)))
+    records = []
+    for temperature, gamma_ph in CHECK_GRID:
+        point = replace(cfg, temperature=temperature, gamma_ph_energy=gamma_ph)
+        label = f"T={temperature:g}K gamma_ph={gamma_ph:g}meV"
+        _, v = stage_machinery(heat_extraction_stage(point), point)
+        vec_identity = np.eye(3 * point.n_levels).reshape(-1, order="F")
+        trace_residual = float(np.max(np.abs(vec_identity @ v)))
+        ep = diagonalize(v)
+        rho0 = initial_state(point)
+        times, direct_states = integrate_direct(
+            rho0, v, point.stage1_duration, grid_dt=point.grid_dt)
+        # np.max, unlike max(), lets a NaN state fail the check
+        agreement = float(np.max([np.abs(propagate(rho0, ep, t) - direct).max()
+                                  for t, direct in zip(times, direct_states)]))
+        checks = (
+            ("trace_annihilation", trace_residual, 1e-10),
+            ("max_real_eigenvalue", float(np.max(ep.eigenvalues.real)), 1e-8),
+            ("biorthonormality", float(ep.biorthonormality_residual), 1e-8),
+            ("propagation_agreement", agreement, 1e-6),
+        )
+        records.extend(InvariantCheck(label, name, value, tol, value <= tol)
+                       for name, value, tol in checks)
+    return records
+
+
+def truncation_convergence(keys, points, traces):
+    """rho_XX drift between neighbouring n_levels among runs that share
+    every other axis value. ``points`` holds each run's axis values in
+    ``keys`` order; a failed run has trace None and is skipped.
+    """
+    if "n_levels" not in keys:
+        return []
+    level_pos = keys.index("n_levels")
+    groups = {}
+    for index, combo in enumerate(points):
+        if traces[index] is None:
+            continue
+        rest = tuple(v for k, v in enumerate(combo) if k != level_pos)
+        groups.setdefault(rest, []).append((combo[level_pos], index))
+    report = []
+    for rest, members in sorted(groups.items()):
+        members.sort()
+        for (level_a, idx_a), (level_b, idx_b) in zip(members, members[1:]):
+            size = min(traces[idx_a].size, traces[idx_b].size)
+            drift = float(np.max(np.abs(traces[idx_a][:size]
+                                        - traces[idx_b][:size])))
+            report.append({
+                "n_levels": [int(level_a), int(level_b)],
+                "point_indices": [idx_a, idx_b],
+                "max_rho_XX_drift": drift,
+                "converged": bool(drift < CONVERGENCE_DRIFT_LIMIT),
+            })
+    return report
 
 
 def spinlabor_bound(gamma_spin):

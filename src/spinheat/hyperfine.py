@@ -21,9 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import sparse
 
-from .constants import (
-    HBAR, HBAR_SI, MU_0_SI, MU_B_SI, MU_N_SI, NUCLEAR_RATE_PER_TESLA,
-)
+from .constants import HBAR_SI, MU_0_SI, MU_N_SI, NUCLEAR_RATE_PER_TESLA
 from .errors import ConfigError
 
 ELECTRON_UP = 0
@@ -34,7 +32,6 @@ EXCITATION_WARN_FRACTION = 0.05
 SHORT_PULSE_FRACTION = 0.1
 INEFFECTIVE_RATIO = 0.9
 MAX_ORACLE_SPINS = 12  # full space is 2^(N+1) <= 8192
-BOUNDARY_WEIGHT_LIMIT = 1e-6  # largest tolerated boundary share of a_j^2
 
 
 class ExcitationApproximationWarning(UserWarning):
@@ -66,16 +63,6 @@ class CollectiveNuclearState:
 
     def norm_square(self):
         return float(sum(abs(t.amplitude) ** 2 for t in self.terms))
-
-    def electron_up_probability(self):
-        return float(sum(abs(t.amplitude) ** 2 for t in self.terms
-                         if t.electron == ELECTRON_UP))
-
-    def excitation_distribution(self):
-        dist = {}
-        for term in self.terms:
-            dist[term.n] = dist.get(term.n, 0.0) + abs(term.amplitude) ** 2
-        return dist
 
 
 def state_from_terms(entries):
@@ -140,54 +127,6 @@ class CouplingProfile:
 def flop_duration(profile):
     """Electron spin flop time pi/(2 sqrt(gamma)), ps."""
     return float(np.pi / (2 * np.sqrt(profile.gamma)))
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Simple cubic sampling lattice, centered on the electron."""
-
-    spacing: float  # nm
-    half_width: Optional[float] = None  # nm; defaults to 4 sigma
-
-    def __post_init__(self):
-        if self.spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-
-
-def coupling_profile(sigma, hyperfine_energy, unit_cell_volume, lattice):
-    """Sample contact couplings from a spherical Gaussian envelope.
-
-    hyperfine_energy (meV) and unit_cell_volume (nm^3) set the scale
-    a_j = energy * volume * |psi(r_j)|^2 / 2 converted to rad/ps. The box
-    must be wide enough that the boundary carries a negligible share of
-    sum a_j^2.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    half_width = 4 * sigma if lattice.half_width is None else lattice.half_width
-    n_half = int(np.floor(half_width / lattice.spacing + 1e-9))
-    offsets = np.arange(-n_half, n_half + 1) * lattice.spacing
-    grid = np.meshgrid(offsets, offsets, offsets, indexing="ij")
-    positions = np.stack([g.ravel() for g in grid], axis=1)
-    r_sq = np.sum(positions ** 2, axis=1)
-    psi_sq = (2 * np.pi * sigma**2) ** -1.5 * np.exp(-r_sq / (2 * sigma**2))
-    couplings = 0.5 * hyperfine_energy * unit_cell_volume * psi_sq / HBAR
-    if n_half > 0:
-        edge = n_half * lattice.spacing
-        on_boundary = np.max(np.abs(positions), axis=1) >= edge - 1e-9
-        weight_ratio = (couplings[on_boundary].max() / couplings.max()) ** 2
-        if weight_ratio > BOUNDARY_WEIGHT_LIMIT:
-            raise ValueError(
-                f"lattice box too small: boundary carries {weight_ratio:.2e} "
-                f"of the peak coupling weight (limit {BOUNDARY_WEIGHT_LIMIT})")
-    return CouplingProfile(positions=positions, couplings=couplings,
-                           sigma=sigma)
-
-
-def continuum_gamma(hyperfine_energy, unit_cell_volume, sigma):
-    """Volume-integral limit of (sum a_j^2) * spacing^3, (rad/ps)^2 nm^3."""
-    scale = hyperfine_energy * unit_cell_volume / HBAR
-    return scale**2 / (32 * np.pi**1.5 * sigma**3)
 
 
 @dataclass(frozen=True)
@@ -265,23 +204,6 @@ def gamma_tilde(profile, tau):
                             gamma=gamma)
 
 
-def matching_field(profile, iz_mean, g_star, g_n):
-    """Static field cancelling the Overhauser shift, tesla.
-
-    iz_mean is the mean nuclear I_z in hbar units (scalar for uniform
-    polarization or one value per nucleus). Matching fails when the
-    electron and nuclear Zeeman rates coincide.
-    """
-    denominator = g_star * MU_B_SI - g_n * MU_N_SI
-    scale = abs(g_star * MU_B_SI) + abs(g_n * MU_N_SI)
-    if abs(denominator) < 1e-12 * scale:
-        raise ValueError(
-            "singular matching: electron and nuclear Zeeman rates coincide")
-    iz = np.broadcast_to(np.asarray(iz_mean, dtype=float), (profile.count,))
-    overhauser_energy = HBAR_SI * 1e12 * float(np.sum(profile.couplings * iz))
-    return overhauser_energy / denominator
-
-
 def _warn_if_excited(state, profile):
     n_max = max((term.n for term in state.terms), default=0)
     if n_max / profile.count > EXCITATION_WARN_FRACTION:
@@ -336,38 +258,6 @@ def apply_pulse(state, pulse, profile):
         else:
             extended = term.history[:-1] + (term.history[-1] + tau,)
             entries.append((term.electron, extended, term.amplitude))
-    return _merged(entries)
-
-
-def collective_raising(state, profile):
-    """Closed-form collective raising, accurate to O(n/N).
-
-    Each n-excitation ket maps to a sum over which excitation is removed:
-    slot m contributes conj(gamma_tilde(T_m))/gamma with T_m the history
-    suffix sum, merging the freed duration into the previous entry (the
-    oldest slot instead leaves its global phase behind).
-    """
-    rates = _require_rates(profile)
-    theta_total = 0.5 * float(np.sum(rates))
-    gamma = profile.gamma
-    entries = []
-    for term in state.terms:
-        if term.n == 0:
-            continue
-        history = term.history
-        for m in range(1, term.n + 1):
-            suffix = sum(history[m - 1:])
-            weights = profile.couplings ** 2
-            coeff = complex(np.sum(weights * np.exp(1j * rates * suffix))) / gamma
-            if m == 1:
-                coeff *= np.exp(-1j * theta_total * history[0])
-                merged_history = history[1:]
-            else:
-                merged_history = (history[:m - 2]
-                                  + (history[m - 2] + history[m - 1],)
-                                  + history[m:])
-            entries.append((term.electron, merged_history,
-                            term.amplitude * coeff))
     return _merged(entries)
 
 
@@ -492,6 +382,66 @@ def brute_force_oracle(profile, schedule, initial):
         else:
             raise ValueError(f"unknown schedule segment {kind!r}")
     return vec
+
+
+@dataclass(frozen=True)
+class ErasureBranch:
+    """One branch of a verified erasure step; its fields are artifact keys."""
+
+    branch: str  # starting electron spin, "up" or "down"
+    weight: float
+    fidelity: float  # overlap of the collective map with the exact state
+    up_population_map: float
+    up_population_oracle: float
+    term_count: int  # kets in the collective state after the step
+
+
+@dataclass(frozen=True)
+class VerifiedErasure:
+    """An erasure step on the unpolarized electron, replayed exactly."""
+
+    suppression: GammaTildeResult  # at the pulse duration
+    flop_duration: float  # ps
+    branches: tuple  # ErasureBranch, up then down
+    up_population_map: float
+    up_population_oracle: float
+
+    @property
+    def up_population_floor(self):
+        """Fixed-point bound 1 - 2 |gamma_tilde|/gamma on the up population."""
+        return 1 - 2 * self.suppression.ratio
+
+
+def verified_erasure_step(profile, pulse):
+    """:func:`erasure_step` on a 50/50 electron mixture, each branch replayed
+    by :func:`brute_force_oracle`. ``profile`` must carry the pulse rates.
+    """
+    tau = pulse.duration_ps
+    mixture = [(0.5, initial_collective_state(ELECTRON_UP)),
+               (0.5, initial_collective_state(ELECTRON_DN))]
+    stepped = erasure_step(mixture, profile, pulse)
+    flop = flop_duration(profile)
+    branches = []
+    for (weight, state), (_, start) in zip(stepped, mixture):
+        oracle = brute_force_oracle(
+            profile, [("exchange", flop), ("pulse", tau)], start)
+        mapped = collective_to_vector(state, profile)
+        norm_sq = float(np.vdot(mapped, mapped).real)
+        fidelity = abs(np.vdot(mapped, oracle))**2 / (
+            norm_sq * float(np.vdot(oracle, oracle).real))
+        branches.append(ErasureBranch(
+            branch="up" if start.terms[0].electron == ELECTRON_UP else "down",
+            weight=weight, fidelity=float(fidelity),
+            up_population_map=electron_up_population(mapped) / norm_sq,
+            up_population_oracle=electron_up_population(oracle),
+            term_count=len(state.terms)))
+    return VerifiedErasure(
+        suppression=gamma_tilde(profile, tau), flop_duration=flop,
+        branches=tuple(branches),
+        up_population_map=sum(b.weight * b.up_population_map
+                              for b in branches),
+        up_population_oracle=sum(b.weight * b.up_population_oracle
+                                 for b in branches))
 
 
 @dataclass(frozen=True)

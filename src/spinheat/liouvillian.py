@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .constants import HBAR
-from .quantum_core import IDX_DN, IDX_UP, transition_operator, embed
+from .quantum_core import IDX_DN, IDX_UP
 
 _GROUND_LEVELS = (IDX_UP, IDX_DN)
 

@@ -118,7 +118,6 @@ def min_eigenvalue(rho):
 class ProductOperators:
     """Frequently used operators embedded on the 3 N_c product space."""
 
-    n_c: int
     omega1: float
     identity: np.ndarray
     q1: np.ndarray
@@ -143,7 +142,6 @@ def product_operators(n_c, omega1):
     i_bath = np.eye(n_c, dtype=complex)
     i_sys = np.eye(N_ELECTRONIC, dtype=complex)
     return ProductOperators(
-        n_c=n_c,
         omega1=omega1,
         identity=embed(i_sys, i_bath),
         q1=embed(i_sys, q1),

@@ -1,79 +1,17 @@
-"""Acoustic-phonon spectral density and effective-mode parameters.
+"""Closed forms of the acoustic-phonon bath used by the dot dynamics.
 
 The bath enters through a super-ohmic density with a Gaussian cutoff,
-``J(w) = alpha_p w^3 exp(-w^2 / 2 w_b^2)``. Its first two moments define the
-single effective mode: the squared coupling is the zeroth moment and the
-squared frequency the second. Both closed forms are cross-checked against
-adaptive quadrature because they anchor everything downstream.
-
-Two normalizations coexist for the frequency moment (with and without
-division by the zeroth moment); both are returned and the simulation takes
-its mode frequency from config instead of either formula.
+``J(w) = alpha_p w^3 exp(-w^2 / 2 w_b^2)``. Two of its integrals reach the
+simulation: the full-bath reorganization energy, which places the relaxed
+exciton line, and (in ``engine.stage_hamiltonian_spec``) the zeroth moment
+2 alpha_p w_b^4, the squared coupling of the single effective mode. The
+mode frequency is taken from config. The residual bath closes the mode with
+a thermal energy given by the quantum coth formula.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import HBAR, KB
-
-
-@dataclass(frozen=True)
-class SpectralParams:
-    """Density parameters: ``alpha_p`` in ps^2, ``omega_b`` in rad/ps."""
-
-    alpha_p: float
-    omega_b: float
-
-    def __post_init__(self):
-        if self.alpha_p < 0:
-            raise ValueError(f"alpha_p must be nonnegative, got {self.alpha_p}")
-        if self.omega_b <= 0:
-            raise ValueError(f"omega_b must be positive, got {self.omega_b}")
-
-
-def spectral_density(omega, p):
-    """J(w) = alpha_p w^3 exp(-w^2 / 2 w_b^2) for w >= 0."""
-    if omega < 0:
-        raise ValueError(f"frequency must be nonnegative, got {omega}")
-    return p.alpha_p * omega**3 * np.exp(-(omega**2) / (2 * p.omega_b**2))
-
-
-def _moment_quadrature(p, power):
-    # Gaussian falloff makes the tail beyond 10 w_b < 1e-15 of the total.
-    val, _ = quad(lambda w: w**power * spectral_density(w, p), 0.0, 10 * p.omega_b,
-                  limit=200)
-    return val
-
-
-def coupling_D1_squared(p):
-    """Zeroth moment of J: the squared effective-mode coupling.
-
-    Returns
-    -------
-    (closed, quadrature) : tuple of floats
-        Closed form ``2 alpha_p w_b^4`` and its adaptive-quadrature
-        cross-check.
-    """
-    closed = 2 * p.alpha_p * p.omega_b**4
-    return closed, _moment_quadrature(p, 0)
-
-
-def effective_omega1_squared(p):
-    """Second moment of J: the squared effective-mode frequency.
-
-    Returns
-    -------
-    (closed, quadrature, normalized) : tuple of floats
-        Closed form ``8 alpha_p w_b^6``, its quadrature cross-check, and the
-        zeroth-moment-normalized variant ``4 w_b^2``. The two conventions
-        disagree; the propagation code takes the mode frequency from config
-        rather than from either one.
-    """
-    closed = 8 * p.alpha_p * p.omega_b**6
-    normalized = 4 * p.omega_b**2
-    return closed, _moment_quadrature(p, 2), normalized
 
 
 def thermal_energy(temperature, omega1):
@@ -89,28 +27,16 @@ def thermal_energy(temperature, omega1):
     return half / np.tanh(half / (KB * temperature))
 
 
-def effective_coupling_energy(alpha_cfg, omega_b_mev, omega1_mev):
-    """Effective-mode coupling energy on (a + a^dag), in meV.
-
-    The moment formulas are evaluated with energies in meV and ``alpha_cfg``
-    in ps^2. That normalization is not arbitrary: plugging the default
-    (0.06, 1.48 meV) into the frequency-moment formula sqrt(8 alpha w_b^6)
-    returns 2.246 meV, reproducing the pinned mode frequency sqrt(5) meV to
-    half a percent, so the same arithmetic is used for the coupling. The
-    mass-weighted combination D1 / sqrt(2 w1) is invariant under the choice
-    of hbar bookkeeping.
-    """
-    d1_sq = 2 * alpha_cfg * omega_b_mev**4
-    return np.sqrt(d1_sq / (2 * omega1_mev))
-
-
 def reorganization_energy(alpha_cfg, omega_b_mev):
     """Full-bath reorganization energy, integral of J(w)/w, in meV.
 
-    Evaluated in the same meV normalization as
-    :func:`effective_coupling_energy`. The truncated single mode carries only
-    part of this shift (coupling^2 / mode frequency); the friction closure
-    stands in for the residual bath dynamically but carries no static shift,
-    so line positions measured from the relaxed exciton need the full value.
+    Evaluated with energies in meV and ``alpha_cfg`` in ps^2. That
+    normalization is fixed by the mode frequency: the frequency moment
+    sqrt(8 alpha w_b^6) at the default (0.06, 1.48 meV) gives 2.246 meV,
+    the pinned sqrt(5) meV to half a percent. The truncated single mode
+    carries only part of this shift (coupling^2 / mode frequency); the
+    friction closure stands in for the residual bath dynamically but carries
+    no static shift, so line positions measured from the relaxed exciton
+    need the full value.
     """
     return alpha_cfg * omega_b_mev**3 * np.sqrt(2 * np.pi) / 2

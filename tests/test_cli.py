@@ -222,6 +222,18 @@ class TestErasureCommand:
         assert code == 2
         assert "ineffective" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "lattice_jitter_nm=1e6", "sigma_nm=1e-300", "sigma_nm=1e300",
+        "coupling_scale_rad_per_ps=1e300", "coupling_scale_rad_per_ps=1e-300"])
+    def test_unusable_chain_exits_2(self, tmp_path, capsys, override):
+        # each key is valid alone, but the couplings underflow to zero, or
+        # the envelope width or the couplings' squared sum overflows
+        assert main(["erasure", "--out", str(tmp_path),
+                     "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
     def test_jitter_is_seeded(self, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -11,8 +11,9 @@ import pytest
 from spinheat.constants import HBAR
 from spinheat.engine import (
     CycleLedger, EngineConfig, StageConfig, Trajectory, find_switch_time,
-    heat_extraction_stage, inverse_spin_temperature, make_ledger, run_cycle,
-    run_stage, spinlabor_bound, stage_hamiltonian_spec, work_output_stage,
+    heat_extraction_stage, invariant_checks, make_ledger, run_cycle, run_stage,
+    spinlabor_bound, stage_hamiltonian_spec, truncation_convergence,
+    work_output_stage,
 )
 from spinheat.quantum_core import IDX_DN, IDX_UP, embed, level_projector, thermal_state
 
@@ -173,17 +174,39 @@ def test_zero_duration_stage2_counts_no_transfer():
     assert abs(result.ledger.transfer_probability) < 5e-3
 
 
-def test_inverse_spin_temperature_values():
-    assert inverse_spin_temperature(0.0, 8) == 0.0
-    assert inverse_spin_temperature(-2.0, 8) == pytest.approx(np.log(3.0), rel=1e-12)
-    assert inverse_spin_temperature(2.0, 8) == pytest.approx(-np.log(3.0), rel=1e-12)
+def test_truncation_convergence_pairs_neighbours_sharing_other_axes():
+    keys = ("temperature_K", "n_levels")
+    points = [(60.0, 6), (60.0, 4), (150.0, 4), (60.0, 5), (150.0, 5),
+              (150.0, 6)]
+    traces = [np.array([0.0, 0.3]), np.array([0.0, 0.1, 9.0]),
+              np.array([0.5]), np.array([0.0, 0.2]), None,
+              np.array([0.5004, 7.0])]
+    report = truncation_convergence(keys, points, traces)
+    # the failed (150 K, 5) point is skipped, so (150 K, 4) pairs with 6;
+    # each group is ordered by n_levels whatever the point order, and the
+    # drift is taken over the shorter trace
+    assert [entry["n_levels"] for entry in report] == [[4, 5], [5, 6], [4, 6]]
+    assert [entry["point_indices"] for entry in report] == [[1, 3], [3, 0],
+                                                            [2, 5]]
+    drifts = [entry["max_rho_XX_drift"] for entry in report]
+    assert drifts == pytest.approx([0.1, 0.1, 4e-4], rel=1e-9)
+    assert [entry["converged"] for entry in report] == [False, False, True]
 
 
-def test_inverse_spin_temperature_saturation():
-    with pytest.raises(ValueError):
-        inverse_spin_temperature(4.0, 8)
-    with pytest.raises(ValueError):
-        inverse_spin_temperature(-4.1, 8)
+def test_invariant_checks_fail_on_non_finite_propagation(monkeypatch):
+    import spinheat.engine as engine_module
+    real = engine_module.propagate
+    monkeypatch.setattr(engine_module, "propagate",
+                        lambda rho0, ep, t: real(rho0, ep, t) * np.nan)
+    records = invariant_checks(engine_config(n_levels=3, stage1_duration=1.0))
+    assert len(records) == 16
+    failed = [(r.label, r.name) for r in records if not r.passed]
+    assert [name for _, name in failed] == ["propagation_agreement"] * 4
+
+
+def test_truncation_convergence_needs_a_level_axis():
+    assert truncation_convergence(("temperature_K",), [(60.0,), (150.0,)],
+                                  [np.zeros(3), np.zeros(3)]) == []
 
 
 def test_spinlabor_bound_values():

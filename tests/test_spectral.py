@@ -1,91 +1,75 @@
-"""Spectral density, effective-mode moments, and the thermal closure energy.
+"""Closed forms of the phonon bath and the thermal closure energy.
 
-Closed forms are checked against adaptive quadrature; frozen numbers come
-from independent evaluations of the truncated integrals and coth.
+The bath integrals the simulation uses (the engine's effective-mode coupling
+and the reorganization energy) are checked against adaptive quadrature of
+the spectral density; frozen numbers come from independent evaluations of
+the truncated integrals and coth.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from spinheat.config import parse_config, to_engine_config
 from spinheat.constants import HBAR
-from spinheat.spectral import (
-    SpectralParams, coupling_D1_squared, effective_coupling_energy,
-    effective_omega1_squared, reorganization_energy, spectral_density,
-    thermal_energy,
-)
+from spinheat.engine import heat_extraction_stage, stage_hamiltonian_spec
+from spinheat.spectral import reorganization_energy, thermal_energy
 
-# Cutoff 1.48 meV; the coupling parameter is quoted relative to (2 pi)^2.
-PARAMS = SpectralParams(alpha_p=0.06 * (2 * np.pi) ** 2, omega_b=1.48 / HBAR)
 OMEGA1 = np.sqrt(5.0) / HBAR
+DEFAULTS = to_engine_config(parse_config("stage1"))
 
 
-def test_density_vanishes_at_zero():
-    assert spectral_density(0.0, PARAMS) == 0.0
+def density_moment(alpha, omega_b, power):
+    """Integral of w^power J(w), J(w) = alpha w^3 exp(-w^2 / 2 w_b^2)."""
+    # Gaussian falloff makes the tail beyond 10 w_b < 1e-15 of the total.
+    value, _ = quad(lambda w: alpha * w**(3 + power)
+                    * np.exp(-w**2 / (2 * omega_b**2)),
+                    0.0, 10 * omega_b, limit=200)
+    return value
 
 
-def test_density_rejects_negative_frequency():
-    with pytest.raises(ValueError):
-        spectral_density(-0.1, PARAMS)
-
-
-def test_density_peak_location():
-    # d/dw [w^3 exp(-w^2/2wb^2)] = 0 at w = sqrt(3) wb; confirmed by grid scan.
-    grid = np.linspace(1e-6, 6 * PARAMS.omega_b, 200001)
-    vals = np.array([spectral_density(w, PARAMS) for w in grid])
-    w_peak = grid[np.argmax(vals)]
-    assert w_peak == pytest.approx(np.sqrt(3) * PARAMS.omega_b, rel=1e-4)
-
-
-def test_density_value_at_cutoff():
-    expected = PARAMS.alpha_p * PARAMS.omega_b**3 * np.exp(-0.5)
-    assert spectral_density(PARAMS.omega_b, PARAMS) == pytest.approx(expected, rel=1e-12)
+def mode_coupling_squared(cfg):
+    spec = stage_hamiltonian_spec(heat_extraction_stage(cfg), cfg)
+    return spec.coupling_D1**2
 
 
 def test_coupling_moment_closed_form_and_quadrature():
-    closed, quadrature = coupling_D1_squared(PARAMS)
-    assert closed == pytest.approx(2 * PARAMS.alpha_p * PARAMS.omega_b**4, rel=1e-14)
-    assert closed == pytest.approx(121.09459948178406, rel=1e-10)
-    assert quadrature == pytest.approx(closed, rel=1e-8)
+    # The engine's mode coupling is the zeroth moment of J with w_b in
+    # rad/ps: D1^2 = 2 alpha_p w_b^4.
+    omega_b = DEFAULTS.omega_b_energy / HBAR
+    closed = mode_coupling_squared(DEFAULTS)
+    assert closed == pytest.approx(2 * 0.06 * omega_b**4, rel=1e-14)
+    assert closed == pytest.approx(3.0673620380472957, rel=1e-10)
+    assert density_moment(DEFAULTS.alpha_p, omega_b, 0) == pytest.approx(
+        closed, rel=1e-8)
 
 
 def test_coupling_moment_zero_coupling():
-    p = SpectralParams(alpha_p=0.0, omega_b=PARAMS.omega_b)
-    closed, quadrature = coupling_D1_squared(p)
-    assert closed == 0.0
-    assert quadrature == pytest.approx(0.0, abs=1e-15)
+    cfg = dataclasses.replace(DEFAULTS, alpha_p=0.0)
+    assert mode_coupling_squared(cfg) == 0.0
+    assert density_moment(0.0, cfg.omega_b_energy / HBAR, 0) == 0.0
 
 
 def test_coupling_moment_quartic_scaling():
-    p2 = SpectralParams(alpha_p=PARAMS.alpha_p, omega_b=2 * PARAMS.omega_b)
-    assert coupling_D1_squared(p2)[0] == pytest.approx(16 * coupling_D1_squared(PARAMS)[0], rel=1e-12)
-
-
-def test_frequency_moment_closed_form_and_quadrature():
-    closed, quadrature, normalized = effective_omega1_squared(PARAMS)
-    assert closed == pytest.approx(8 * PARAMS.alpha_p * PARAMS.omega_b**6, rel=1e-14)
-    assert closed == pytest.approx(2448.9316418117314, rel=1e-10)
-    assert quadrature == pytest.approx(closed, rel=1e-8)
-    # The ratio-normalized variant integrates w^2 J / integral J = 4 wb^2.
-    assert normalized == pytest.approx(4 * PARAMS.omega_b**2, rel=1e-12)
-
-
-def test_frequency_moment_zero_coupling():
-    p = SpectralParams(alpha_p=0.0, omega_b=PARAMS.omega_b)
-    closed, quadrature, _ = effective_omega1_squared(p)
-    assert closed == 0.0
-    assert quadrature == pytest.approx(0.0, abs=1e-12)
+    doubled = dataclasses.replace(DEFAULTS,
+                                  omega_b_energy=2 * DEFAULTS.omega_b_energy)
+    assert mode_coupling_squared(doubled) == pytest.approx(
+        16 * mode_coupling_squared(DEFAULTS), rel=1e-12)
 
 
 @given(st.floats(0.01, 5.0), st.floats(0.5, 6.0))
 @settings(max_examples=25, deadline=None)
 def test_moment_property_quadrature_matches_closed_forms(alpha, wb_mev):
-    p = SpectralParams(alpha_p=alpha, omega_b=wb_mev / HBAR)
-    d1_closed, d1_quad = coupling_D1_squared(p)
-    w1_closed, w1_quad, _ = effective_omega1_squared(p)
-    assert d1_quad == pytest.approx(d1_closed, rel=1e-6)
-    assert w1_quad == pytest.approx(w1_closed, rel=1e-6)
+    cfg = dataclasses.replace(DEFAULTS, alpha_p=alpha, omega_b_energy=wb_mev)
+    assert mode_coupling_squared(cfg) == pytest.approx(
+        density_moment(alpha, wb_mev / HBAR, 0), rel=1e-6)
+    # reorganization energy: integral of J(w)/w, evaluated in meV
+    assert reorganization_energy(alpha, wb_mev) == pytest.approx(
+        density_moment(alpha, wb_mev, -1), rel=1e-6)
 
 
 def test_thermal_energy_zero_point():
@@ -114,20 +98,12 @@ def test_thermal_energy_rejects_negative_temperature():
         thermal_energy(-2.0, OMEGA1)
 
 
-def test_spectral_params_validation():
-    with pytest.raises(ValueError):
-        SpectralParams(alpha_p=-1.0, omega_b=1.0)
-    with pytest.raises(ValueError):
-        SpectralParams(alpha_p=1.0, omega_b=0.0)
-
-
 def test_effective_coupling_energy_anchored():
     # meV-normalized moment arithmetic: with the default (0.06, 1.48 meV)
     # inputs the derived mode frequency reproduces the pinned sqrt(5) meV to
     # half a percent, which fixes the normalization; the same arithmetic then
-    # gives the mode coupling and reorganization energies below.
-    assert effective_coupling_energy(0.06, 1.48, np.sqrt(5.0)) == pytest.approx(
-        0.35880340426067636, rel=1e-12)
+    # gives the reorganization energy below. The mode coupling energy itself
+    # is pinned through the engine in test_detuning_mapping_relaxed_reference.
     assert reorganization_energy(0.06, 1.48) == pytest.approx(
         0.24377902463017737, rel=1e-12)
     derived = np.sqrt(8 * 0.06 * 1.48**6)
