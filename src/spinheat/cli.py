@@ -127,8 +127,8 @@ def _cycle_artifacts(run_config, out_dir):
 
 def _erasure_artifacts(run_config, out_dir):
     v = run_config.values
-    profile, pulse, feasibility_pulse = to_erasure_inputs(run_config)
-    step = verified_erasure_step(profile, pulse)
+    profile, feasibility_pulse = to_erasure_inputs(run_config)
+    step = verified_erasure_step(profile, v["pulse_duration_ps"])
     report = pulse_feasibility(feasibility_pulse, v["sigma_nm"],
                                v["wire_radius_nm"], v["standoff_nm"])
     suppression = step.suppression

@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import EngineConfig
 from .errors import ConfigError
-from .hyperfine import CouplingProfile, PulseSpec
+from .hyperfine import MAX_ORACLE_SPINS, CouplingProfile, PulseSpec
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ _DOT_SPECS = (
 
 _ERASURE_SPECS = (
     ParameterSpec("nucleus_count", int, 8,
-                  "nuclei in the chain; exact verifier caps at 12",
-                  _int_range(1, 12)),
+                  "nuclei in the chain; exact verifier caps at "
+                  f"{MAX_ORACLE_SPINS}", _int_range(1, MAX_ORACLE_SPINS)),
     ParameterSpec("sigma_nm", float, 5.0,
                   "electron envelope width", _positive),
     ParameterSpec("coupling_scale_rad_per_ps", float, 0.05,
@@ -259,11 +259,10 @@ def to_engine_config(run_config):
 
 @np.errstate(over="ignore", invalid="ignore")
 def to_erasure_inputs(run_config):
-    """Coupling profile, erasure pulse and feasibility pulse of an erasure run.
-
-    Valid keys can still give couplings that underflow to zero, or an
-    envelope or coupling sum that overflows; these are configuration errors.
-    """
+    """Coupling profile, with the erasure pulse's precession rates, and
+    feasibility pulse of an erasure run. Valid keys can still give couplings
+    that underflow to zero, or an envelope, coupling sum or rates that
+    overflow; these are configuration errors."""
     v = run_config.values
     count = v["nucleus_count"]
     sigma = v["sigma_nm"]
@@ -272,29 +271,26 @@ def to_erasure_inputs(run_config):
         rng = np.random.default_rng(v["seed"])
         x = x + rng.uniform(-v["lattice_jitter_nm"], v["lattice_jitter_nm"],
                             count)
-    positions = np.zeros((count, 3))
-    positions[:, 0] = x
     scale = v["coupling_scale_rad_per_ps"]
-    tau = v["pulse_duration_ps"]
-    rates = (v["suppression_phi_tau_sigma"] / (tau * sigma)) * x
     try:
+        rates = (v["suppression_phi_tau_sigma"]
+                 / (v["pulse_duration_ps"] * sigma)) * x
         if v["coupling_envelope"] == "gaussian":
             couplings = scale * np.exp(-x**2 / (4 * sigma**2))
         else:
             couplings = np.full(count, scale)
-        profile = CouplingProfile(positions=positions, couplings=couplings,
-                                  sigma=sigma, pulse_rates=rates)
-    except (ValueError, OverflowError) as err:
+        profile = CouplingProfile(x=x, couplings=couplings, sigma=sigma,
+                                  pulse_rates=rates)
+    except (ValueError, OverflowError, ZeroDivisionError) as err:
         raise ConfigError(
-            "no usable nuclear chain from sigma_nm, lattice_jitter_nm and "
-            f"coupling_scale_rad_per_ps: {err}") from None
+            "no usable nuclear chain from sigma_nm, lattice_jitter_nm, "
+            f"coupling_scale_rad_per_ps and pulse_duration_ps: {err}"
+        ) from None
     if not 0 < profile.gamma < math.inf:
         raise ConfigError(
             f"coupling sum gamma = {profile.gamma:g} rad^2/ps^2 is not "
             "positive and finite; rescale coupling_scale_rad_per_ps")
-    pulse = PulseSpec(gradient=0.0, offset=0.0, duration=tau * 1e-3,
-                      g_n=v["g_n"])
     feasibility_pulse = PulseSpec(gradient=v["pulse_gradient_T_per_nm"],
-                                  offset=0.0, duration=v["pulse_duration_ns"],
+                                  duration=v["pulse_duration_ns"],
                                   g_n=v["g_n"])
-    return profile, pulse, feasibility_pulse
+    return profile, feasibility_pulse

@@ -185,7 +185,7 @@ def _stage_grid(duration, grid_dt):
     return times
 
 
-def _sample(states, times, ops, nbar_ref, abort_threshold, used_eigen):
+def _sample(states, times, ops, occupation_ref, abort_threshold, used_eigen):
     n = len(states)
     rho_up = np.empty(n)
     rho_dn = np.empty(n)
@@ -205,30 +205,27 @@ def _sample(states, times, ops, nbar_ref, abort_threshold, used_eigen):
             raise PositivityError(
                 f"smallest density-matrix eigenvalue {min_eig[k]:.3e} at "
                 f"t={times[k]:.3f} ps fell below {abort_threshold:.1e}")
-    ref = nbar[0] if nbar_ref is None else nbar_ref
+    ref = nbar[0] if occupation_ref is None else occupation_ref
     return Trajectory(times=times, rho_up=rho_up, rho_dn=rho_dn, rho_XX=rho_xx,
                       dN1=nbar - ref, Q1bar=q1bar, min_eigenvalue=min_eig,
                       final_state=states[-1].copy(),
                       used_eigen_propagation=used_eigen)
 
 
-def _evolve_stage(rho0, stage, cfg, ops, v, nbar_ref):
-    """Trajectory of one stage and its states on the output grid."""
+def _evolve_stage(rho0, stage, cfg, ops, v, occupation_ref=None):
+    """Trajectory of one stage and its states on the output grid; dN1 is
+    measured from ``occupation_ref``, by default from the first sample."""
     times = _stage_grid(stage.duration, cfg.grid_dt)
     states, used_eigen = evolve(rho0, v, times)
-    traj = _sample(states, times, ops, nbar_ref, cfg.positivity_abort,
+    traj = _sample(states, times, ops, occupation_ref, cfg.positivity_abort,
                    used_eigen)
     return traj, states
 
 
-def run_stage(rho0, stage, cfg, nbar_ref=None):
-    """Propagate one stage and sample the observables on the output grid.
-
-    ``nbar_ref`` overrides the phonon-occupation reference (the cycle keeps
-    a single reference from its own start across both stages).
-    """
+def run_stage(rho0, stage, cfg):
+    """Propagate one stage and sample the observables on the output grid."""
     ops, v = stage_machinery(stage, cfg)
-    return _evolve_stage(rho0, stage, cfg, ops, v, nbar_ref)[0]
+    return _evolve_stage(rho0, stage, cfg, ops, v)[0]
 
 
 def find_switch_time(traj):
@@ -275,43 +272,37 @@ def _stitch(parts, final_state):
                           traj.used_eigen_propagation for traj, _, _ in parts))
 
 
-def run_cycle(cfg, stage2_duration=None):
+def run_cycle(cfg):
     """Heat extraction, hand-off at the switch optimum, then the work pulse.
 
-    The work pulse defaults to a pi pulse at the stage-2 Rabi energy,
-    refined within +-20% to maximize the final down population (the phonon
-    dressing slightly shifts the bare pi time). Pass ``stage2_duration`` to
-    override the refinement entirely. The hand-off state is the stage-1 grid
-    state at the switch time, and one stage-2 generator serves both the
+    The work pulse is a pi pulse at the stage-2 Rabi energy, refined within
+    +-20% to maximize the final down population (the phonon dressing
+    slightly shifts the bare pi time). The hand-off state is the stage-1
+    grid state at the switch time, and one stage-2 generator serves both the
     refinement and the work pulse.
     """
     rho0 = initial_state(cfg)
     stage1 = heat_extraction_stage(cfg)
     ops, v1 = stage_machinery(stage1, cfg)
-    traj1, states1 = _evolve_stage(rho0, stage1, cfg, ops, v1, None)
+    traj1, states1 = _evolve_stage(rho0, stage1, cfg, ops, v1)
     switch = find_switch_time(traj1)
     k_switch = int(np.searchsorted(traj1.times, switch.time))
     rho_switch = states1[k_switch].copy()
 
     stage2 = work_output_stage(cfg)
     _, v2 = stage_machinery(stage2, cfg)
-    if stage2_duration is None:
-        candidates = np.linspace(0.8 * stage2.duration, 1.2 * stage2.duration,
-                                 41)
-        states, _ = evolve(rho_switch, v2, candidates)
-        down = [expectation(rho, ops.proj_dn).real for rho in states]
-        stage2_duration = float(candidates[int(np.argmax(down))])
+    candidates = np.linspace(0.8 * stage2.duration, 1.2 * stage2.duration, 41)
+    states, _ = evolve(rho_switch, v2, candidates)
+    down = [expectation(rho, ops.proj_dn).real for rho in states]
+    stage2_duration = float(candidates[int(np.argmax(down))])
 
-    parts = [(traj1, slice(0, k_switch + 1), 0.0)]
-    final = rho_switch
-    if stage2_duration > 0:
-        nbar0 = expectation(rho0, ops.number).real
-        traj2, _ = _evolve_stage(
-            rho_switch, work_output_stage(cfg, duration=stage2_duration), cfg,
-            ops, v2, nbar0)
-        parts.append((traj2, slice(1, None), switch.time))
-        final = traj2.final_state
-    combined = _stitch(parts, final)
+    nbar0 = expectation(rho0, ops.number).real
+    traj2, _ = _evolve_stage(
+        rho_switch, work_output_stage(cfg, duration=stage2_duration), cfg,
+        ops, v2, nbar0)
+    final = traj2.final_state
+    combined = _stitch([(traj1, slice(0, k_switch + 1), 0.0),
+                        (traj2, slice(1, None), switch.time)], final)
 
     pops = (expectation(final, ops.proj_up).real,
             expectation(final, ops.proj_dn).real,

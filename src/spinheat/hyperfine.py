@@ -8,15 +8,15 @@ last). The closed-form maps implemented here are exact for n <= 1 and
 accurate to O(n/N) beyond; an exact brute-force verifier over the full
 2^(N+1) space arbitrates every approximation.
 
-Unit conventions: couplings and pulse rates in rad/ps, positions and sigma
-in nm, internal times in ps. PulseSpec carries its duration in ns and field
-parameters in tesla; SI constants enter only there and in the feasibility
-estimates.
+Unit conventions: couplings and pulse rates in rad/ps, the chain
+coordinate and sigma in nm, pulse and exchange durations in ps. PulseSpec,
+the input of the nanowire feasibility estimate, carries its duration in ns
+and its gradient in T/nm; SI constants enter only there.
 """
 
 import warnings
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -61,9 +61,6 @@ class CollectiveNuclearState:
                     f"history {term.history} has {len(term.history)} entries "
                     f"for excitation count {term.n}")
 
-    def norm_square(self):
-        return float(sum(abs(t.amplitude) ** 2 for t in self.terms))
-
 
 def state_from_terms(entries):
     return CollectiveNuclearState(terms=tuple(
@@ -88,31 +85,26 @@ def _merged(entries):
 
 @dataclass(frozen=True, eq=False)
 class CouplingProfile:
-    """Hyperfine contact couplings and, optionally, pulse precession rates."""
+    """Contact couplings and pulse precession rates of nuclei at x (nm)."""
 
-    positions: np.ndarray  # (count, 3), nm
+    x: np.ndarray  # chain coordinate, nm
     couplings: np.ndarray  # rad/ps
     sigma: float  # nm
-    pulse_rates: Optional[np.ndarray] = None  # rad/ps
+    pulse_rates: np.ndarray  # rad/ps
 
     def __post_init__(self):
-        positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        couplings = np.asarray(self.couplings, dtype=float)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "couplings", couplings)
-        if positions.shape != (couplings.size, 3):
-            raise ValueError(
-                f"positions shape {positions.shape} does not match "
-                f"{couplings.size} couplings")
-        if not np.all(np.isfinite(couplings)) or np.any(couplings <= 0):
+        for name in ("couplings", "x", "pulse_rates"):
+            array = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, array)
+            if array.shape != (self.couplings.size,):
+                raise ValueError(f"{name} shape {array.shape} does not match "
+                                 f"{self.couplings.size} couplings")
+        if not np.all(np.isfinite(self.couplings) & (self.couplings > 0)):
             raise ValueError("couplings must be positive and finite")
+        if not np.isfinite(np.sum(np.abs(self.pulse_rates))):
+            raise ValueError("pulse rates overflow")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.pulse_rates is not None:
-            rates = np.asarray(self.pulse_rates, dtype=float)
-            if rates.size != couplings.size:
-                raise ValueError("pulse_rates length does not match couplings")
-            object.__setattr__(self, "pulse_rates", rates)
 
     @property
     def count(self):
@@ -131,43 +123,20 @@ def flop_duration(profile):
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Linear-gradient magnetic pulse along x: B(r) = gradient*x + offset."""
+    """Nanowire-driven gradient pulse B(x) = gradient*x; feasibility input."""
 
     gradient: float  # T/nm
-    offset: float  # T
     duration: float  # ns
-    g_n: float = 5.0
+    g_n: float
 
     def __post_init__(self):
         if self.duration < 0:
             raise ValueError(f"duration must be nonnegative, got {self.duration}")
 
     @property
-    def duration_ps(self):
-        return self.duration * 1e3
-
-    @property
     def phi(self):
         """Precession-rate gradient g_n mu_n B'/hbar, rad/(ps nm)."""
         return self.g_n * NUCLEAR_RATE_PER_TESLA * self.gradient
-
-    @property
-    def offset_rate(self):
-        return self.g_n * NUCLEAR_RATE_PER_TESLA * self.offset
-
-
-def with_pulse_rates(profile, pulse):
-    """Attach per-nucleus precession rates theta_j for the pulse's field."""
-    rates = pulse.phi * profile.positions[:, 0] + pulse.offset_rate
-    return replace(profile, pulse_rates=rates)
-
-
-def _require_rates(profile, pulse=None):
-    if profile.pulse_rates is not None:
-        return profile.pulse_rates
-    if pulse is not None:
-        return with_pulse_rates(profile, pulse).pulse_rates
-    raise ValueError("profile has no pulse rates set")
 
 
 @dataclass(frozen=True)
@@ -189,10 +158,10 @@ def gamma_tilde(profile, tau):
     tau is in ps. The continuum value gamma * exp(-phi^2 tau^2 sigma^2 / 4)
     recovers the rate gradient phi from the stored rates by linear fit.
     """
-    rates = _require_rates(profile)
+    rates = profile.pulse_rates
     weights = profile.couplings ** 2
     discrete = complex(np.sum(weights * np.exp(-1j * rates * tau)))
-    x = profile.positions[:, 0]
+    x = profile.x
     x_var = np.sum((x - x.mean()) ** 2)
     if x_var > 0:
         phi = np.sum((rates - rates.mean()) * (x - x.mean())) / x_var
@@ -233,23 +202,21 @@ def evolve_collective(state, profile, t):
     return _merged(entries)
 
 
-def apply_pulse(state, pulse, profile):
-    """Gradient-pulse unitary in the collective bookkeeping.
+def apply_pulse(state, tau, profile):
+    """Gradient pulse of duration tau (ps) in the collective bookkeeping.
 
     Extends each ket's newest history entry by the pulse duration; the
     history-free ket picks up the explicit phase exp(-i Theta tau). This is
     exact: the same phase on excited kets is absorbed by the history
     extension.
     """
-    rates = _require_rates(profile, pulse)
-    tau = pulse.duration_ps
     flop = flop_duration(profile)
     if tau > SHORT_PULSE_FRACTION * flop:
         warnings.warn(
             f"pulse duration {tau:.3g} ps is not short against the spin "
             f"flop time {flop:.3g} ps; the sudden approximation degrades",
             UserWarning, stacklevel=2)
-    theta_total = 0.5 * float(np.sum(rates))
+    theta_total = 0.5 * float(np.sum(profile.pulse_rates))
     entries = []
     for term in state.terms:
         if term.n == 0:
@@ -261,24 +228,21 @@ def apply_pulse(state, pulse, profile):
     return _merged(entries)
 
 
-def erasure_step(mixture, profile, pulse):
-    """One erasure round: exchange for a quarter flop period, then the pulse.
+def erasure_step(mixture, profile, tau):
+    """One erasure round: exchange for a quarter flop, then a tau (ps) pulse.
 
     mixture is a list of (weight, CollectiveNuclearState) branches. Fails
     when the pulse leaves |gamma_tilde|/gamma near unity, since the newly
     written excitation would not become a fixed point.
     """
-    rates = _require_rates(profile, pulse)
-    working = profile if profile.pulse_rates is not None else replace(
-        profile, pulse_rates=rates)
-    result = gamma_tilde(working, pulse.duration_ps)
+    result = gamma_tilde(profile, tau)
     if result.ratio > INEFFECTIVE_RATIO:
         raise ConfigError(
             f"pulse ineffective: |gamma_tilde|/gamma = {result.ratio:.3f} "
             f"leaves the written excitation mobile")
-    t_flop = flop_duration(working)
-    return [(weight, apply_pulse(evolve_collective(branch, working, t_flop),
-                                 pulse, working))
+    t_flop = flop_duration(profile)
+    return [(weight, apply_pulse(evolve_collective(branch, profile, t_flop),
+                                 tau, profile))
             for weight, branch in mixture]
 
 
@@ -308,10 +272,7 @@ def collective_lowering_matrix(profile):
 
 def _pulse_diagonal(profile):
     """Eigenvalues of the pulse generator on nuclear configurations, rad/ps."""
-    dim = _nuclear_dimension(profile)
-    if profile.pulse_rates is None:
-        return np.zeros(dim)
-    configs = np.arange(dim)
+    configs = np.arange(_nuclear_dimension(profile))
     bits = (configs[:, None] >> np.arange(profile.count)[None, :]) & 1
     theta_total = 0.5 * profile.pulse_rates.sum()
     return theta_total - bits @ profile.pulse_rates
@@ -322,9 +283,6 @@ def collective_to_vector(state, profile):
     dim = _nuclear_dimension(profile)
     lower = collective_lowering_matrix(profile)
     diag = _pulse_diagonal(profile)
-    if profile.pulse_rates is None and any(
-            entry != 0.0 for term in state.terms for entry in term.history):
-        raise ValueError("nonzero pulse history requires pulse rates")
     full = np.zeros(2 * dim, dtype=complex)
     for term in state.terms:
         vec = np.zeros(dim, dtype=complex)
@@ -347,17 +305,11 @@ def brute_force_oracle(profile, schedule, initial):
     """Exact evolution over the full electron-nuclear space.
 
     schedule is a sequence of ("exchange", t_ps) and ("pulse", tau_ps)
-    segments; initial is a CollectiveNuclearState or a raw vector. The
-    exchange generator is diagonalized once and reused across segments.
+    segments; initial is a CollectiveNuclearState. The exchange generator
+    is diagonalized once and reused across segments.
     """
     dim = _nuclear_dimension(profile)
-    if isinstance(initial, CollectiveNuclearState):
-        vec = collective_to_vector(initial, profile)
-    else:
-        vec = np.asarray(initial, dtype=complex).copy()
-        if vec.size != 2 * dim:
-            raise ValueError(
-                f"initial vector has size {vec.size}, expected {2 * dim}")
+    vec = collective_to_vector(initial, profile)
     configs = np.arange(dim)
     rows, cols, data = [], [], []
     for j, a_j in enumerate(profile.couplings):
@@ -376,8 +328,6 @@ def brute_force_oracle(profile, schedule, initial):
             weights = eigenvectors.T @ vec
             vec = eigenvectors @ (np.exp(-1j * eigenvalues * duration) * weights)
         elif kind == "pulse":
-            if profile.pulse_rates is None:
-                raise ValueError("pulse segment requires pulse rates")
             vec = np.exp(-1j * pulse_diag * duration) * vec
         else:
             raise ValueError(f"unknown schedule segment {kind!r}")
@@ -412,14 +362,13 @@ class VerifiedErasure:
         return 1 - 2 * self.suppression.ratio
 
 
-def verified_erasure_step(profile, pulse):
-    """:func:`erasure_step` on a 50/50 electron mixture, each branch replayed
-    by :func:`brute_force_oracle`. ``profile`` must carry the pulse rates.
+def verified_erasure_step(profile, tau):
+    """:func:`erasure_step` with a pulse of duration tau (ps) on a 50/50
+    electron mixture, each branch replayed by :func:`brute_force_oracle`.
     """
-    tau = pulse.duration_ps
     mixture = [(0.5, initial_collective_state(ELECTRON_UP)),
                (0.5, initial_collective_state(ELECTRON_DN))]
-    stepped = erasure_step(mixture, profile, pulse)
+    stepped = erasure_step(mixture, profile, tau)
     flop = flop_duration(profile)
     branches = []
     for (weight, state), (_, start) in zip(stepped, mixture):
@@ -466,29 +415,37 @@ def pulse_feasibility(pulse, sigma, wire_radius, standoff):
     (wire_radius + standoff); linearizing its field gives the gradient
     mu_0 I / (2 pi d^2). The current-time threshold quotes the level at
     suppression parameter phi tau sigma = 1, twice the bare gradient-time
-    threshold; the margin ratio is measured against it.
+    threshold; the margin ratio is measured against it. A pulse whose
+    numbers leave floating-point range is a configuration error.
     """
     if sigma <= 0 or wire_radius <= 0 or standoff < 0:
         raise ValueError("geometry must be positive")
-    sigma_m = sigma * 1e-9
-    distance_m = (wire_radius + standoff) * 1e-9
-    tau_s = pulse.duration * 1e-9
-    gradient_si = pulse.gradient * 1e9  # T/m
-    wire_factor = 2 * np.pi * distance_m**2 / MU_0_SI  # A per (T/m)
-    gradient_time_threshold = HBAR_SI / (2 * pulse.g_n * MU_N_SI * sigma_m)
-    current_time_threshold = wire_factor * 2 * gradient_time_threshold
-    required_current = wire_factor * gradient_si
-    current_time_product = required_current * tau_s
-    parameter = pulse.phi * pulse.duration_ps * sigma
-    return FeasibilityReport(
-        gradient_time_product=gradient_si * tau_s,
-        gradient_time_threshold=gradient_time_threshold,
-        required_current=required_current,
-        current_time_product=current_time_product,
-        current_time_threshold=current_time_threshold,
-        current_threshold=(current_time_threshold / tau_s if tau_s > 0
-                           else np.inf),
-        suppression_parameter=parameter,
-        continuum_suppression=float(np.exp(-parameter**2 / 4)),
-        margin_ratio=current_time_product / current_time_threshold,
-    )
+    try:
+        sigma_m = sigma * 1e-9
+        distance_m = (wire_radius + standoff) * 1e-9
+        tau_s = pulse.duration * 1e-9
+        gradient_si = pulse.gradient * 1e9  # T/m
+        wire_factor = 2 * np.pi * distance_m**2 / MU_0_SI  # A per (T/m)
+        gradient_time_threshold = HBAR_SI / (
+            2 * pulse.g_n * MU_N_SI * sigma_m)
+        current_time_threshold = wire_factor * 2 * gradient_time_threshold
+        required_current = wire_factor * gradient_si
+        current_time_product = required_current * tau_s
+        parameter = pulse.phi * (pulse.duration * 1e3) * sigma
+        return FeasibilityReport(
+            gradient_time_product=gradient_si * tau_s,
+            gradient_time_threshold=gradient_time_threshold,
+            required_current=required_current,
+            current_time_product=current_time_product,
+            current_time_threshold=current_time_threshold,
+            current_threshold=(current_time_threshold / tau_s if tau_s > 0
+                               else np.inf),
+            suppression_parameter=parameter,
+            continuum_suppression=float(np.exp(-parameter**2 / 4)),
+            margin_ratio=current_time_product / current_time_threshold,
+        )
+    except (ZeroDivisionError, OverflowError):
+        raise ConfigError(
+            f"feasibility of {pulse} at sigma {sigma:g} nm, wire radius "
+            f"{wire_radius:g} nm, standoff {standoff:g} nm leaves "
+            "floating-point range") from None

@@ -18,10 +18,10 @@ from spinheat.engine import (heat_extraction_stage, initial_state, run_cycle,
                              run_stage, spinlabor_bound, stage_machinery)
 from spinheat.hyperfine import (ELECTRON_DN, ELECTRON_UP, CouplingProfile,
                                 PulseSpec, apply_pulse, brute_force_oracle,
-                                collective_to_vector, electron_up_population,
-                                erasure_step, flop_duration, gamma_tilde,
-                                initial_collective_state, pulse_feasibility,
-                                state_from_terms)
+                                collective_to_vector, flop_duration,
+                                gamma_tilde, initial_collective_state,
+                                pulse_feasibility, state_from_terms,
+                                verified_erasure_step)
 from spinheat.propagator import diagonalize, integrate_direct, propagate
 
 SIGMA_NM = 5.0
@@ -112,23 +112,15 @@ def reduced_sets():
 
 
 def chain_profile(count=8, envelope="gaussian", scale=0.05,
-                  phi_tau_sigma=None, tau=1.0):
+                  phi_tau_sigma=0.0, tau=1.0):
     x = np.linspace(-2 * SIGMA_NM, 2 * SIGMA_NM, count)
-    positions = np.zeros((count, 3))
-    positions[:, 0] = x
     if envelope == "gaussian":
         couplings = scale * np.exp(-x**2 / (4 * SIGMA_NM**2))
     else:
         couplings = np.full(count, scale)
-    rates = None
-    if phi_tau_sigma is not None:
-        rates = (phi_tau_sigma / (tau * SIGMA_NM)) * x
-    return CouplingProfile(positions=positions, couplings=couplings,
-                           sigma=SIGMA_NM, pulse_rates=rates)
-
-
-def duration_only_pulse(tau_ps):
-    return PulseSpec(gradient=0.0, offset=0.0, duration=tau_ps * 1e-3)
+    rates = (phi_tau_sigma / (tau * SIGMA_NM)) * x
+    return CouplingProfile(x=x, couplings=couplings, sigma=SIGMA_NM,
+                           pulse_rates=rates)
 
 
 def test_criterion_01_stage1_peak_band(stage_60):
@@ -215,7 +207,7 @@ def test_criterion_08_hyperfine_exactness():
     for phi_tau_sigma in (2.0, 4.0, 8.0):
         graded = chain_profile(phi_tau_sigma=phi_tau_sigma, tau=tau)
         state = apply_pulse(state_from_terms([(ELECTRON_UP, (0.0,), 1.0)]),
-                            duration_only_pulse(tau), graded)
+                            tau, graded)
         vec = collective_to_vector(state, graded)
         bound = 2 * abs(gamma_tilde(graded, tau).discrete) / graded.gamma
         period = 2 * np.pi / np.sqrt(graded.gamma)
@@ -233,21 +225,9 @@ def test_criterion_09_erasure_fidelity():
     tau = 1.0
     profile = chain_profile(phi_tau_sigma=8.0, tau=tau)
     ratio = abs(gamma_tilde(profile, tau).discrete) / profile.gamma
-    mixture = [(0.5, initial_collective_state(ELECTRON_UP)),
-               (0.5, initial_collective_state(ELECTRON_DN))]
-    stepped = erasure_step(mixture, profile, duration_only_pulse(tau))
-    flop = flop_duration(profile)
-    fidelities = []
-    up_population = 0.0
-    for (weight, state), (_, start) in zip(stepped, mixture):
-        oracle = brute_force_oracle(
-            profile, [("exchange", flop), ("pulse", tau)], start)
-        mapped = collective_to_vector(state, profile)
-        overlap = abs(np.vdot(mapped, oracle))**2
-        norms = float(np.vdot(mapped, mapped).real
-                      * np.vdot(oracle, oracle).real)
-        fidelities.append(overlap / norms)
-        up_population += weight * electron_up_population(oracle)
+    step = verified_erasure_step(profile, tau)
+    fidelities = [branch.fidelity for branch in step.branches]
+    up_population = step.up_population_oracle
     floor = 1 - 2 * ratio
     ok = min(fidelities) >= 0.99 and up_population >= floor
     verdict(9, ok, f"50/50 erasure step at N=8: min branch fidelity "
@@ -256,7 +236,7 @@ def test_criterion_09_erasure_fidelity():
 
 
 def test_criterion_10_feasibility_numbers():
-    pulse = PulseSpec(gradient=1.0, offset=0.0, duration=1.0, g_n=5.0)
+    pulse = PulseSpec(gradient=1.0, duration=1.0, g_n=5.0)
     report = pulse_feasibility(pulse, sigma=5.0, wire_radius=5.0, standoff=5.0)
     ct_error = abs(report.current_time_threshold - 4e-10) / 4e-10
     current_error = abs(report.current_threshold - 0.4) / 0.4

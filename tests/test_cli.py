@@ -224,10 +224,13 @@ class TestErasureCommand:
 
     @pytest.mark.parametrize("override", [
         "lattice_jitter_nm=1e6", "sigma_nm=1e-300", "sigma_nm=1e300",
-        "coupling_scale_rad_per_ps=1e300", "coupling_scale_rad_per_ps=1e-300"])
+        "coupling_scale_rad_per_ps=1e300", "coupling_scale_rad_per_ps=1e-300",
+        "g_n=1e-300", "pulse_gradient_T_per_nm=1e300",
+        "pulse_duration_ps=1e-320"])
     def test_unusable_chain_exits_2(self, tmp_path, capsys, override):
-        # each key is valid alone, but the couplings underflow to zero, or
-        # the envelope width or the couplings' squared sum overflows
+        # each key is valid alone, but the couplings underflow to zero, the
+        # envelope width, the couplings' squared sum or the pulse rates
+        # overflow, or the feasibility estimate leaves floating-point range
         assert main(["erasure", "--out", str(tmp_path),
                      "--set", override]) == 2
         err = capsys.readouterr().err

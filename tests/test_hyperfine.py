@@ -33,34 +33,25 @@ from spinheat.hyperfine import (
     initial_collective_state,
     pulse_feasibility,
     state_from_terms,
-    with_pulse_rates,
 )
 
 SIGMA = 5.0  # nm, electron wavefunction spread used across the chain tests
 
 
-def chain_profile(n=8, envelope="gaussian", scale=0.05, phi=None, offset_rate=0.0):
+def chain_profile(n=8, envelope="gaussian", scale=0.05, phi=0.0, offset_rate=0.0):
     """N nuclei on the x axis spanning [-2 sigma, 2 sigma]."""
     x = np.linspace(-2 * SIGMA, 2 * SIGMA, n)
-    positions = np.zeros((n, 3))
-    positions[:, 0] = x
     if envelope == "gaussian":
         couplings = scale * np.exp(-x**2 / (4 * SIGMA**2))
     else:
         couplings = np.full(n, scale)
-    rates = phi * x + offset_rate if phi is not None else None
-    return CouplingProfile(positions=positions, couplings=couplings,
-                           pulse_rates=rates, sigma=SIGMA)
+    return CouplingProfile(x=x, couplings=couplings,
+                           pulse_rates=phi * x + offset_rate, sigma=SIGMA)
 
 
 def gradient_profile_for(phi_tau_sigma, tau_ps, envelope="gaussian", n=8):
     phi = phi_tau_sigma / (tau_ps * SIGMA)
     return chain_profile(n=n, envelope=envelope, phi=phi)
-
-
-def raw_pulse(duration_ps):
-    """PulseSpec used only as a duration carrier (rates preset on the profile)."""
-    return PulseSpec(gradient=0.0, offset=0.0, duration=duration_ps * 1e-3)
 
 
 def fidelity(u, v):
@@ -70,8 +61,8 @@ def fidelity(u, v):
 class TestOracle:
     def test_single_nucleus_exchange_oscillation(self):
         a = 0.3
-        profile = CouplingProfile(positions=np.zeros((1, 3)),
-                                  couplings=np.array([a]), sigma=SIGMA)
+        profile = CouplingProfile(x=np.zeros(1), couplings=np.array([a]),
+                                  sigma=SIGMA, pulse_rates=np.zeros(1))
         init = initial_collective_state(ELECTRON_DN)
         flipped = collective_to_vector(
             state_from_terms([(ELECTRON_UP, (0.0,), 1.0)]), profile)
@@ -111,10 +102,9 @@ class TestOracle:
         assert np.linalg.norm(vec - collective_to_vector(init, profile)) < 1e-12
 
     def test_oracle_rejects_large_n(self):
-        positions = np.zeros((13, 3))
-        positions[:, 0] = np.arange(13.0)
-        profile = CouplingProfile(positions=positions,
-                                  couplings=np.full(13, 0.1), sigma=SIGMA)
+        profile = CouplingProfile(x=np.arange(13.0),
+                                  couplings=np.full(13, 0.1), sigma=SIGMA,
+                                  pulse_rates=np.zeros(13))
         with pytest.raises(ValueError):
             brute_force_oracle(profile, [("exchange", 1.0)],
                                initial_collective_state(ELECTRON_UP))
@@ -138,7 +128,7 @@ class TestCollectiveAlgebra:
         profile = chain_profile(phi=0.3, offset_rate=0.11)
         tau = 2.1
         state = initial_collective_state(ELECTRON_UP)
-        pulsed = apply_pulse(state, raw_pulse(tau), profile)
+        pulsed = apply_pulse(state, tau, profile)
         theta_total = 0.5 * profile.pulse_rates.sum()
         assert len(pulsed.terms) == 1
         assert abs(pulsed.terms[0].amplitude - np.exp(-1j * theta_total * tau)) < 1e-12
@@ -149,7 +139,7 @@ class TestCollectiveAlgebra:
         profile = chain_profile(phi=0.3, offset_rate=0.07)
         tau = 1.7
         state = state_from_terms([(ELECTRON_UP, (0.0,), 1.0)])
-        pulsed = apply_pulse(state, raw_pulse(tau), profile)
+        pulsed = apply_pulse(state, tau, profile)
         assert pulsed.terms[0].history == (tau,)
         assert abs(pulsed.terms[0].amplitude - 1.0) < 1e-12
         oracle = brute_force_oracle(profile, [("pulse", tau)], state)
@@ -158,7 +148,7 @@ class TestCollectiveAlgebra:
     def test_pulse_extends_newest_history_entry(self):
         profile = chain_profile(phi=0.2)
         state = state_from_terms([(ELECTRON_DN, (0.9, 0.6), 1.0)])
-        pulsed = apply_pulse(state, raw_pulse(0.5), profile)
+        pulsed = apply_pulse(state, 0.5, profile)
         assert pulsed.terms[0].history == (0.9, 0.6 + 0.5)
         oracle = brute_force_oracle(profile, [("pulse", 0.5)], state)
         assert np.linalg.norm(collective_to_vector(pulsed, profile) - oracle) < 1e-11
@@ -169,7 +159,7 @@ class TestCollectiveAlgebra:
             tau = 1.0
             profile = gradient_profile_for(phi_tau_sigma, tau)
             state = apply_pulse(state_from_terms([(ELECTRON_UP, (0.0,), 1.0)]),
-                                raw_pulse(tau), profile)
+                                tau, profile)
             vec = collective_to_vector(state, profile)
             bound = 2 * abs(gamma_tilde(profile, tau).discrete) / profile.gamma
             period = 2 * np.pi / np.sqrt(profile.gamma)
@@ -195,15 +185,13 @@ class TestCollectiveAlgebra:
     def test_evolve_collective_multistep_overlap(self):
         tau = 1.0
         profile = gradient_profile_for(8.0, tau)
-        pulse = raw_pulse(tau)
         ratio = abs(gamma_tilde(profile, tau).discrete) / profile.gamma
         t1, t2 = 0.4 * flop_duration(profile), 0.6 * flop_duration(profile)
-        state = initial_collective_state(ELECTRON_DN)
-        start = collective_to_vector(state, profile)
-        state = apply_pulse(evolve_collective(state, profile, t1), pulse, profile)
+        start = initial_collective_state(ELECTRON_DN)
+        state = apply_pulse(evolve_collective(start, profile, t1), tau, profile)
         with pytest.warns(ExcitationApproximationWarning):
             state = evolve_collective(state, profile, t2)
-        state = apply_pulse(state, pulse, profile)
+        state = apply_pulse(state, tau, profile)
         oracle = brute_force_oracle(
             profile,
             [("exchange", t1), ("pulse", tau), ("exchange", t2), ("pulse", tau)],
@@ -233,10 +221,6 @@ class TestGammaTilde:
         b = gamma_tilde(shifted, tau).discrete
         assert abs(abs(a) - abs(b)) < 1e-14
 
-    def test_requires_pulse_rates(self):
-        with pytest.raises(ValueError):
-            gamma_tilde(chain_profile(), 1.0)
-
     def test_continuum_agreement_on_fine_lattice(self):
         # simple cubic lattice, spacing sigma/4, out to 4 sigma on each axis;
         # contact couplings follow |psi|^2 of a spherical Gaussian envelope
@@ -248,9 +232,9 @@ class TestGammaTilde:
         couplings = np.exp(-np.sum(positions**2, axis=1) / (2 * sigma**2))
         tau = 1.0
         phi = 4.0 / (tau * sigma)
-        profile = CouplingProfile(positions=positions, couplings=couplings,
-                                  pulse_rates=phi * positions[:, 0],
-                                  sigma=sigma)
+        x = positions[:, 0]
+        profile = CouplingProfile(x=x, couplings=couplings,
+                                  pulse_rates=phi * x, sigma=sigma)
         result = gamma_tilde(profile, tau)
         assert abs(result.continuum / profile.gamma - np.exp(-4.0)) < 1e-12
         assert abs(result.discrete - result.continuum) <= 0.05 * abs(result.continuum)
@@ -259,9 +243,8 @@ class TestGammaTilde:
     @settings(max_examples=40, deadline=None)
     def test_modulus_never_exceeds_gamma(self, n, tau):
         rng = np.random.default_rng(n)
-        positions = np.zeros((n, 3))
-        positions[:, 0] = np.sort(rng.uniform(-10, 10, n))
-        profile = CouplingProfile(positions=positions,
+        x = np.sort(rng.uniform(-10, 10, n))
+        profile = CouplingProfile(x=x,
                                   couplings=rng.uniform(0.01, 0.4, n),
                                   pulse_rates=rng.uniform(-1, 1, n), sigma=SIGMA)
         assert abs(gamma_tilde(profile, tau).discrete) <= profile.gamma + 1e-12
@@ -272,7 +255,7 @@ class TestErasureStep:
         tau = 1.0
         profile = gradient_profile_for(8.0, tau)
         mixture = [(1.0, initial_collective_state(ELECTRON_UP))]
-        out = erasure_step(mixture, profile, raw_pulse(tau))
+        out = erasure_step(mixture, profile, tau)
         assert len(out) == 1
         weight, state = out[0]
         assert weight == 1.0
@@ -285,7 +268,7 @@ class TestErasureStep:
         tau = 1.0
         profile = gradient_profile_for(8.0, tau)
         out = erasure_step([(1.0, initial_collective_state(ELECTRON_DN))],
-                           profile, raw_pulse(tau))
+                           profile, tau)
         _, state = out[0]
         assert len(state.terms) == 1
         term = state.terms[0]
@@ -299,11 +282,10 @@ class TestErasureStep:
     def test_balanced_mixture_erases(self):
         tau = 1.0
         profile = gradient_profile_for(8.0, tau)
-        pulse = raw_pulse(tau)
         ratio = abs(gamma_tilde(profile, tau).discrete) / profile.gamma
         mixture = [(0.5, initial_collective_state(ELECTRON_UP)),
                    (0.5, initial_collective_state(ELECTRON_DN))]
-        out = erasure_step(mixture, profile, pulse)
+        out = erasure_step(mixture, profile, tau)
         assert all(term.electron == ELECTRON_UP
                    for _, state in out for term in state.terms)
         up_pop = 0.0
@@ -323,11 +305,10 @@ class TestErasureStep:
         fidelities = {}
         for n_spins in (4, 8, 10):
             profile = gradient_profile_for(8.0, tau, n=n_spins)
-            pulse = raw_pulse(tau)
             ratio = abs(gamma_tilde(profile, tau).discrete) / profile.gamma
             start = state_from_terms([(ELECTRON_DN, (tau,), 1.0)])
             with pytest.warns(ExcitationApproximationWarning):
-                out = erasure_step([(1.0, start)], profile, pulse)
+                out = erasure_step([(1.0, start)], profile, tau)
             _, state = out[0]
             oracle = brute_force_oracle(
                 profile, [("exchange", flop_duration(profile)), ("pulse", tau)],
@@ -343,14 +324,13 @@ class TestErasureStep:
         profile = chain_profile(phi=0.0, offset_rate=0.5)
         mixture = [(1.0, initial_collective_state(ELECTRON_DN))]
         with pytest.raises(ConfigError):
-            erasure_step(mixture, profile, raw_pulse(1.0))
+            erasure_step(mixture, profile, 1.0)
 
     def test_long_pulse_warns(self):
         tau = 0.5 * flop_duration(chain_profile())
         profile = gradient_profile_for(8.0, tau)
         with pytest.warns(UserWarning, match="flop"):
-            apply_pulse(initial_collective_state(ELECTRON_UP),
-                        raw_pulse(tau), profile)
+            apply_pulse(initial_collective_state(ELECTRON_UP), tau, profile)
 
 
 class TestStateBookkeeping:
@@ -358,31 +338,32 @@ class TestStateBookkeeping:
         with pytest.raises(ValueError):
             CollectiveNuclearState(terms=(Term(ELECTRON_UP, 2, (1.0,), 1.0),))
 
-    def test_norm_square(self):
-        state = state_from_terms([(ELECTRON_UP, (), 0.6), (ELECTRON_DN, (), 0.8)])
-        assert state.norm_square() == pytest.approx(1.0)
-
     @given(st.floats(0.05, 3.0), st.floats(0.05, 3.0))
     @settings(max_examples=25, deadline=None)
     def test_evolution_preserves_bookkeeping_norm(self, t1, t2):
         profile = chain_profile(n=4, phi=0.3)
         state = initial_collective_state(ELECTRON_DN)
         state = evolve_collective(state, profile, t1)
-        state = apply_pulse(state, raw_pulse(0.7), profile)
+        state = apply_pulse(state, 0.7, profile)
         state = evolve_collective(state, profile, t2)
-        assert abs(state.norm_square() - 1.0) < 1e-10
+        norm_square = sum(abs(term.amplitude) ** 2 for term in state.terms)
+        assert abs(norm_square - 1.0) < 1e-10
 
 
 class TestCouplingProfile:
     def test_couplings_must_be_positive(self):
         with pytest.raises(ValueError):
-            CouplingProfile(positions=np.zeros((2, 3)),
-                            couplings=np.array([0.1, -0.1]), sigma=SIGMA)
+            CouplingProfile(x=np.zeros(2), couplings=np.array([0.1, -0.1]),
+                            sigma=SIGMA, pulse_rates=np.zeros(2))
+        # the pulse rates must pair one to one with the couplings
+        with pytest.raises(ValueError):
+            CouplingProfile(x=np.zeros(2), couplings=np.array([0.1, 0.1]),
+                            sigma=SIGMA, pulse_rates=np.zeros(3))
 
 
 class TestPulseFeasibility:
     def test_threshold_numbers(self):
-        pulse = PulseSpec(gradient=1.0, offset=0.0, duration=1.0, g_n=5.0)
+        pulse = PulseSpec(gradient=1.0, duration=1.0, g_n=5.0)
         report = pulse_feasibility(pulse, sigma=5.0, wire_radius=5.0, standoff=5.0)
         assert report.gradient_time_threshold == pytest.approx(
             0.4175873963379625, rel=1e-12)
@@ -392,7 +373,7 @@ class TestPulseFeasibility:
             0.4175873963379625, rel=1e-12)
 
     def test_doubling_sigma_halves_gradient_threshold(self):
-        pulse = PulseSpec(gradient=1.0, offset=0.0, duration=1.0, g_n=5.0)
+        pulse = PulseSpec(gradient=1.0, duration=1.0, g_n=5.0)
         a = pulse_feasibility(pulse, 5.0, 5.0, 5.0)
         b = pulse_feasibility(pulse, 10.0, 5.0, 5.0)
         assert b.gradient_time_threshold == pytest.approx(
@@ -400,13 +381,13 @@ class TestPulseFeasibility:
 
     def test_margin_ratio(self):
         # gradient of 1 T/nm for 1 ns = 1 T s / m against the quoted threshold
-        pulse = PulseSpec(gradient=1.0, offset=0.0, duration=1.0, g_n=5.0)
+        pulse = PulseSpec(gradient=1.0, duration=1.0, g_n=5.0)
         report = pulse_feasibility(pulse, 5.0, 5.0, 5.0)
         assert report.margin_ratio == pytest.approx(
             1.0 / (2 * 0.4175873963379625), rel=1e-12)
 
     def test_suppression_parameter(self):
-        pulse = PulseSpec(gradient=1.0, offset=0.0, duration=1.0, g_n=5.0)
+        pulse = PulseSpec(gradient=1.0, duration=1.0, g_n=5.0)
         report = pulse_feasibility(pulse, 5.0, 5.0, 5.0)
         phi = 5.0 * MU_N_SI / HBAR_SI * 1e-12 * 1.0
         assert report.suppression_parameter == pytest.approx(phi * 1e3 * 5.0)

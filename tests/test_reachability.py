@@ -1,10 +1,13 @@
-"""Every public module-level name in the package is used by the package.
+"""Every public name the package defines is used by the package.
 
-A function, class or constant that only the tests reach is dead weight: it
-has to be kept correct without any run kind depending on it. This test
-parses ``src/spinheat/*.py`` and fails when a public name defined at module
-level is never loaded (read as a value or as an attribute) anywhere in the
-package. Imports alone do not count as a use.
+A function, class, constant, method or property that only the tests reach
+is dead weight: it has to be kept correct without any run kind depending on
+it. This test parses ``src/spinheat/*.py`` and fails when a public name
+defined at module level, or a public method or property defined in a class
+body, is never loaded (read as a value or as an attribute) anywhere in the
+package. Imports alone do not count as a use. Dataclass fields are left
+out: ``dataclasses.asdict`` and the generated ``__init__`` read them
+without an attribute load.
 """
 
 import ast
@@ -30,6 +33,8 @@ def _trees():
 
 
 def _public_definitions(tree):
+    """Module-level names, and ``Class.method`` for functions (methods and
+    properties alike) defined directly in a module-level class body."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -39,7 +44,11 @@ def _public_definitions(tree):
                 node.target]
             names.extend(target.id for target in targets
                          if isinstance(target, ast.Name))
-    return [name for name in names if not name.startswith("_")]
+        if isinstance(node, ast.ClassDef):
+            names.extend(f"{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef))
+    return [name for name in names
+            if not name.rpartition(".")[2].startswith("_")]
 
 
 def _loaded_names(tree):
@@ -58,7 +67,8 @@ def test_every_public_name_is_used_by_the_package():
     loaded = set().union(*(_loaded_names(tree) for tree in trees.values()))
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name in _public_definitions(tree)
-                    if name not in loaded and name not in ALLOWED)
+                    if name.rpartition(".")[2] not in loaded
+                    and name not in ALLOWED)
     assert unused == []
 
 
