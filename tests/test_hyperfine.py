@@ -221,6 +221,15 @@ class TestGammaTilde:
         b = gamma_tilde(shifted, tau).discrete
         assert abs(abs(a) - abs(b)) < 1e-14
 
+    def test_requires_pulse_rates(self):
+        # gamma_tilde reads one pulse rate per coupling, so a profile without
+        # them, or with rates that do not pair with the couplings, is refused
+        x = np.linspace(-2 * SIGMA, 2 * SIGMA, 8)
+        for rates in (None, np.zeros(3)):
+            with pytest.raises(ValueError):
+                gamma_tilde(CouplingProfile(x=x, couplings=np.full(8, 0.05),
+                                            sigma=SIGMA, pulse_rates=rates), 1.0)
+
     def test_continuum_agreement_on_fine_lattice(self):
         # simple cubic lattice, spacing sigma/4, out to 4 sigma on each axis;
         # contact couplings follow |psi|^2 of a spherical Gaussian envelope
@@ -355,10 +364,6 @@ class TestCouplingProfile:
         with pytest.raises(ValueError):
             CouplingProfile(x=np.zeros(2), couplings=np.array([0.1, -0.1]),
                             sigma=SIGMA, pulse_rates=np.zeros(2))
-        # the pulse rates must pair one to one with the couplings
-        with pytest.raises(ValueError):
-            CouplingProfile(x=np.zeros(2), couplings=np.array([0.1, 0.1]),
-                            sigma=SIGMA, pulse_rates=np.zeros(3))
 
 
 class TestPulseFeasibility:
