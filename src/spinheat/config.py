@@ -99,8 +99,10 @@ _DOT_SPECS = (
 
 _ERASURE_SPECS = (
     ParameterSpec("nucleus_count", int, 8,
-                  "nuclei in the chain; exact verifier caps at "
-                  f"{MAX_ORACLE_SPINS}", _int_range(1, MAX_ORACLE_SPINS)),
+                  f"nuclei in the chain, at most {MAX_ORACLE_SPINS}; the "
+                  "exact verifier replays the step in the excitation "
+                  "sectors it occupies, of dimension 1 and N+1",
+                  _int_range(1, MAX_ORACLE_SPINS)),
     ParameterSpec("sigma_nm", float, 5.0,
                   "electron envelope width", _positive),
     ParameterSpec("coupling_scale_rad_per_ps", float, 0.05,

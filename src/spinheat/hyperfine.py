@@ -5,8 +5,10 @@ couplings a_j. Collective states are tracked symbolically as kets |n>_t:
 n excitations created by alternating collective lowering operators and
 field-gradient pulses, labeled by the pulse-history vector t (newest entry
 last). The closed-form maps implemented here are exact for n <= 1 and
-accurate to O(n/N) beyond; an exact brute-force verifier over the full
-2^(N+1) space arbitrates every approximation.
+accurate to O(n/N) beyond. An exact verifier arbitrates every
+approximation: the exchange and the pulse conserve k = (flipped nuclei) +
+[electron down], so it works in the excitation sectors a state occupies,
+each of dimension C(N+1, k), and never builds the 2^(N+1)-state space.
 
 Unit conventions: couplings and pulse rates in rad/ps, the chain
 coordinate and sigma in nm, pulse and exchange durations in ps. PulseSpec,
@@ -14,6 +16,8 @@ the input of the nanowire feasibility estimate, carries its duration in ns
 and its gradient in T/nm; SI constants enter only there.
 """
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,7 +35,12 @@ AMPLITUDE_PRUNE = 1e-12
 EXCITATION_WARN_FRACTION = 0.05
 SHORT_PULSE_FRACTION = 0.1
 INEFFECTIVE_RATIO = 0.9
-MAX_ORACLE_SPINS = 12  # full space is 2^(N+1) <= 8192
+# longest erasure chain; the erasure run occupies sectors of dimension 1
+# and N + 1 only
+MAX_ORACLE_SPINS = 40
+# largest excitation sector the exact verifier builds and diagonalizes
+# densely; above every sector of N <= 12 (C(13, 6) = 1716)
+MAX_SECTOR_DIMENSION = 2048
 
 
 class ExcitationApproximationWarning(UserWarning):
@@ -105,6 +114,7 @@ class CouplingProfile:
             raise ValueError("pulse rates overflow")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        object.__setattr__(self, "_blocks", {})
 
     @property
     def count(self):
@@ -114,6 +124,35 @@ class CouplingProfile:
     def gamma(self):
         """Sum of squared couplings, rad^2/ps^2."""
         return float(np.sum(self.couplings ** 2))
+
+    def lowering_block(self, m):
+        """Collective lowering from m to m + 1 flipped nuclei: a CSR array
+        with entries a_j/sqrt(gamma), built once per profile and m."""
+        key = ("lowering", m)
+        if key not in self._blocks:
+            source = _layer(self.count, m).tolist()
+            position = {tuple(flips): i for i, flips
+                        in enumerate(_layer(self.count, m + 1).tolist())}
+            scale = self.couplings / np.sqrt(self.gamma)
+            rows, cols, data = [], [], []
+            for col, flips in enumerate(source):
+                for j in sorted(set(range(self.count)).difference(flips)):
+                    rows.append(position[tuple(sorted(flips + [j]))])
+                    cols.append(col)
+                    data.append(scale[j])
+            self._blocks[key] = sparse.csr_array(
+                (data, (rows, cols)), shape=(len(position), len(source)))
+        return self._blocks[key]
+
+    def pulse_diagonal(self, m):
+        """Eigenvalues of the pulse generator on the configurations with m
+        flipped nuclei, rad/ps; built once per profile and m."""
+        key = ("pulse", m)
+        if key not in self._blocks:
+            theta_total = 0.5 * self.pulse_rates.sum()
+            self._blocks[key] = theta_total - self.pulse_rates[
+                _layer(self.count, m)].sum(axis=1)
+        return self._blocks[key]
 
 
 def flop_duration(profile):
@@ -246,92 +285,105 @@ def erasure_step(mixture, profile, tau):
             for weight, branch in mixture]
 
 
-def _nuclear_dimension(profile):
-    if profile.count > MAX_ORACLE_SPINS:
+def _layer(count, m):
+    """Flipped-nucleus indices of the C(count, m) nuclear configurations
+    with m flips, one sorted row each, in ascending order of their bit
+    patterns sum_j 2^j (colexicographic order)."""
+    rows = list(itertools.combinations(range(count), m))
+    rows = np.array(rows, dtype=np.intp).reshape(len(rows), m)
+    return rows[np.lexsort(rows.T)] if m > 1 else rows
+
+
+def _require_sectors(profile, k_max):
+    """Refuse, before building anything, a state whose construction walks
+    through a sector larger than MAX_SECTOR_DIMENSION; C(N+1, k) peaks at
+    k = (N+1)/2."""
+    widest = math.comb(profile.count + 1,
+                       min(k_max, (profile.count + 1) // 2))
+    if widest > MAX_SECTOR_DIMENSION:
         raise ValueError(
-            f"{profile.count} nuclei exceed the exact-verifier limit "
-            f"{MAX_ORACLE_SPINS}")
-    return 1 << profile.count
-
-
-def collective_lowering_matrix(profile):
-    """Sparse collective lowering operator on the 2^N nuclear space."""
-    dim = _nuclear_dimension(profile)
-    configs = np.arange(dim)
-    rows, cols, data = [], [], []
-    scale = profile.couplings / np.sqrt(profile.gamma)
-    for j in range(profile.count):
-        unflipped = configs[(configs >> j) & 1 == 0]
-        rows.append(unflipped | (1 << j))
-        cols.append(unflipped)
-        data.append(np.full(unflipped.size, scale[j]))
-    return sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim))
-
-
-def _pulse_diagonal(profile):
-    """Eigenvalues of the pulse generator on nuclear configurations, rad/ps."""
-    configs = np.arange(_nuclear_dimension(profile))
-    bits = (configs[:, None] >> np.arange(profile.count)[None, :]) & 1
-    theta_total = 0.5 * profile.pulse_rates.sum()
-    return theta_total - bits @ profile.pulse_rates
+            f"a state with k = {k_max} on {profile.count} nuclei touches an "
+            f"excitation sector of dimension {widest}, above the "
+            f"exact-verifier limit {MAX_SECTOR_DIMENSION}")
 
 
 def collective_to_vector(state, profile):
-    """Exact 2^(N+1) vector of a collective state, electron block first."""
-    dim = _nuclear_dimension(profile)
-    lower = collective_lowering_matrix(profile)
-    diag = _pulse_diagonal(profile)
-    full = np.zeros(2 * dim, dtype=complex)
+    """Exact sector vectors {k: vector} of a collective state.
+
+    k = (flipped nuclei) + [electron down] is conserved by the exchange and
+    the pulse. Sector k lists the electron-up configurations with k flips,
+    then the electron-down configurations with k - 1, each in the order of
+    :func:`_layer`; its dimension is C(N+1, k).
+    """
+    _require_sectors(profile, max((term.n + term.electron
+                                   for term in state.terms), default=0))
+    sectors = {}
     for term in state.terms:
-        vec = np.zeros(dim, dtype=complex)
-        vec[0] = 1.0
-        for entry in term.history:
-            vec = lower @ vec
+        vec = np.ones(1, dtype=complex)
+        for m, entry in enumerate(term.history):
+            vec = profile.lowering_block(m) @ vec
             if entry != 0.0:
-                vec = np.exp(-1j * diag * entry) * vec
-        block = term.electron * dim
-        full[block:block + dim] += term.amplitude * vec
-    return full
+                vec = np.exp(-1j * profile.pulse_diagonal(m + 1)
+                             * entry) * vec
+        k = term.n + term.electron
+        if k not in sectors:
+            sectors[k] = np.zeros(math.comb(profile.count + 1, k),
+                                  dtype=complex)
+        start = term.electron * math.comb(profile.count, k)
+        sectors[k][start:start + vec.size] += term.amplitude * vec
+    return sectors
 
 
-def electron_up_population(vector):
-    half = vector.size // 2
-    return float(np.sum(np.abs(vector[:half]) ** 2))
+def _inner(u, v):
+    """<u|v> of two sector states."""
+    return sum(np.vdot(u[k], v[k]) for k in sorted(u.keys() & v.keys()))
 
 
-def brute_force_oracle(profile, schedule, initial):
-    """Exact evolution over the full electron-nuclear space.
+def electron_up_population(sectors, profile):
+    """Electron-up probability of a sector state: the first C(N, k)
+    entries of each sector k."""
+    return float(sum(np.sum(np.abs(vec[:math.comb(profile.count, k)]) ** 2)
+                     for k, vec in sorted(sectors.items())))
+
+
+def _exchange_block(profile, k):
+    """Flip-flop Hamiltonian sum_j a_j (s+ I_j- + h.c.) on sector k."""
+    if k == 0:
+        return np.zeros((1, 1))
+    coupling = np.sqrt(profile.gamma) * profile.lowering_block(k - 1).toarray()
+    up, down = coupling.shape
+    block = np.zeros((up + down, up + down))
+    block[:up, up:] = coupling
+    block[up:, :up] = coupling.T
+    return block
+
+
+def sector_oracle(profile, schedule, initial):
+    """Exact evolution of a collective state, sector by sector.
 
     schedule is a sequence of ("exchange", t_ps) and ("pulse", tau_ps)
-    segments; initial is a CollectiveNuclearState. The exchange generator
-    is diagonalized once and reused across segments.
+    segments; initial is a CollectiveNuclearState. Each occupied sector's
+    exchange block is diagonalized once and reused across segments; the
+    pulse is diagonal. Returns sector vectors as
+    :func:`collective_to_vector` does.
     """
-    dim = _nuclear_dimension(profile)
-    vec = collective_to_vector(initial, profile)
-    configs = np.arange(dim)
-    rows, cols, data = [], [], []
-    for j, a_j in enumerate(profile.couplings):
-        unflipped = configs[(configs >> j) & 1 == 0]
-        rows.append(unflipped | (1 << j))  # electron up, nucleus flipped
-        cols.append(unflipped + dim)  # electron down, nucleus unflipped
-        data.append(np.full(unflipped.size, a_j))
-    half = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * dim, 2 * dim)).toarray()
-    exchange = half + half.T
-    eigenvalues, eigenvectors = np.linalg.eigh(exchange)
-    pulse_diag = np.tile(_pulse_diagonal(profile), 2)
-    for kind, duration in schedule:
-        if kind == "exchange":
-            weights = eigenvectors.T @ vec
-            vec = eigenvectors @ (np.exp(-1j * eigenvalues * duration) * weights)
-        elif kind == "pulse":
-            vec = np.exp(-1j * pulse_diag * duration) * vec
-        else:
+    for kind, _ in schedule:
+        if kind not in ("exchange", "pulse"):
             raise ValueError(f"unknown schedule segment {kind!r}")
-    return vec
+    evolved = {}
+    for k, vec in collective_to_vector(initial, profile).items():
+        eigenvalues, eigenvectors = np.linalg.eigh(_exchange_block(profile, k))
+        pulse_diag = np.concatenate(
+            [profile.pulse_diagonal(m) for m in (k, k - 1) if m >= 0])
+        for kind, duration in schedule:
+            if kind == "exchange":
+                weights = eigenvectors.T @ vec
+                vec = eigenvectors @ (np.exp(-1j * eigenvalues * duration)
+                                      * weights)
+            else:
+                vec = np.exp(-1j * pulse_diag * duration) * vec
+        evolved[k] = vec
+    return evolved
 
 
 @dataclass(frozen=True)
@@ -364,7 +416,8 @@ class VerifiedErasure:
 
 def verified_erasure_step(profile, tau):
     """:func:`erasure_step` with a pulse of duration tau (ps) on a 50/50
-    electron mixture, each branch replayed by :func:`brute_force_oracle`.
+    electron mixture, each branch replayed by :func:`sector_oracle`.
+    Overlaps and populations are sums over the occupied sectors.
     """
     mixture = [(0.5, initial_collective_state(ELECTRON_UP)),
                (0.5, initial_collective_state(ELECTRON_DN))]
@@ -372,17 +425,18 @@ def verified_erasure_step(profile, tau):
     flop = flop_duration(profile)
     branches = []
     for (weight, state), (_, start) in zip(stepped, mixture):
-        oracle = brute_force_oracle(
+        oracle = sector_oracle(
             profile, [("exchange", flop), ("pulse", tau)], start)
         mapped = collective_to_vector(state, profile)
-        norm_sq = float(np.vdot(mapped, mapped).real)
-        fidelity = abs(np.vdot(mapped, oracle))**2 / (
-            norm_sq * float(np.vdot(oracle, oracle).real))
+        norm_sq = float(_inner(mapped, mapped).real)
+        fidelity = abs(_inner(mapped, oracle))**2 / (
+            norm_sq * float(_inner(oracle, oracle).real))
         branches.append(ErasureBranch(
             branch="up" if start.terms[0].electron == ELECTRON_UP else "down",
             weight=weight, fidelity=float(fidelity),
-            up_population_map=electron_up_population(mapped) / norm_sq,
-            up_population_oracle=electron_up_population(oracle),
+            up_population_map=electron_up_population(mapped, profile)
+            / norm_sq,
+            up_population_oracle=electron_up_population(oracle, profile),
             term_count=len(state.terms)))
     return VerifiedErasure(
         suppression=gamma_tilde(profile, tau), flop_duration=flop,
@@ -416,7 +470,8 @@ def pulse_feasibility(pulse, sigma, wire_radius, standoff):
     mu_0 I / (2 pi d^2). The current-time threshold quotes the level at
     suppression parameter phi tau sigma = 1, twice the bare gradient-time
     threshold; the margin ratio is measured against it. A pulse whose
-    numbers leave floating-point range is a configuration error.
+    numbers leave floating-point range, including a duration that
+    underflows to 0 s, is a configuration error.
     """
     if sigma <= 0 or wire_radius <= 0 or standoff < 0:
         raise ValueError("geometry must be positive")
@@ -438,8 +493,7 @@ def pulse_feasibility(pulse, sigma, wire_radius, standoff):
             required_current=required_current,
             current_time_product=current_time_product,
             current_time_threshold=current_time_threshold,
-            current_threshold=(current_time_threshold / tau_s if tau_s > 0
-                               else np.inf),
+            current_threshold=current_time_threshold / tau_s,
             suppression_parameter=parameter,
             continuum_suppression=float(np.exp(-parameter**2 / 4)),
             margin_ratio=current_time_product / current_time_threshold,

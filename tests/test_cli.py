@@ -216,6 +216,36 @@ class TestErasureCommand:
         assert len(rows) == 2
         assert rows[0].startswith("up,") and rows[1].startswith("down,")
 
+    def test_summary_is_strict_json(self, tmp_path):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert main(["erasure", "--out", str(tmp_path)]) == 0
+        json.loads((tmp_path / "erasure_summary.json").read_text(),
+                   parse_constant=refuse)
+
+    def test_forty_nuclei_verified(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(spinheat.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinheat.cli", "erasure",
+             "--out", str(tmp_path), "--set", "nucleus_count=40"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((tmp_path / "erasure_summary.json").read_text())
+        assert summary["parameters"]["nucleus_count"] == 40
+        branches = summary["branches"]
+        assert len(branches) == 2
+        assert all(b["fidelity"] >= 1 - 1e-9 for b in branches)
+        up = summary["up_population"]
+        assert up["oracle"] >= up["floor"]
+
+    def test_forty_one_nuclei_exits_2(self, tmp_path, capsys):
+        assert main(["erasure", "--out", str(tmp_path),
+                     "--set", "nucleus_count=41"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+
     def test_ineffective_pulse_exits_2(self, tmp_path, capsys):
         code = main(["erasure", "--out", str(tmp_path / "x"),
                      "--set", "suppression_phi_tau_sigma=0"])
@@ -226,11 +256,12 @@ class TestErasureCommand:
         "lattice_jitter_nm=1e6", "sigma_nm=1e-300", "sigma_nm=1e300",
         "coupling_scale_rad_per_ps=1e300", "coupling_scale_rad_per_ps=1e-300",
         "g_n=1e-300", "pulse_gradient_T_per_nm=1e300",
-        "pulse_duration_ps=1e-320"])
+        "pulse_duration_ps=1e-320", "pulse_duration_ns=1e-320"])
     def test_unusable_chain_exits_2(self, tmp_path, capsys, override):
         # each key is valid alone, but the couplings underflow to zero, the
         # envelope width, the couplings' squared sum or the pulse rates
         # overflow, or the feasibility estimate leaves floating-point range
+        # (the feasibility duration underflows to 0 s)
         assert main(["erasure", "--out", str(tmp_path),
                      "--set", override]) == 2
         err = capsys.readouterr().err

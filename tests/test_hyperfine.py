@@ -1,13 +1,15 @@
 """Tests for the collective nuclear-spin erasure machinery.
 
-The brute-force oracle (exact eigendecomposition of the full 2^(N+1)
-electron-nuclear space) is the reference for every closed-form collective
-map; the closed forms are exact for zero or one excitation and approximate
-at order n/N beyond that.
+The sector oracle (exact eigendecomposition of each excitation sector a
+state occupies) is the reference for every closed-form collective map; the
+closed forms are exact for zero or one excitation and approximate at order
+n/N beyond that. The oracle itself is cross-checked against a dense
+full-space reference (``full_space_reference.py``) at small N.
 """
 
 import numpy as np
 import pytest
+from full_space_reference import embed, full_space_oracle, full_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +24,6 @@ from spinheat.hyperfine import (
     PulseSpec,
     Term,
     apply_pulse,
-    brute_force_oracle,
-    collective_lowering_matrix,
     collective_to_vector,
     electron_up_population,
     erasure_step,
@@ -32,6 +32,7 @@ from spinheat.hyperfine import (
     gamma_tilde,
     initial_collective_state,
     pulse_feasibility,
+    sector_oracle,
     state_from_terms,
 )
 
@@ -54,8 +55,19 @@ def gradient_profile_for(phi_tau_sigma, tau_ps, envelope="gaussian", n=8):
     return chain_profile(n=n, envelope=envelope, phi=phi)
 
 
+def inner(u, v):
+    """<u|v> of two sector states {k: vector}."""
+    return sum(np.vdot(u[k], v[k]) for k in u.keys() & v.keys())
+
+
+def difference(u, v):
+    """u - v of two sector states, concatenated over the sectors of either."""
+    return np.concatenate([u.get(k, 0) - v.get(k, 0)
+                           for k in sorted(u.keys() | v.keys())])
+
+
 def fidelity(u, v):
-    return abs(np.vdot(u, v)) ** 2 / (np.vdot(u, u).real * np.vdot(v, v).real)
+    return abs(inner(u, v)) ** 2 / (inner(u, u).real * inner(v, v).real)
 
 
 class TestOracle:
@@ -67,61 +79,95 @@ class TestOracle:
         flipped = collective_to_vector(
             state_from_terms([(ELECTRON_UP, (0.0,), 1.0)]), profile)
         for t in np.linspace(0.0, 2 * np.pi / a, 17):
-            vec = brute_force_oracle(profile, [("exchange", t)], init)
-            assert abs(abs(np.vdot(flipped, vec)) ** 2 - np.sin(a * t) ** 2) < 1e-12
+            vec = sector_oracle(profile, [("exchange", t)], init)
+            assert abs(abs(inner(flipped, vec)) ** 2 - np.sin(a * t) ** 2) < 1e-12
 
     def test_unitarity_through_mixed_schedule(self):
         profile = chain_profile(n=6, phi=0.4)
         init = initial_collective_state(ELECTRON_DN)
         schedule = [("exchange", 3.7), ("pulse", 1.2), ("exchange", 0.9),
                     ("pulse", 0.3), ("exchange", 11.0)]
-        vec = brute_force_oracle(profile, schedule, init)
-        assert abs(np.vdot(vec, vec).real - 1.0) < 1e-12
+        vec = sector_oracle(profile, schedule, init)
+        assert abs(inner(vec, vec).real - 1.0) < 1e-12
 
     def test_full_flip_uniform_couplings(self):
         profile = chain_profile(envelope="uniform")
         t_flip = flop_duration(profile)
-        vec = brute_force_oracle(profile, [("exchange", t_flip)],
-                                 initial_collective_state(ELECTRON_DN))
-        target = -1j * collective_to_vector(
-            state_from_terms([(ELECTRON_UP, (0.0,), 1.0)]), profile)
-        assert np.linalg.norm(vec - target) < 1e-10
+        vec = sector_oracle(profile, [("exchange", t_flip)],
+                            initial_collective_state(ELECTRON_DN))
+        target = collective_to_vector(
+            state_from_terms([(ELECTRON_UP, (0.0,), -1j)]), profile)
+        assert np.linalg.norm(difference(vec, target)) < 1e-10
 
     def test_full_flip_nonuniform_couplings(self):
         profile = chain_profile(envelope="gaussian")
-        vec = brute_force_oracle(profile, [("exchange", flop_duration(profile))],
-                                 initial_collective_state(ELECTRON_DN))
-        target = -1j * collective_to_vector(
-            state_from_terms([(ELECTRON_UP, (0.0,), 1.0)]), profile)
-        assert np.linalg.norm(vec - target) < 1e-10
+        vec = sector_oracle(profile, [("exchange", flop_duration(profile))],
+                            initial_collective_state(ELECTRON_DN))
+        target = collective_to_vector(
+            state_from_terms([(ELECTRON_UP, (0.0,), -1j)]), profile)
+        assert np.linalg.norm(difference(vec, target)) < 1e-10
 
     def test_up_zero_is_fixed_point(self):
         profile = chain_profile()
         init = initial_collective_state(ELECTRON_UP)
-        vec = brute_force_oracle(profile, [("exchange", 25.0)], init)
-        assert np.linalg.norm(vec - collective_to_vector(init, profile)) < 1e-12
+        vec = sector_oracle(profile, [("exchange", 25.0)], init)
+        assert np.linalg.norm(
+            difference(vec, collective_to_vector(init, profile))) < 1e-12
 
     def test_oracle_rejects_large_n(self):
-        profile = CouplingProfile(x=np.arange(13.0),
-                                  couplings=np.full(13, 0.1), sigma=SIGMA,
-                                  pulse_rates=np.zeros(13))
-        with pytest.raises(ValueError):
-            brute_force_oracle(profile, [("exchange", 1.0)],
-                               initial_collective_state(ELECTRON_UP))
+        # 40 nuclei: sector k = 2 has C(41, 2) = 820 states and is verified;
+        # k = 3 (C(41, 3) = 10660) and a 20-excitation state, whose
+        # construction would walk through C(40, 20) ~ 1.4e11 configurations,
+        # exceed the sector cap and are refused before anything is built
+        profile = CouplingProfile(x=np.arange(40.0),
+                                  couplings=np.full(40, 0.1), sigma=SIGMA,
+                                  pulse_rates=np.zeros(40))
+        vec = sector_oracle(profile, [("exchange", 1.0)],
+                            state_from_terms([(ELECTRON_DN, (0.0,), 1.0)]))
+        assert [(k, v.size) for k, v in vec.items()] == [(2, 820)]
+        for electron, n in ((ELECTRON_DN, 2), (ELECTRON_UP, 20)):
+            with pytest.raises(ValueError, match="exact-verifier limit"):
+                sector_oracle(profile, [("exchange", 1.0)],
+                              state_from_terms([(electron, (0.0,) * n, 1.0)]))
+
+
+class TestSectorOracle:
+    @given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+           entries=st.lists(st.tuples(
+               st.sampled_from((ELECTRON_UP, ELECTRON_DN)),
+               st.lists(st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+                        max_size=3),
+               st.complex_numbers(max_magnitude=1.0)), min_size=1, max_size=4),
+           schedule=st.lists(st.tuples(st.sampled_from(("exchange", "pulse")),
+                                       st.floats(0.0, 20.0)), max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_space_reference(self, n, seed, entries, schedule):
+        rng = np.random.default_rng(seed)
+        profile = CouplingProfile(x=np.sort(rng.uniform(-10, 10, n)),
+                                  couplings=rng.uniform(0.01, 0.5, n),
+                                  pulse_rates=rng.uniform(-1, 1, n),
+                                  sigma=SIGMA)
+        state = state_from_terms(entries)
+        built = embed(collective_to_vector(state, profile), profile)
+        assert np.max(np.abs(built - full_vector(state, profile))) <= 1e-12
+        evolved = embed(sector_oracle(profile, schedule, state), profile)
+        reference = full_space_oracle(profile, schedule, state)
+        assert np.max(np.abs(evolved - reference)) <= 1e-12
 
 
 class TestCollectiveAlgebra:
     def test_lowering_appends_zero_history(self):
         profile = chain_profile(phi=0.25)
-        lower = collective_lowering_matrix(profile)
-        nuclear_dim = lower.shape[0]
         history = (0.7, 1.3, 0.4)
         for n in range(4):
+            # sector n of an electron-up state with n flips: the up block
+            # (C(N, n) configurations) holds the whole state
+            lower = profile.lowering_block(n)
             state = state_from_terms([(ELECTRON_UP, history[:n], 1.0)])
-            vec = collective_to_vector(state, profile)[:nuclear_dim]
+            vec = collective_to_vector(state, profile)[n][:lower.shape[1]]
             target = collective_to_vector(
                 state_from_terms([(ELECTRON_UP, history[:n] + (0.0,), 1.0)]),
-                profile)[:nuclear_dim]
+                profile)[n + 1][:lower.shape[0]]
             assert np.linalg.norm(lower @ vec - target) < 1e-12
 
     def test_pulse_phase_on_unflipped_state(self):
@@ -132,8 +178,9 @@ class TestCollectiveAlgebra:
         theta_total = 0.5 * profile.pulse_rates.sum()
         assert len(pulsed.terms) == 1
         assert abs(pulsed.terms[0].amplitude - np.exp(-1j * theta_total * tau)) < 1e-12
-        oracle = brute_force_oracle(profile, [("pulse", tau)], state)
-        assert np.linalg.norm(collective_to_vector(pulsed, profile) - oracle) < 1e-12
+        oracle = sector_oracle(profile, [("pulse", tau)], state)
+        assert np.linalg.norm(
+            difference(collective_to_vector(pulsed, profile), oracle)) < 1e-12
 
     def test_pulse_on_single_flip_matches_oracle(self):
         profile = chain_profile(phi=0.3, offset_rate=0.07)
@@ -142,16 +189,18 @@ class TestCollectiveAlgebra:
         pulsed = apply_pulse(state, tau, profile)
         assert pulsed.terms[0].history == (tau,)
         assert abs(pulsed.terms[0].amplitude - 1.0) < 1e-12
-        oracle = brute_force_oracle(profile, [("pulse", tau)], state)
-        assert np.linalg.norm(collective_to_vector(pulsed, profile) - oracle) < 1e-12
+        oracle = sector_oracle(profile, [("pulse", tau)], state)
+        assert np.linalg.norm(
+            difference(collective_to_vector(pulsed, profile), oracle)) < 1e-12
 
     def test_pulse_extends_newest_history_entry(self):
         profile = chain_profile(phi=0.2)
         state = state_from_terms([(ELECTRON_DN, (0.9, 0.6), 1.0)])
         pulsed = apply_pulse(state, 0.5, profile)
         assert pulsed.terms[0].history == (0.9, 0.6 + 0.5)
-        oracle = brute_force_oracle(profile, [("pulse", 0.5)], state)
-        assert np.linalg.norm(collective_to_vector(pulsed, profile) - oracle) < 1e-11
+        oracle = sector_oracle(profile, [("pulse", 0.5)], state)
+        assert np.linalg.norm(
+            difference(collective_to_vector(pulsed, profile), oracle)) < 1e-11
 
     def test_fixed_point_residual_bound(self):
         # post-pulse single-flip states stay put up to 2|gamma_tilde|/gamma
@@ -165,13 +214,13 @@ class TestCollectiveAlgebra:
             period = 2 * np.pi / np.sqrt(profile.gamma)
             worst = 0.0
             for t in np.linspace(0.0, 1.1 * period, 45):
-                evolved = brute_force_oracle(profile, [("exchange", t)], state)
-                worst = max(worst, np.linalg.norm(evolved - vec))
+                evolved = sector_oracle(profile, [("exchange", t)], state)
+                worst = max(worst, np.linalg.norm(difference(evolved, vec)))
             assert worst <= bound + 1e-9
             # the bound is saturated at the half period of the exchange rotation
-            half = brute_force_oracle(
+            half = sector_oracle(
                 profile, [("exchange", np.pi / np.sqrt(profile.gamma))], state)
-            assert np.linalg.norm(half - vec) >= 0.98 * bound
+            assert np.linalg.norm(difference(half, vec)) >= 0.98 * bound
 
     def test_evolve_collective_exact_for_fresh_spin_down(self):
         profile = chain_profile(phi=0.3)
@@ -179,8 +228,8 @@ class TestCollectiveAlgebra:
         for t in (0.0, 2.5, flop_duration(profile)):
             mapped = collective_to_vector(evolve_collective(state, profile, t),
                                           profile)
-            oracle = brute_force_oracle(profile, [("exchange", t)], state)
-            assert np.linalg.norm(mapped - oracle) < 1e-10
+            oracle = sector_oracle(profile, [("exchange", t)], state)
+            assert np.linalg.norm(difference(mapped, oracle)) < 1e-10
 
     def test_evolve_collective_multistep_overlap(self):
         tau = 1.0
@@ -192,7 +241,7 @@ class TestCollectiveAlgebra:
         with pytest.warns(ExcitationApproximationWarning):
             state = evolve_collective(state, profile, t2)
         state = apply_pulse(state, tau, profile)
-        oracle = brute_force_oracle(
+        oracle = sector_oracle(
             profile,
             [("exchange", t1), ("pulse", tau), ("exchange", t2), ("pulse", tau)],
             start)
@@ -283,10 +332,11 @@ class TestErasureStep:
         term = state.terms[0]
         assert term.electron == ELECTRON_UP and term.history == (tau,)
         assert abs(term.amplitude + 1j) < 1e-12
-        oracle = brute_force_oracle(
+        oracle = sector_oracle(
             profile, [("exchange", flop_duration(profile)), ("pulse", tau)],
             initial_collective_state(ELECTRON_DN))
-        assert np.linalg.norm(collective_to_vector(state, profile) - oracle) < 1e-10
+        assert np.linalg.norm(
+            difference(collective_to_vector(state, profile), oracle)) < 1e-10
 
     def test_balanced_mixture_erases(self):
         tau = 1.0
@@ -299,11 +349,11 @@ class TestErasureStep:
                    for _, state in out for term in state.terms)
         up_pop = 0.0
         for (weight, state), start in zip(out, mixture):
-            oracle = brute_force_oracle(
+            oracle = sector_oracle(
                 profile, [("exchange", flop_duration(profile)), ("pulse", tau)],
                 start[1])
             assert fidelity(collective_to_vector(state, profile), oracle) >= 0.99
-            up_pop += weight * electron_up_population(oracle)
+            up_pop += weight * electron_up_population(oracle, profile)
         assert up_pop >= 1 - 2 * ratio
 
     def test_second_cycle_fidelity_bound(self):
@@ -319,7 +369,7 @@ class TestErasureStep:
             with pytest.warns(ExcitationApproximationWarning):
                 out = erasure_step([(1.0, start)], profile, tau)
             _, state = out[0]
-            oracle = brute_force_oracle(
+            oracle = sector_oracle(
                 profile, [("exchange", flop_duration(profile)), ("pulse", tau)],
                 start)
             n_max = max(term.n for term in state.terms)
