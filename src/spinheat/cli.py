@@ -84,7 +84,7 @@ def _trajectory_summary(traj):
                   "rho_dn": float(traj.rho_dn[-1]),
                   "rho_XX": float(traj.rho_XX[-1])},
         "min_eigenvalue": float(np.min(traj.min_eigenvalue)),
-        "used_eigen_propagation": bool(traj.used_eigen_propagation),
+        "used_dense_propagation": bool(traj.used_dense_propagation),
     }
 
 

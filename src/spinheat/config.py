@@ -134,6 +134,10 @@ _ERASURE_SPECS = (
                   "wire-to-dot standoff", _nonnegative),
 )
 
+# Largest stage-1 grid in bytes: evolve keeps every state, (3 n_levels)^2
+# complex numbers; 13 MB at the defaults, 0.65 GB with grid_dt_ps=1e-3.
+MAX_GRID_BYTES = 2**30
+
 DOT_KINDS = ("stage1", "cycle", "sweep", "check")
 RUN_KINDS = DOT_KINDS + ("erasure",)
 
@@ -240,7 +244,16 @@ def parse_config(kind, config_path=None, overrides=()):
 
 
 def to_engine_config(run_config):
+    """Engine parameters of a dot-dynamics run; a stage-1 grid whose states
+    would exceed MAX_GRID_BYTES is a configuration error."""
     v = run_config.values
+    points = v["stage1_duration_ps"] / v["grid_dt_ps"] + 2
+    grid_bytes = points * 16 * (3 * v["n_levels"])**2
+    if not grid_bytes <= MAX_GRID_BYTES:
+        raise ConfigError(
+            f"the stage-1 grid of {points:.3g} points needs {grid_bytes:.3g} "
+            f"B, beyond {MAX_GRID_BYTES}; raise grid_dt_ps or shorten "
+            "stage1_duration_ps")
     return EngineConfig(
         temperature=v["temperature_K"],
         n_levels=v["n_levels"],

@@ -1,32 +1,31 @@
 """Propagation of the vectorized master equation dvec(rho)/dt = V vec(rho).
 
-:func:`evolve` is the one production entry point: it samples the state on an
-output grid. By default it applies exp(V h) step by step with the truncated
-Taylor scheme of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488, 2011;
+:func:`evolve` is the one production path: it samples the state on an output
+grid by applying exp(V h) over each run of equal steps h. The action of a
+step comes from one of two schemes, picked by :func:`is_stiff`. Generators
+whose ||V - mu||_1 t is small against dim^3 take the truncated Taylor
+scheme of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488, 2011;
 ``scipy.sparse.linalg.expm_multiply``), which needs only sparse
-matrix-vector products and costs in proportion to ||V||_1 t. For stiff
-generators, where that product is large against the dimension, it instead
-diagonalizes V once (:func:`diagonalize`) and sums eigenmodes
-(:func:`propagate`), a cost fixed by the dimension.
+matrix-vector products and costs in proportion to ||V - mu||_1 t. The
+others form exp(V h) once per run with ``scipy.linalg.expm`` (scaling and
+squaring, Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009) and
+step with dense matrix-vector products, a cost fixed by the dimension.
 
-The eigendecomposition and the adaptive integrator :func:`integrate_direct`
-share nothing but the superoperator, so they also serve as the two
-independent oracles of the invariant checks.
+:func:`diagonalize` and :func:`propagate` sum eigenmodes instead. They share
+nothing with :func:`evolve` but the superoperator, and serve as the oracle
+that the invariant checks compare it with.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm  # before scipy.sparse: see the engine imports
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import NumericalError
 
-DEFECT_THRESHOLD = 1e-6
-DEFAULT_GRID_DT = 0.05  # ps
-DEFAULT_TOL = 1e-9
 # Largest ||(V - mu) t||_1 given to one expm_multiply call (mu = tr V / dim,
 # the shift scipy applies). Up to 2 l p_max (p_max + 3) theta_55 / 55 = 63.4
 # (condition 3.13 of Al-Mohy & Higham for one column) scipy picks the Taylor
@@ -36,71 +35,66 @@ DEFAULT_TOL = 1e-9
 # Below the stiffness threshold the short calls are no slower than one call
 # over the whole grid (n_levels=8, gamma_ph 1 meV: 0.69 s vs 0.76 s).
 STEP_NORM_LIMIT = 60.0
-# evolve diagonalizes when x = ||V - mu||_1 t_span / dim^2 > 1 / STIFF_RATIO.
-# Stage-1 wall time (20 ps, 401 grid points), Taylor steps vs. dense
-# eigendecomposition, measured on a 2-core host with OpenBLAS 0.3.31:
-#   n_levels=8  (dim 576):  gamma_ph 0.001 meV (x=0.0018) 0.20 s;
-#     1 meV (x=0.017) 0.81 s; 3 meV (x=0.050) 2.3 s; 10 meV (x=0.16) 7.6 s;
-#     30 meV (x=0.49) 19.6 s; eigendecomposition 0.9-1.8 s at any gamma_ph
-#   n_levels=15 (dim 2025): 0.001 meV (x=0.0003) 0.58 s; 1 meV (x=0.0030)
-#     4.2 s; 3 meV (x=0.0089) 10.0 s; eigendecomposition 18.9 s
-# Break-even falls at x = 0.017-0.035 for n_levels=8 and x = 0.017 for 15.
-STIFF_RATIO = 40.0
-LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+# evolve steps densely when ||V - mu||_1 t_span > dim^3 / STIFF_RATIO: dense
+# steps cost O(dim^3); the sparse products of Taylor steps follow
+# ||V - mu||_1 t_span and cost mostly call overhead at nnz <= 2e4. Stage-1
+# wall time (20 ps, 401 points; 2 cores, OpenBLAS 0.3.31), Taylor/dense in s,
+# by n_levels and gamma_ph in meV, with y = ||V - mu||_1 t_span / dim^3:
+#   5: 0.001 (y=3.4e-5) 0.21/0.03; 6: 0.001 (1.3e-5) 0.18/0.09;
+#   7: 0.001 (6.1e-6) 0.22/0.21; 8: 0.001 (3.1e-6) 0.28/0.31, 0.3 (9.2e-6)
+#   0.25/0.29, 1 (2.9e-5) 0.91/0.39, 30 (8.6e-4) 19.6/0.45; 10: 1 (1.0e-5)
+#   0.87/0.81; 12: 1 (4.3e-6) 1.6/2.1; 15: 0.3 (4.6e-7) 0.94/6.6,
+#   1 (1.5e-6) 3.7/8.6, 3 (4.4e-6) 9.1/9.2.
+# Break-even y is 4e-6 to 1e-5 for n_levels 7 to 15; nnz y spreads 3.7x.
+# The threshold, y = 9.1e-6, sits between n_levels=6 and 7 at default
+# friction: at 7 the two tie on time, and expm's workspace adds 26 MB of
+# peak memory per concurrent run (sweep at --jobs 2: 91 -> 116 MB).
+STIFF_RATIO = 1.1e5
+# Largest log2 ||V h||_1 of a dense step: expm squares about that many
+# times, each a dense dim^3 product (0.8 s at n_levels=15 on 2 cores).
+MAX_LOG2_STEP_NORM = 40.0
 
 
 @dataclass(frozen=True)
 class EigenPropagator:
-    """Full eigensystem of one superoperator, sorted slowest-decaying first."""
+    """Full eigensystem of one superoperator."""
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     dual_vectors: np.ndarray
     biorthonormality_residual: float
-    defective: bool
 
 
 def diagonalize(v):
     """Eigendecompose a superoperator (dense or sparse) and build its dual basis.
 
     Duals come from inverting the right-eigenvector matrix, which enforces
-    biorthonormality directly; its residual doubles as the defectiveness
-    probe. A failed decomposition raises :class:`NumericalError`.
+    biorthonormality directly; its residual measures how far from defective
+    the generator is. A failed decomposition or a singular eigenvector
+    matrix raises :class:`NumericalError`.
     """
-    if sp.issparse(v):
-        v = v.toarray()
     try:
-        eigenvalues, right = np.linalg.eig(v)
+        eigenvalues, right = np.linalg.eig(sp.csr_array(v).toarray())
+        dual = np.linalg.inv(right)
     except np.linalg.LinAlgError as err:
         raise NumericalError(
             f"superoperator eigendecomposition failed: {err}") from err
-    order = np.argsort(-eigenvalues.real)
-    eigenvalues = eigenvalues[order]
-    right = right[:, order]
-    try:
-        dual = np.linalg.inv(right)
-        gram = dual @ right
-        residual = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    except np.linalg.LinAlgError:
-        dual = np.linalg.pinv(right)
-        residual = np.inf
-    return EigenPropagator(
-        eigenvalues=eigenvalues,
-        right_vectors=right,
-        dual_vectors=dual,
-        biorthonormality_residual=residual,
-        defective=not residual <= DEFECT_THRESHOLD,
-    )
+    residual = float(np.max(np.abs(dual @ right - np.eye(right.shape[0]))))
+    return EigenPropagator(eigenvalues=eigenvalues, right_vectors=right,
+                           dual_vectors=dual, biorthonormality_residual=residual)
 
 
-def propagate(rho0, ep, t):
-    """Evolve rho0 to time t (ps) as a sum over eigenmodes."""
-    if t < 0:
-        raise ValueError(f"propagation time must be nonnegative, got {t}")
+def propagate(rho0, ep, times):
+    """rho0 evolved to ``times`` (ps) as a sum over eigenmodes: one state for
+    a scalar time, a stack of states for an array of times."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError(f"propagation times must be nonnegative, got {times}")
     dim = rho0.shape[0]
     c = ep.dual_vectors @ rho0.reshape(-1, order="F")
-    vec = ep.right_vectors @ (c * np.exp(ep.eigenvalues * t))
-    return vec.reshape(dim, dim, order="F")
+    vecs = ep.right_vectors @ (
+        c[:, None] * np.exp(np.outer(ep.eigenvalues, times)))
+    return vecs.T.reshape(times.shape + (dim, dim)).swapaxes(-1, -2)
 
 
 def _shifted_one_norm(v):
@@ -123,9 +117,9 @@ def _equal_step_runs(times):
 
 
 def is_stiff(v, t_span):
-    """Whether diagonalizing the sparse generator ``v`` once is cheaper than
-    Taylor steps over ``t_span`` ps."""
-    return _shifted_one_norm(v) * t_span > v.shape[0]**2 / STIFF_RATIO
+    """Whether stepping the sparse generator ``v`` densely over ``t_span`` ps
+    is cheaper than Taylor steps."""
+    return bool(_shifted_one_norm(v) * t_span > v.shape[0]**3 / STIFF_RATIO)
 
 
 def _taylor_steps(v, x, times, norm):
@@ -159,13 +153,40 @@ def _taylor_steps(v, x, times, norm):
     return out
 
 
+def _dense_steps(v, x, times):
+    """Vectorized states at ``times``: one exp(V h) per run of equal steps h,
+    applied by dense matrix-vector products. A step with log2 ||V h||_1 above
+    MAX_LOG2_STEP_NORM is refused before any dense work."""
+    runs = _equal_step_runs(times)
+    with np.errstate(over="ignore"):
+        step_norm = float(abs(v).sum(axis=0).max()) * max(h for h, _ in runs)
+    if not step_norm <= 2.0**MAX_LOG2_STEP_NORM:
+        raise NumericalError(
+            f"a grid step of the generator has ||V h||_1 = {step_norm:.3g}, "
+            f"beyond 2^{MAX_LOG2_STEP_NORM:g}")
+    out = np.empty((times.size, x.size), dtype=complex)
+    i = 0
+    for h, count in runs:
+        if h == 0:
+            out[i:i + count] = x
+            i += count
+            continue
+        step = expm((v * h).toarray())
+        for _ in range(count):
+            x = step @ x
+            out[i] = x
+            i += 1
+    return out
+
+
 def evolve(rho0, v, times):
     """States exp(V t) rho0 at each of ``times`` (ps, nondecreasing, >= 0).
 
-    Returns ``(states, used_eigen)``: an array of shape (len(times), d, d)
-    and whether the stiff eigendecomposition branch ran. Uniform grids with
-    a shorter last step, grids starting after 0 and single times all work;
-    each run of equal steps is advanced together.
+    Returns ``(states, used_dense)``: an array of shape (len(times), d, d)
+    and whether the dense steps ran. Uniform grids with a shorter last step,
+    grids starting after 0 and single times all work; each run of equal
+    steps is advanced together. Non-finite generators or states raise
+    :class:`NumericalError`.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0):
@@ -174,41 +195,11 @@ def evolve(rho0, v, times):
     norm = _shifted_one_norm(v)
     if not (np.all(np.isfinite(v.data)) and math.isfinite(norm)):
         raise NumericalError("superoperator entries or 1-norm are not finite")
-    dim = rho0.shape[0]
-    if is_stiff(v, times[-1]):
-        ep = diagonalize(v)
-        if ep.defective:
-            raise NumericalError(
-                "stiff generator has a defective eigendecomposition "
-                f"(biorthonormality residual {ep.biorthonormality_residual:.1e})")
-        growth = float(np.max(ep.eigenvalues.real)) * times[-1]
-        if not growth < LOG_FLOAT_MAX:
-            raise NumericalError(
-                f"generator modes grow by exp({growth:.3g}) over "
-                f"{times[-1]:g} ps, beyond floating-point range")
-        return np.array([propagate(rho0, ep, t) for t in times]), True
-    vecs = _taylor_steps(v, rho0.reshape(-1, order="F").astype(complex),
-                         times, norm)
-    return vecs.reshape(times.size, dim, dim).transpose(0, 2, 1), False
-
-
-def integrate_direct(rho0, v, t_end, tol=DEFAULT_TOL, grid_dt=DEFAULT_GRID_DT):
-    """Adaptive direct integration of dvec(rho)/dt = V vec(rho).
-
-    Returns (times, states) sampled on a uniform grid of spacing grid_dt.
-    ``v`` may be dense or sparse; the right-hand side is one matrix-vector
-    product. Serves as the independent oracle for the other two paths.
-    """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    dim = rho0.shape[0]
-    times = np.arange(0.0, t_end + grid_dt / 2, grid_dt)
-    if times[-1] > t_end:
-        times[-1] = t_end
-    sol = solve_ivp(
-        lambda _, y: v @ y, (0.0, t_end), rho0.reshape(-1, order="F"),
-        method="DOP853", rtol=tol, atol=tol * 1e-3, t_eval=times)
-    if not sol.success:
-        raise NumericalError(f"direct integration failed: {sol.message}")
-    states = [sol.y[:, k].reshape(dim, dim, order="F") for k in range(sol.y.shape[1])]
-    return sol.t, states
+    x = rho0.reshape(-1, order="F").astype(complex)
+    used_dense = is_stiff(v, times[-1])
+    vecs = (_dense_steps(v, x, times) if used_dense
+            else _taylor_steps(v, x, times, norm))
+    if not np.all(np.isfinite(vecs)):
+        raise NumericalError("propagated states are not finite")
+    states = vecs.reshape(times.size, *rho0.shape).transpose(0, 2, 1)
+    return states, used_dense

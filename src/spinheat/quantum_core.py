@@ -22,11 +22,6 @@ IDX_X = 2
 N_ELECTRONIC = 3
 
 
-def basis_index(x, n):
-    """Flat product-space index of electronic level ``x``, oscillator level ``n``."""
-    return N_ELECTRONIC * n + x
-
-
 def fock_operators(n_c, omega1):
     """Truncated ladder, mass-weighted quadratures, and number operator.
 

@@ -1,0 +1,48 @@
+"""Test-only references for the dot dynamics and the ledger.
+
+Production code needs none of these. The adaptive DOP853 integrator shares
+nothing with ``propagator`` but the superoperator, so it cross-checks the
+eigenmode oracle; ``basis_index`` spells out the composite-basis ordering in
+closed form, and ``spinlabor_bound`` is the analytic erasure cost that
+criterion 11 anchors the ledger against.
+"""
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from spinheat.errors import NumericalError
+from spinheat.quantum_core import N_ELECTRONIC
+
+
+def basis_index(x, n):
+    """Flat product-space index of electronic level ``x``, oscillator level ``n``."""
+    return N_ELECTRONIC * n + x
+
+
+def spinlabor_bound(gamma_spin):
+    """Minimum spinlabor to erase one bit, ln2 / gamma, in hbar."""
+    if gamma_spin == 0:
+        raise ValueError("unpolarized reservoir: erasure cost is unbounded")
+    return float(np.log(2.0) / gamma_spin)
+
+
+def integrate_direct(rho0, v, t_end, tol=1e-9, grid_dt=0.05):
+    """Adaptive direct integration of dvec(rho)/dt = V vec(rho).
+
+    Returns (times, states) sampled on a uniform grid of spacing grid_dt.
+    ``v`` may be dense or sparse; the right-hand side is one matrix-vector
+    product.
+    """
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    dim = rho0.shape[0]
+    times = np.arange(0.0, t_end + grid_dt / 2, grid_dt)
+    if times[-1] > t_end:
+        times[-1] = t_end
+    sol = solve_ivp(
+        lambda _, y: v @ y, (0.0, t_end), rho0.reshape(-1, order="F"),
+        method="DOP853", rtol=tol, atol=tol * 1e-3, t_eval=times)
+    if not sol.success:
+        raise NumericalError(f"direct integration failed: {sol.message}")
+    states = [sol.y[:, k].reshape(dim, dim, order="F") for k in range(sol.y.shape[1])]
+    return sol.t, states

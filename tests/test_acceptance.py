@@ -12,17 +12,18 @@ import time
 
 import numpy as np
 import pytest
+from reference import integrate_direct, spinlabor_bound
 
 from spinheat.config import parse_config, to_engine_config
 from spinheat.engine import (heat_extraction_stage, initial_state, run_cycle,
-                             run_stage, spinlabor_bound, stage_machinery)
+                             run_stage, stage_machinery)
 from spinheat.hyperfine import (ELECTRON_DN, ELECTRON_UP, CouplingProfile,
                                 PulseSpec, apply_pulse, collective_to_vector,
                                 flop_duration, gamma_tilde,
                                 initial_collective_state, pulse_feasibility,
                                 sector_oracle, state_from_terms,
                                 verified_erasure_step)
-from spinheat.propagator import diagonalize, integrate_direct, propagate
+from spinheat.propagator import diagonalize, propagate
 
 SIGMA_NM = 5.0
 

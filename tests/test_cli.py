@@ -11,7 +11,8 @@ import pytest
 
 import spinheat
 from spinheat.cli import main
-from spinheat.config import (parameter_table, parse_config, to_engine_config)
+from spinheat.config import (MAX_GRID_BYTES, parameter_table, parse_config,
+                             to_engine_config)
 from spinheat.errors import ConfigError, NumericalError
 
 TINY = ["--set", "n_levels=4", "--set", "stage1_duration_ps=2"]
@@ -159,9 +160,52 @@ class TestStage1Command:
         assert err.startswith("numerical failure:")
         assert "Traceback" not in err
 
+    def test_huge_friction_refused_before_dense_work(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # at the default n_levels=15 a dense step would square 2025 x 2025
+        # matrices about 1000 times; the step-norm bound refuses it first
+        import spinheat.propagator as propagator_module
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(propagator_module, "expm",
+                            spy("expm", propagator_module.expm))
+        monkeypatch.setattr(np.linalg, "eig", spy("eig", np.linalg.eig))
+        assert main(["stage1", "--out", str(tmp_path),
+                     "--set", "gamma_ph_meV=1e300"]) == 3
+        assert calls == []
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
+    @pytest.mark.parametrize("override", ["grid_dt_ps=1e-300",
+                                          "stage1_duration_ps=1e300"])
+    def test_oversized_grid_exits_2(self, tmp_path, capsys, override):
+        assert main(["stage1", "--out", str(tmp_path),
+                     "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "grid_dt_ps" in err and "Traceback" not in err
+
+    def test_grid_bound_sits_at_max_grid_bytes(self):
+        # refused or accepted in config, before any grid is built
+        points = MAX_GRID_BYTES / (16 * 12**2)  # grid points at n_levels=4
+        for count, fits in ((points - 12, True), (points + 10, False)):
+            run_config = parse_config("stage1", overrides=[
+                "n_levels=4", "stage1_duration_ps=1",
+                f"grid_dt_ps={1 / (count - 2)!r}"])
+            if fits:
+                assert to_engine_config(run_config).n_levels == 4
+            else:
+                with pytest.raises(ConfigError, match="stage-1 grid"):
+                    to_engine_config(run_config)
+
     def test_stiff_positivity_abort_exits_4_promptly(self, tmp_path):
-        # Taylor steps would need ~1e9 matrix-vector products here; the
-        # stiff branch diagonalizes once and reaches the positivity check.
+        # Taylor steps would need ~1e9 matrix-vector products here; dense
+        # steps form exp(V h) once and reach the positivity check.
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(spinheat.__file__)))
         proc = subprocess.run(
@@ -374,6 +418,16 @@ class TestSweepCommand:
             "numerical-error", "ok"]
         assert (out / "point_001" / "stage1.csv").exists()
 
+    def test_oversized_grid_points_recorded_and_index_written(self,
+                                                              tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out),
+                     "--set", "stage1_duration_ps=1e300",
+                     "--axis", "temperature_K=60,150"]) == 0
+        index = json.loads((out / "sweep_index.json").read_text())
+        assert [p["status"] for p in index["points"]] == ["config-error"] * 2
+        assert "stage-1 grid" in index["points"][0]["message"]
+
     def test_truncation_axis_emits_convergence_report(self, tmp_path):
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out),
@@ -411,3 +465,14 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--jobs", "0"])
         assert err.value.code == 2
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(spinheat.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spinheat.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -7,12 +7,13 @@ fast invariants at reduced truncation.
 
 import numpy as np
 import pytest
+from reference import spinlabor_bound
 
 from spinheat.constants import HBAR
 from spinheat.engine import (
     CycleLedger, EngineConfig, StageConfig, Trajectory, find_switch_time,
     heat_extraction_stage, initial_state, invariant_checks, make_ledger,
-    run_cycle, run_stage, spinlabor_bound, stage_hamiltonian_spec,
+    run_cycle, run_stage, stage_hamiltonian_spec,
     truncation_convergence, work_output_stage,
 )
 from spinheat.quantum_core import IDX_DN, IDX_UP, embed, level_projector, thermal_state
@@ -196,11 +197,25 @@ def test_truncation_convergence_pairs_neighbours_sharing_other_axes():
     assert [entry["converged"] for entry in report] == [False, False, True]
 
 
-def test_invariant_checks_fail_on_non_finite_propagation(monkeypatch):
+def _nan_evolve(real):
+    def evolve(rho0, v, times):
+        states, used_dense = real(rho0, v, times)
+        return states * np.nan, used_dense
+    return evolve
+
+
+def _nan_propagate(real):
+    return lambda rho0, ep, times: real(rho0, ep, times) * np.nan
+
+
+@pytest.mark.parametrize("name, poison", [("evolve", _nan_evolve),
+                                          ("propagate", _nan_propagate)],
+                         ids=["production", "oracle"])
+def test_invariant_checks_fail_on_non_finite_propagation(monkeypatch, name,
+                                                         poison):
     import spinheat.engine as engine_module
-    real = engine_module.propagate
-    monkeypatch.setattr(engine_module, "propagate",
-                        lambda rho0, ep, t: real(rho0, ep, t) * np.nan)
+    monkeypatch.setattr(engine_module, name,
+                        poison(getattr(engine_module, name)))
     records = invariant_checks(engine_config(n_levels=3, stage1_duration=1.0))
     assert len(records) == 16
     failed = [(r.label, r.name) for r in records if not r.passed]

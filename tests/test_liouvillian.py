@@ -7,10 +7,11 @@ on random density matrices.
 
 import numpy as np
 import pytest
+from reference import basis_index
 
 from spinheat.constants import HBAR
 from spinheat.quantum_core import (
-    IDX_DN, IDX_UP, IDX_X, basis_index, embed, fock_operators,
+    IDX_DN, IDX_UP, IDX_X, embed, fock_operators,
     level_projector, product_operators, thermal_state, transition_operator,
 )
 from spinheat.liouvillian import (

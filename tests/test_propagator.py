@@ -1,13 +1,16 @@
 """Grid propagation, eigendecomposition and direct adaptive integration.
 
-The eigenmode and direct paths share nothing but the superoperator itself,
+The eigenmode path and the test-only direct integrator
+(``reference.integrate_direct``) share nothing but the superoperator itself,
 so their agreement is the module's central evidence; the production path
-``evolve`` is then pinned to the eigenmode path. A closed-form Rabi
-oscillation pins the direct integrator independently of both.
+``evolve`` and both of its steppers are then pinned to the eigenmode path.
+A closed-form Rabi oscillation pins the direct integrator independently of
+both.
 """
 
 import numpy as np
 import pytest
+from reference import integrate_direct
 
 from spinheat.config import parse_config, to_engine_config
 from spinheat.constants import HBAR
@@ -21,7 +24,8 @@ from spinheat.liouvillian import (
     build_superoperator, hamiltonian_superoperator,
 )
 from spinheat.propagator import (
-    diagonalize, evolve, integrate_direct, is_stiff, propagate,
+    MAX_LOG2_STEP_NORM, _dense_steps, _shifted_one_norm, _taylor_steps,
+    diagonalize, evolve, is_stiff, propagate,
 )
 from spinheat.spectral import thermal_energy
 
@@ -59,7 +63,6 @@ def test_biorthonormality_at_production_parameters():
     v, _ = stage1_superoperator(8)
     ep = diagonalize(v)
     assert ep.biorthonormality_residual <= 1e-8
-    assert not ep.defective
     gram = ep.dual_vectors @ ep.right_vectors
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-8
 
@@ -96,6 +99,17 @@ def test_propagate_preserves_trace():
     rho0 = initial_state(6)
     for t in np.linspace(0.0, 20.0, 11):
         assert np.trace(propagate(rho0, ep, t)).real == pytest.approx(1.0, abs=1e-9)
+
+
+def test_propagate_stacks_states_for_an_array_of_times():
+    v, _ = stage1_superoperator(4)
+    ep = diagonalize(v)
+    rho0 = initial_state(4)
+    times = np.array([0.0, 0.7, 3.1])
+    stacked = propagate(rho0, ep, times)
+    assert stacked.shape == (3, 12, 12)
+    for t, state in zip(times, stacked):
+        assert np.max(np.abs(state - propagate(rho0, ep, t))) <= 1e-14
 
 
 def test_completeness_reconstructs_random_state():
@@ -155,21 +169,44 @@ def test_stationary_state_invariant_under_direct_integration():
     assert np.max(np.abs(states[-1] - rho_ss)) <= 1e-6
 
 
-@pytest.mark.parametrize("times", [
+GRIDS = (
     np.arange(0.0, 20.0 + 0.025, 0.05),  # stage-1 grid
     np.append(np.arange(0.0, 1.2 + 0.025, 0.05), 1.23),  # short last step
     np.linspace(0.8, 1.2, 41) * np.pi * HBAR / 4.316,  # pi-pulse candidates
-], ids=["stage1", "short-last-step", "pi-candidates"])
-def test_evolve_matches_eigenmode_propagation(times):
+)
+GRID_IDS = ["stage1", "short-last-step", "pi-candidates"]
+
+
+def eigenmode_vectors(rho0, v, times):
+    """Oracle states at ``times``, column-stacked as the steppers return them."""
+    states = propagate(rho0, diagonalize(v), times)
+    return states.transpose(0, 2, 1).reshape(times.size, -1)
+
+
+@pytest.mark.parametrize("times, dense", zip(GRIDS, (True, False, False)),
+                         ids=GRID_IDS)
+def test_evolve_matches_eigenmode_propagation(times, dense):
+    # at n_levels=6 the 20 ps stage is stepped densely, the short grids by
+    # Taylor steps
     v, _ = stage1_superoperator(6)
     rho0 = initial_state(6)
-    states, used_eigen = evolve(rho0, v, times)
-    assert not used_eigen
+    states, used_dense = evolve(rho0, v, times)
+    assert used_dense is dense
     assert states.shape == (times.size, 18, 18)
-    ep = diagonalize(v)
-    worst = max(np.max(np.abs(propagate(rho0, ep, t) - s))
-                for t, s in zip(times, states))
-    assert worst <= 1e-10
+    assert np.max(np.abs(states - propagate(rho0, diagonalize(v), times))) <= 1e-10
+
+
+@pytest.mark.parametrize("stepper", ["taylor", "dense"])
+@pytest.mark.parametrize("times", GRIDS, ids=GRID_IDS)
+def test_steppers_match_eigenmode_propagation(times, stepper):
+    v, _ = stage1_superoperator(6)
+    rho0 = initial_state(6)
+    x = rho0.reshape(-1, order="F").astype(complex)
+    if stepper == "taylor":
+        vecs = _taylor_steps(v, x, times, _shifted_one_norm(v))
+    else:
+        vecs = _dense_steps(v, x, times)
+    assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
 
 
 def test_evolve_stiff_branch_matches_eigenmode_propagation():
@@ -177,10 +214,10 @@ def test_evolve_stiff_branch_matches_eigenmode_propagation():
     rho0 = initial_state(4)
     times = np.arange(0.0, 2.0 + 0.025, 0.05)
     assert is_stiff(v, times[-1])
-    states, used_eigen = evolve(rho0, v, times)
-    assert used_eigen
+    states, used_dense = evolve(rho0, v, times)
+    assert used_dense
     ep = diagonalize(v)
-    assert np.max(np.abs(states[-1] - propagate(rho0, ep, times[-1]))) == 0.0
+    assert np.max(np.abs(states[-1] - propagate(rho0, ep, times[-1]))) <= 1e-10
 
 
 @pytest.mark.parametrize("gamma_ph, stiff", [(0.001, False), (1e6, True)])
@@ -196,3 +233,27 @@ def test_evolve_rejects_non_finite_generator():
     v.data[0] = np.nan
     with pytest.raises(NumericalError):
         evolve(initial_state(3), v, [0.0, 1.0])
+
+
+def test_dense_steps_refuse_an_oversized_step_before_expm(monkeypatch):
+    import spinheat.propagator as propagator_module
+
+    def unreachable(*args):
+        raise AssertionError("expm ran")
+
+    monkeypatch.setattr(propagator_module, "expm", unreachable)
+    v, _ = stage1_superoperator(3)
+    h = 2.0**(MAX_LOG2_STEP_NORM + 1) / float(abs(v).sum(axis=0).max())
+    with pytest.raises(NumericalError, match="beyond 2"):
+        _dense_steps(v, initial_state(3).reshape(-1).astype(complex),
+                     np.array([0.0, h]))
+
+
+def test_evolve_rejects_non_finite_states(monkeypatch):
+    import spinheat.propagator as propagator_module
+    monkeypatch.setattr(propagator_module, "_taylor_steps",
+                        lambda v, x, times, norm: np.full((times.size, x.size),
+                                                          np.nan))
+    v, _ = stage1_superoperator(3)
+    with pytest.raises(NumericalError, match="not finite"):
+        evolve(initial_state(3), v, [0.0, 0.1])

@@ -7,11 +7,12 @@ implementation is tested against arithmetic it does not share.
 
 import numpy as np
 import pytest
+from reference import basis_index
 
 from spinheat.constants import HBAR, KB
 from spinheat.quantum_core import (
     IDX_UP, IDX_DN, IDX_X,
-    basis_index, embed, expectation, fock_operators,
+    embed, expectation, fock_operators,
     level_projector, min_eigenvalue, thermal_state, transition_operator,
 )
 

@@ -17,14 +17,7 @@ import spinheat
 
 PACKAGE = pathlib.Path(spinheat.__file__).parent
 
-ALLOWED = {
-    # the analytic erasure cost ln2/gamma; criterion 11 anchors the ledger
-    # against it
-    "spinlabor_bound",
-    # the composite-basis ordering in closed form; unit tests index
-    # operator matrix elements through it as an independent reference
-    "basis_index",
-}
+ALLOWED = set()
 
 
 def _trees():
