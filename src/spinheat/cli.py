@@ -196,6 +196,10 @@ def _sweep_point(run_config, keys, combo, index, out_dir):
         entry.update(status="positivity-abort", message=str(err))
     except NumericalError as err:
         entry.update(status="numerical-error", message=str(err))
+    except Exception as err:
+        # any other failure is recorded too, so that the remaining points
+        # and the index are still written; the sweep then exits 3
+        entry.update(status="error", message=f"{type(err).__name__}: {err}")
     return entry, rho_XX
 
 
@@ -297,6 +301,12 @@ def _dispatch(args):
         payload = _sweep_artifacts(run_config, axes, args.jobs, args.out)
         ok = sum(1 for p in payload["points"] if p["status"] == "ok")
         print(f"sweep: {ok}/{len(payload['points'])} points ok -> {args.out}")
+        failed = [p for p in payload["points"] if p["status"] == "error"]
+        for point in failed:
+            print(f"sweep failure: {point['directory']}: {point['message']}",
+                  file=sys.stderr)
+        if failed:
+            return 3
     return 0
 
 

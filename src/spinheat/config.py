@@ -13,7 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import EngineConfig
+from .constants import HBAR
+from .engine import PI_CANDIDATES, PI_WINDOW, EngineConfig
 from .errors import ConfigError
 from .hyperfine import MAX_ORACLE_SPINS, CouplingProfile, PulseSpec
 
@@ -134,8 +135,10 @@ _ERASURE_SPECS = (
                   "wire-to-dot standoff", _nonnegative),
 )
 
-# Largest stage-1 grid in bytes: evolve keeps every state, (3 n_levels)^2
-# complex numbers; 13 MB at the defaults, 0.65 GB with grid_dt_ps=1e-3.
+# Largest grid in bytes, for the stage-1 grid and for a cycle's stage-2
+# window with its pi-pulse candidates: evolve keeps every state,
+# (3 n_levels)^2 complex numbers; 13 MB at the defaults, 0.65 GB with
+# grid_dt_ps=1e-3.
 MAX_GRID_BYTES = 2**30
 
 DOT_KINDS = ("stage1", "cycle", "sweep", "check")
@@ -243,17 +246,31 @@ def parse_config(kind, config_path=None, overrides=()):
     return RunConfig(kind=kind, values=values, provenance=provenance)
 
 
-def to_engine_config(run_config):
-    """Engine parameters of a dot-dynamics run; a stage-1 grid whose states
-    would exceed MAX_GRID_BYTES is a configuration error."""
-    v = run_config.values
-    points = v["stage1_duration_ps"] / v["grid_dt_ps"] + 2
-    grid_bytes = points * 16 * (3 * v["n_levels"])**2
+def _check_grid(name, points, n_levels, remedy):
+    grid_bytes = points * 16 * (3 * n_levels)**2
     if not grid_bytes <= MAX_GRID_BYTES:
         raise ConfigError(
-            f"the stage-1 grid of {points:.3g} points needs {grid_bytes:.3g} "
-            f"B, beyond {MAX_GRID_BYTES}; raise grid_dt_ps or shorten "
-            "stage1_duration_ps")
+            f"the {name} grid of {points:.3g} points needs {grid_bytes:.3g} "
+            f"B, beyond {MAX_GRID_BYTES}; {remedy}")
+
+
+def to_engine_config(run_config):
+    """Engine parameters of a dot-dynamics run. A stage-1 grid, or for a
+    cycle a stage-2 window with its pi-pulse candidates, whose states would
+    exceed MAX_GRID_BYTES is a configuration error, and so is a cycle whose
+    pi time is not finite."""
+    v = run_config.values
+    _check_grid("stage-1", v["stage1_duration_ps"] / v["grid_dt_ps"] + 2,
+                v["n_levels"], "raise grid_dt_ps or shorten stage1_duration_ps")
+    if run_config.kind == "cycle":
+        pi_time = np.pi * HBAR / v["hbar_omega2_meV"]
+        if not math.isfinite(pi_time):
+            raise ConfigError(
+                f"hbar_omega2_meV = {v['hbar_omega2_meV']:g} gives a pi time "
+                "that is not finite")
+        _check_grid("stage-2", PI_WINDOW[1] * pi_time / v["grid_dt_ps"] + 2
+                    + PI_CANDIDATES, v["n_levels"],
+                    "raise hbar_omega2_meV or grid_dt_ps")
     return EngineConfig(
         temperature=v["temperature_K"],
         n_levels=v["n_levels"],

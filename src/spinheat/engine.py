@@ -33,8 +33,8 @@ from .propagator import diagonalize, evolve, propagate
 from .constants import HBAR
 from .errors import PositivityError
 from .quantum_core import (
-    IDX_DN, IDX_UP, embed, expectation, level_projector,
-    min_eigenvalue, product_operators, thermal_state,
+    IDX_DN, IDX_UP, embed, expectation, level_projector, product_operators,
+    thermal_state,
 )
 from .liouvillian import (
     DissipationSpec, StageHamiltonianSpec, build_hamiltonian, build_superoperator,
@@ -188,26 +188,33 @@ def _stage_grid(duration, grid_dt):
     return times
 
 
+# states per batched eigvalsh call in the positivity monitor: 1 MB of
+# workspace at n_levels=15, and batching past it gains nothing
+EIGVALSH_CHUNK = 32
+
+
+def _min_eigenvalues(states):
+    """Smallest eigenvalue of the Hermitian part of each state, computed in
+    chunks of EIGVALSH_CHUNK so that no second copy of the stack is made."""
+    out = np.empty(len(states))
+    for start in range(0, len(states), EIGVALSH_CHUNK):
+        chunk = states[start:start + EIGVALSH_CHUNK]
+        hermitian = (chunk + chunk.conj().swapaxes(-1, -2)) / 2
+        out[start:start + EIGVALSH_CHUNK] = np.linalg.eigvalsh(hermitian)[:, 0]
+    return out
+
+
 def _sample(states, times, ops, occupation_ref, abort_threshold, used_dense):
-    n = len(states)
-    rho_up = np.empty(n)
-    rho_dn = np.empty(n)
-    rho_xx = np.empty(n)
-    nbar = np.empty(n)
-    q1bar = np.empty(n)
-    min_eig = np.empty(n)
-    for k, rho in enumerate(states):
-        rho_h = (rho + rho.conj().T) / 2
-        rho_up[k] = expectation(rho_h, ops.proj_up).real
-        rho_dn[k] = expectation(rho_h, ops.proj_dn).real
-        rho_xx[k] = expectation(rho_h, ops.proj_x).real
-        nbar[k] = expectation(rho_h, ops.number).real
-        q1bar[k] = expectation(rho_h, ops.q1).real
-        min_eig[k] = min_eigenvalue(rho_h)
-        if min_eig[k] < abort_threshold:
-            raise PositivityError(
-                f"smallest density-matrix eigenvalue {min_eig[k]:.3e} at "
-                f"t={times[k]:.3f} ps fell below {abort_threshold:.1e}")
+    rho_up, rho_dn, rho_xx, nbar, q1bar = (
+        expectation(states, op).real
+        for op in (ops.proj_up, ops.proj_dn, ops.proj_x, ops.number, ops.q1))
+    min_eig = _min_eigenvalues(states)
+    below = np.flatnonzero(min_eig < abort_threshold)
+    if below.size:
+        k = below[0]
+        raise PositivityError(
+            f"smallest density-matrix eigenvalue {min_eig[k]:.3e} at "
+            f"t={times[k]:.3f} ps fell below {abort_threshold:.1e}")
     ref = nbar[0] if occupation_ref is None else occupation_ref
     return Trajectory(times=times, rho_up=rho_up, rho_dn=rho_dn, rho_XX=rho_xx,
                       dN1=nbar - ref, Q1bar=q1bar, min_eigenvalue=min_eig,
@@ -275,6 +282,12 @@ def _stitch(parts, final_state):
                           traj.used_dense_propagation for traj, _, _ in parts))
 
 
+# the pi-pulse refinement: PI_CANDIDATES durations spread evenly over
+# PI_WINDOW times the bare pi time
+PI_WINDOW = (0.8, 1.2)
+PI_CANDIDATES = 41
+
+
 def run_cycle(cfg):
     """Heat extraction, hand-off at the switch optimum, then the work pulse.
 
@@ -294,9 +307,10 @@ def run_cycle(cfg):
 
     stage2 = work_output_stage(cfg)
     _, v2 = stage_machinery(stage2, cfg)
-    candidates = np.linspace(0.8 * stage2.duration, 1.2 * stage2.duration, 41)
+    candidates = np.linspace(PI_WINDOW[0] * stage2.duration,
+                             PI_WINDOW[1] * stage2.duration, PI_CANDIDATES)
     states, _ = evolve(rho_switch, v2, candidates)
-    down = [expectation(rho, ops.proj_dn).real for rho in states]
+    down = expectation(states, ops.proj_dn).real
     stage2_duration = float(candidates[int(np.argmax(down))])
 
     nbar0 = expectation(rho0, ops.number).real

@@ -4,12 +4,16 @@
 grid by applying exp(V h) over each run of equal steps h. The action of a
 step comes from one of two schemes, picked by :func:`is_stiff`. Generators
 whose ||V - mu||_1 t is small against dim^3 take the truncated Taylor
-scheme of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488, 2011;
-``scipy.sparse.linalg.expm_multiply``), which needs only sparse
-matrix-vector products and costs in proportion to ||V - mu||_1 t. The
-others form exp(V h) once per run with ``scipy.linalg.expm`` (scaling and
-squaring, Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009) and
-step with dense matrix-vector products, a cost fixed by the dimension.
+scheme of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488, 2011, Alg. 5.2),
+restated here: with A = V - mu (mu = tr V / dim) it needs only sparse
+matrix-vector products and costs in proportion to ||A||_1 t. Its Taylor
+degree and block count come from the exact 1-norm alone, which bounds
+||A^p||^(1/p) from above for every p, so no norm estimate (and none of its
+random probes) is ever needed and repeated runs give the same bits. The
+other generators form exp(V h) once per run with ``scipy.linalg.expm``
+(scaling and squaring, Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+970, 2009) and step with dense matrix-vector products, a cost fixed by the
+dimension.
 
 :func:`diagonalize` and :func:`propagate` sum eigenmodes instead. They share
 nothing with :func:`evolve` but the superoperator, and serve as the oracle
@@ -22,33 +26,39 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm  # before scipy.sparse: see the engine imports
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import NumericalError
 
-# Largest ||(V - mu) t||_1 given to one expm_multiply call (mu = tr V / dim,
-# the shift scipy applies). Up to 2 l p_max (p_max + 3) theta_55 / 55 = 63.4
-# (condition 3.13 of Al-Mohy & Higham for one column) scipy picks the Taylor
-# degree and scaling from the exact 1-norm; beyond it, from onenormest, whose
-# random probe vectors come from NumPy's global generator, shared by all
-# threads, so byte-identical artifacts would rest on an estimate converging.
-# Below the stiffness threshold the short calls are no slower than one call
-# over the whole grid (n_levels=8, gamma_ph 1 meV: 0.69 s vs 0.76 s).
-STEP_NORM_LIMIT = 60.0
+# theta_m for unit roundoff u = 2^-53: the largest ||A||_1 t for which m
+# Taylor terms of exp(A t) meet the backward-error bound u. Entries m <= 30
+# from Higham & Al-Mohy, Acta Numer. 19, 159 (2010), Table A.3; m = 35..55
+# from Al-Mohy & Higham (2011), Table 3.1.
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+UNIT_ROUNDOFF = 2.0**-53
 # evolve steps densely when ||V - mu||_1 t_span > dim^3 / STIFF_RATIO: dense
 # steps cost O(dim^3); the sparse products of Taylor steps follow
-# ||V - mu||_1 t_span and cost mostly call overhead at nnz <= 2e4. Stage-1
-# wall time (20 ps, 401 points; 2 cores, OpenBLAS 0.3.31), Taylor/dense in s,
-# by n_levels and gamma_ph in meV, with y = ||V - mu||_1 t_span / dim^3:
-#   5: 0.001 (y=3.4e-5) 0.21/0.03; 6: 0.001 (1.3e-5) 0.18/0.09;
-#   7: 0.001 (6.1e-6) 0.22/0.21; 8: 0.001 (3.1e-6) 0.28/0.31, 0.3 (9.2e-6)
-#   0.25/0.29, 1 (2.9e-5) 0.91/0.39, 30 (8.6e-4) 19.6/0.45; 10: 1 (1.0e-5)
-#   0.87/0.81; 12: 1 (4.3e-6) 1.6/2.1; 15: 0.3 (4.6e-7) 0.94/6.6,
-#   1 (1.5e-6) 3.7/8.6, 3 (4.4e-6) 9.1/9.2.
-# Break-even y is 4e-6 to 1e-5 for n_levels 7 to 15; nnz y spreads 3.7x.
-# The threshold, y = 9.1e-6, sits between n_levels=6 and 7 at default
-# friction: at 7 the two tie on time, and expm's workspace adds 26 MB of
-# peak memory per concurrent run (sweep at --jobs 2: 91 -> 116 MB).
+# ||V - mu||_1 t_span. Stage-1 stepping time (20 ps, 401 points; 2 cores,
+# OpenBLAS 0.3.31), Taylor/dense in s, by n_levels and gamma_ph in meV,
+# with y = ||V - mu||_1 t_span / dim^3:
+#   5: 0.001 (y=3.4e-5) 0.028/0.033; 6: 0.001 (1.3e-5) 0.038/0.046,
+#   0.1 (1.6e-5) 0.029/0.049; 7: 0.001 (6.1e-6) 0.057/0.11; 8: 0.001
+#   (3.1e-6) 0.061/0.25, 0.3 (9.3e-6) 0.11/0.22, 1 (2.9e-5) 0.36/0.26;
+#   10: 1 (1.0e-5) 0.47/0.67; 12: 1 (4.3e-6) 1.4/2.2, 3 (1.3e-5) 3.3/2.3;
+#   15: 0.3 (4.6e-7) 0.49/5.9, 1 (1.5e-6) 2.8/8.3, 3 (4.4e-6) 5.7/7.5,
+#   10 (1.5e-5) 21/8.6.
+# Break-even y falls with size: above 3.4e-5 up to n_levels=6, about 1.8e-5
+# at 8, 1.4e-5 at 10, 8e-6 at 12 and 5.5e-6 at 15. The threshold,
+# y = 9.1e-6, lies inside that band. Raising it would trade seconds at
+# n_levels >= 12 for tenths below; lowering it would add expm's workspace
+# (26 MB per concurrent run at n_levels=7) where Taylor steps are faster.
 STIFF_RATIO = 1.1e5
 # Largest log2 ||V h||_1 of a dense step: expm squares about that many
 # times, each a dense dim^3 product (0.8 s at n_levels=15 on 2 cores).
@@ -97,12 +107,17 @@ def propagate(rho0, ep, times):
     return vecs.T.reshape(times.shape + (dim, dim)).swapaxes(-1, -2)
 
 
+def _shift(v):
+    """A = V - mu and mu = tr V / dim, the generator the Taylor steps expand."""
+    dim = v.shape[0]
+    mu = v.trace() / dim
+    return v - mu * sp.eye_array(dim, format="csr"), mu
+
+
 def _shifted_one_norm(v):
     """||V - mu||_1; inf or nan when it overflows, which evolve rejects."""
-    dim = v.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = v - (v.trace() / dim) * sp.eye_array(dim, format="csr")
-        return float(abs(shifted).sum(axis=0).max())
+        return float(abs(_shift(v)[0]).sum(axis=0).max())
 
 
 def _equal_step_runs(times):
@@ -122,13 +137,52 @@ def is_stiff(v, t_span):
     return bool(_shifted_one_norm(v) * t_span > v.shape[0]**3 / STIFF_RATIO)
 
 
-def _taylor_steps(v, x, times, norm):
-    """Vectorized states at ``times`` by chained expm_multiply calls.
+def _taylor_parameters(t_norm):
+    """Taylor degree m* and block count s for exp(A t), t ||A||_1 = ``t_norm``:
+    the pair with t_norm / s <= theta_m that needs the fewest products m s,
+    the lower degree on ties (Al-Mohy & Higham 2011, Sec. 3)."""
+    pairs = []
+    for m, theta in TAYLOR_THETA.items():
+        s = max(1, math.ceil(t_norm / theta))
+        if t_norm / s > theta:  # t_norm / theta rounded down to an integer
+            s += 1
+        pairs.append((m * s, m, s))
+    _, m_star, s = min(pairs)
+    return m_star, s
 
-    A run of equal steps h is cut into ``sub`` equal sub-steps per output
-    step so that one sub-step stays under STEP_NORM_LIMIT, and each call
-    covers as many sub-steps as the limit allows.
+
+def _taylor_terms(a, z, span, terms):
+    """Fill rows p = 0, 1, ... of ``terms`` with (span A)^p / p! z until the
+    series of exp(span A) z passes the stopping test of Al-Mohy & Higham
+    (two consecutive terms below u ||partial sum||_inf) or ``terms`` is
+    full; return the rows filled."""
+    terms[0] = z
+    total = z.copy()
+    previous = np.abs(z).max()
+    for p in range(1, len(terms)):
+        np.multiply(a @ terms[p - 1], span / p, out=terms[p])
+        total += terms[p]
+        current = np.abs(terms[p]).max()
+        if previous + current <= UNIT_ROUNDOFF * np.abs(total).max():
+            break
+        previous = current
+    return terms[:p + 1]
+
+
+def _taylor_steps(v, x, times, norm):
+    """Vectorized states at ``times`` by truncated Taylor series, ``norm``
+    being ||V - mu||_1 (Al-Mohy & Higham 2011, Alg. 5.2).
+
+    Each run of ``count`` equal steps h takes one (m*, s) for its span
+    count h. Output steps are cut into ceil(s / count) sub-steps when
+    s > count, and the run's q sub-steps into blocks of floor(q / s), so
+    that a block's span times the norm stays within theta_m*. A block's
+    Taylor terms are summed until the series at the block's end converges,
+    which bounds every earlier sample of the block too; all its samples
+    then come from one matrix product, exp(k delta mu) sum_p (k / d)^p K_p
+    for K_p = (d delta A)^p / p! z.
     """
+    a, mu = _shift(v)
     out = np.empty((times.size, x.size), dtype=complex)
     i = 0
     for h, count in _equal_step_runs(times):
@@ -136,20 +190,26 @@ def _taylor_steps(v, x, times, norm):
             out[i:i + count] = x
             i += count
             continue
-        sub = max(1, math.ceil(h * norm / STEP_NORM_LIMIT))
-        total = count * sub
-        per_call = (int(STEP_NORM_LIMIT // (h / sub * norm)) if norm > 0
-                    else total)
-        done = 0
-        while done < total:
-            m = min(per_call, total - done)
-            ys = expm_multiply(v, x, start=0.0, stop=m * h / sub, num=m + 1,
-                               endpoint=True)
-            picks = [j for j in range(1, m + 1) if (done + j) % sub == 0]
-            out[i:i + len(picks)] = ys[picks]
-            i += len(picks)
+        m_star, s = _taylor_parameters(count * h * norm)
+        sub = -(-s // count)
+        q = count * sub
+        block = q // s
+        delta = h / sub
+        terms = np.empty((m_star + 1, x.size), dtype=complex)
+        for start in range(0, q, block):
+            d = min(block, q - start)
+            k = np.arange(1, d + 1)
+            used = _taylor_terms(a, x, d * delta, terms)
+            weights = (k / d)[:, None] ** np.arange(len(used))
+            # real weights on the real and imaginary parts: one real product
+            ys = (weights @ used.view(float)).view(complex)
+            ys *= np.exp(k * delta * mu)[:, None]
             x = ys[-1]
-            done += m
+            # blocks hold whole output steps (sub = 1) or, as q < 2 s then,
+            # one sub-step each, kept when it ends an output step
+            if (start + d) % sub == 0:
+                out[i:i + d] = ys
+                i += d
     return out
 
 

@@ -96,17 +96,16 @@ def thermal_state(omega1, temperature, n_c):
 
 
 def expectation(rho, op):
-    """Tr(op rho). Returns the complex trace; callers take .real for Hermitian ops."""
+    """Tr(op rho) of one state, or of each state of a stack (..., d, d).
+
+    Complex; callers take .real for Hermitian ops, which is also the value
+    on the Hermitian part of rho.
+    """
     rho = np.asarray(rho)
     op = np.asarray(op)
-    if rho.shape != op.shape:
+    if rho.shape[-2:] != op.shape:
         raise ValueError(f"dimension mismatch: rho {rho.shape} vs op {op.shape}")
-    return complex(np.trace(op @ rho))
-
-
-def min_eigenvalue(rho):
-    """Smallest eigenvalue of a Hermitian matrix; the positivity monitor."""
-    return float(np.linalg.eigvalsh(rho)[0])
+    return np.einsum("ij,...ji->...", op, rho)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Production code needs none of these. The adaptive DOP853 integrator shares
 nothing with ``propagator`` but the superoperator, so it cross-checks the
-eigenmode oracle; ``basis_index`` spells out the composite-basis ordering in
-closed form, and ``spinlabor_bound`` is the analytic erasure cost that
-criterion 11 anchors the ledger against.
+eigenmode oracle; ``min_eigenvalue`` is the per-state positivity monitor
+that the engine's batched sampling replaces; ``basis_index`` spells out the
+composite-basis ordering in closed form, and ``spinlabor_bound`` is the
+analytic erasure cost that criterion 11 anchors the ledger against.
 """
 
 import numpy as np
@@ -24,6 +25,12 @@ def spinlabor_bound(gamma_spin):
     if gamma_spin == 0:
         raise ValueError("unpolarized reservoir: erasure cost is unbounded")
     return float(np.log(2.0) / gamma_spin)
+
+
+def min_eigenvalue(rho):
+    """Smallest eigenvalue of one Hermitian matrix: the per-state positivity
+    monitor that the engine's batched sampling is checked against."""
+    return float(np.linalg.eigvalsh(rho)[0])
 
 
 def integrate_direct(rho0, v, t_end, tol=1e-9, grid_dt=0.05):

@@ -11,6 +11,7 @@ import pytest
 
 import spinheat
 from spinheat.cli import main
+from spinheat.constants import HBAR
 from spinheat.config import (MAX_GRID_BYTES, parameter_table, parse_config,
                              to_engine_config)
 from spinheat.errors import ConfigError, NumericalError
@@ -234,6 +235,41 @@ class TestCycleCommand:
         # combined trajectory extends past the switch time
         assert data[-1, 0] > summary["switch"]["time_ps"]
 
+    @pytest.mark.parametrize("omega2", ["1e-300", "1e-320"])
+    def test_unbounded_stage2_grid_exits_2_before_running(
+            self, tmp_path, capsys, monkeypatch, omega2):
+        # 1e-300 gives a pi time of 2e300 ps, 1e-320 one that overflows
+        import spinheat.cli as cli_module
+
+        def unreachable(cfg):
+            raise AssertionError("the cycle ran")
+
+        monkeypatch.setattr(cli_module, "run_cycle", unreachable)
+        assert main(["cycle", "--out", str(tmp_path), "--set", "n_levels=3",
+                     "--set", f"hbar_omega2_meV={omega2}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "hbar_omega2_meV" in err and "Traceback" not in err
+
+    def test_stage2_grid_bound_sits_at_max_grid_bytes(self):
+        # the stage-2 window, 1.2 pi hbar / hbar_omega2_meV, on the 0.05 ps
+        # grid plus the 41 pi candidates, at n_levels=4
+        points = MAX_GRID_BYTES / (16 * 12**2)
+        for count, fits in ((points - 12, True), (points + 10, False)):
+            omega2 = 1.2 * math.pi * HBAR / (0.05 * (count - 2 - 41))
+            run_config = parse_config("cycle", overrides=[
+                "n_levels=4", f"hbar_omega2_meV={omega2!r}"])
+            if fits:
+                assert to_engine_config(run_config).rabi2_energy == omega2
+            else:
+                with pytest.raises(ConfigError, match="stage-2 grid"):
+                    to_engine_config(run_config)
+
+    @pytest.mark.parametrize("kind", ["stage1", "sweep"])
+    def test_stage1_runs_accept_any_pi_time(self, kind):
+        run_config = parse_config(kind, overrides=["hbar_omega2_meV=1e-320"])
+        assert to_engine_config(run_config).rabi2_energy == 1e-320
+
 
 class TestErasureCommand:
     def test_default_report(self, tmp_path):
@@ -408,6 +444,27 @@ class TestSweepCommand:
         assert index["points"][1]["status"] == "numerical-error"
         assert "injected" in index["points"][1]["message"]
         assert (out / "point_000" / "stage1.csv").exists()
+
+    def test_unexpected_point_failure_recorded_and_exits_3(
+            self, tmp_path, capsys, monkeypatch):
+        import spinheat.cli as cli_module
+        real = cli_module._stage1_artifacts
+
+        def broken(run_config, out_dir):
+            if run_config.values["temperature_K"] == 150.0:
+                raise RuntimeError("injected bug")
+            return real(run_config, out_dir)
+
+        monkeypatch.setattr(cli_module, "_stage1_artifacts", broken)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--jobs", "2",
+                     "--axis", "temperature_K=60,150,90"] + TINY) == 3
+        index = json.loads((out / "sweep_index.json").read_text())
+        assert [p["status"] for p in index["points"]] == ["ok", "error", "ok"]
+        assert index["points"][1]["message"] == "RuntimeError: injected bug"
+        assert (out / "point_002" / "stage1.csv").exists()
+        err = capsys.readouterr().err
+        assert "point_001" in err and "Traceback" not in err
 
     def test_unrepresentable_point_recorded_and_index_written(self, tmp_path):
         out = tmp_path / "sweep"

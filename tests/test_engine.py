@@ -7,16 +7,21 @@ fast invariants at reduced truncation.
 
 import numpy as np
 import pytest
-from reference import spinlabor_bound
+from reference import min_eigenvalue, spinlabor_bound
 
 from spinheat.constants import HBAR
 from spinheat.engine import (
+    EIGVALSH_CHUNK, _sample, _stage_grid, stage_machinery,
     CycleLedger, EngineConfig, StageConfig, Trajectory, find_switch_time,
     heat_extraction_stage, initial_state, invariant_checks, make_ledger,
     run_cycle, run_stage, stage_hamiltonian_spec,
     truncation_convergence, work_output_stage,
 )
-from spinheat.quantum_core import IDX_DN, IDX_UP, embed, level_projector, thermal_state
+from spinheat.errors import PositivityError
+from spinheat.propagator import evolve
+from spinheat.quantum_core import (
+    IDX_DN, IDX_UP, embed, expectation, level_projector, thermal_state,
+)
 
 
 def engine_config(**overrides):
@@ -236,3 +241,45 @@ def test_spinlabor_bound_values():
 def test_spinlabor_bound_rejects_unpolarized():
     with pytest.raises(ValueError):
         spinlabor_bound(0.0)
+
+
+def stage1_stack(n_levels=4, duration=2.0):
+    """Stage-1 states on the output grid, their times and the operators."""
+    cfg = engine_config(n_levels=n_levels, stage1_duration=duration)
+    ops, v = stage_machinery(heat_extraction_stage(cfg), cfg)
+    times = _stage_grid(cfg.stage1_duration, cfg.grid_dt)
+    states, _ = evolve(initial_state(cfg), v, times)
+    return states, times, ops
+
+
+def test_vectorized_sampling_matches_per_state_reference():
+    states, times, ops = stage1_stack()
+    assert len(states) > EIGVALSH_CHUNK  # the eigenvalues span two chunks
+    # a non-Hermitian part well above rounding, so that sampling the
+    # Hermitian part is what is tested
+    rng = np.random.default_rng(5)
+    states = states + 1e-6 * (rng.standard_normal(states.shape)
+                              + 1j * rng.standard_normal(states.shape))
+    traj = _sample(states, times, ops, None, -1.0, False)
+    hermitian = [(rho + rho.conj().T) / 2 for rho in states]
+    nbar = np.array([expectation(rho, ops.number).real for rho in hermitian])
+    reference = {
+        "rho_up": [expectation(rho, ops.proj_up).real for rho in hermitian],
+        "rho_dn": [expectation(rho, ops.proj_dn).real for rho in hermitian],
+        "rho_XX": [expectation(rho, ops.proj_x).real for rho in hermitian],
+        "dN1": nbar - nbar[0],
+        "Q1bar": [expectation(rho, ops.q1).real for rho in hermitian],
+        "min_eigenvalue": [min_eigenvalue(rho) for rho in hermitian],
+    }
+    for name, values in reference.items():
+        assert np.max(np.abs(getattr(traj, name) - values)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("k", [0, 17, 40])
+def test_sampling_names_the_first_non_positive_state(k):
+    states, times, ops = stage1_stack()
+    states = states.copy()
+    for index in (k, len(states) - 1):  # the last state offends too
+        states[index] -= 0.01 * np.eye(states.shape[-1])
+    with pytest.raises(PositivityError, match=f"at t={times[k]:.3f} ps"):
+        _sample(states, times, ops, None, -1e-3, False)

@@ -10,6 +10,9 @@ both.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from reference import integrate_direct
 
 from spinheat.config import parse_config, to_engine_config
@@ -24,8 +27,9 @@ from spinheat.liouvillian import (
     build_superoperator, hamiltonian_superoperator,
 )
 from spinheat.propagator import (
-    MAX_LOG2_STEP_NORM, _dense_steps, _shifted_one_norm, _taylor_steps,
-    diagonalize, evolve, is_stiff, propagate,
+    MAX_LOG2_STEP_NORM, TAYLOR_THETA, _dense_steps, _shifted_one_norm,
+    _taylor_parameters, _taylor_steps, diagonalize, evolve, is_stiff,
+    propagate,
 )
 from spinheat.spectral import thermal_energy
 
@@ -207,6 +211,51 @@ def test_steppers_match_eigenmode_propagation(times, stepper):
     else:
         vecs = _dense_steps(v, x, times)
     assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
+
+
+def column_stacked(rho):
+    return rho.reshape(-1, order="F").astype(complex)
+
+
+@pytest.mark.parametrize("times", [
+    np.array([20.0]),  # one output step, cut into sub-steps
+    np.array([0.0, 10.0, 20.0]),  # fewer output steps than blocks
+    np.arange(1.5, 3.0 + 0.025, 0.05),  # first sample after t = 0
+], ids=["single-time", "coarse", "late-start"])
+def test_taylor_steps_match_eigenmode_propagation_off_the_stage_grid(times):
+    v, _ = stage1_superoperator(6)
+    rho0 = initial_state(6)
+    norm = _shifted_one_norm(v)
+    # the first output step needs several blocks: it is cut into sub-steps
+    steps = np.diff(times, prepend=0.0)
+    assert _taylor_parameters(steps[steps > 0][0] * norm)[1] > 1
+    vecs = _taylor_steps(v, column_stacked(rho0), times, norm)
+    assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
+
+
+def test_taylor_steps_under_zero_generator_match_eigenmode_propagation():
+    rho0 = initial_state(3)
+    v = sp.csr_array((81, 81), dtype=complex)
+    times = np.array([0.0, 0.5, 2.0])
+    vecs = _taylor_steps(v, column_stacked(rho0), times, 0.0)
+    assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
+
+
+def test_taylor_steps_are_bitwise_repeatable():
+    v, _ = stage1_superoperator(6)
+    x = column_stacked(initial_state(6))
+    norm = _shifted_one_norm(v)
+    first = _taylor_steps(v, x, GRIDS[0], norm)
+    assert np.array_equal(first, _taylor_steps(v, x, GRIDS[0], norm))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1e12))
+@example(2762.1000000000004)  # t_norm / theta_55 rounds down to exactly 279
+def test_taylor_parameters_keep_each_block_within_theta(t_norm):
+    m_star, s = _taylor_parameters(t_norm)
+    assert s >= 1
+    assert t_norm / s <= TAYLOR_THETA[m_star]
 
 
 def test_evolve_stiff_branch_matches_eigenmode_propagation():

@@ -7,13 +7,13 @@ implementation is tested against arithmetic it does not share.
 
 import numpy as np
 import pytest
-from reference import basis_index
+from reference import basis_index, min_eigenvalue
 
 from spinheat.constants import HBAR, KB
 from spinheat.quantum_core import (
     IDX_UP, IDX_DN, IDX_X,
     embed, expectation, fock_operators,
-    level_projector, min_eigenvalue, thermal_state, transition_operator,
+    level_projector, thermal_state, transition_operator,
 )
 
 OMEGA1 = np.sqrt(5.0) / HBAR  # rad/ps
