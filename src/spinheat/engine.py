@@ -26,10 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-# propagator first: it loads scipy's BLAS, whose worker thread spins for
-# about 60 ms after start-up. The imports after it, scipy.sparse chiefly,
-# outlast the spin, which would otherwise count as CPU time of a short run.
-from .propagator import diagonalize, evolve, propagate
 from .constants import HBAR
 from .errors import PositivityError
 from .quantum_core import (
@@ -39,6 +35,7 @@ from .quantum_core import (
 from .liouvillian import (
     DissipationSpec, StageHamiltonianSpec, build_hamiltonian, build_superoperator,
 )
+from .propagator import diagonalize, evolve, propagate
 from .spectral import reorganization_energy, thermal_energy
 
 

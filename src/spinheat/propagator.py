@@ -10,10 +10,16 @@ matrix-vector products and costs in proportion to ||A||_1 t. Its Taylor
 degree and block count come from the exact 1-norm alone, which bounds
 ||A^p||^(1/p) from above for every p, so no norm estimate (and none of its
 random probes) is ever needed and repeated runs give the same bits. The
-other generators form exp(V h) once per run with ``scipy.linalg.expm``
-(scaling and squaring, Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
-970, 2009) and step with dense matrix-vector products, a cost fixed by the
-dimension.
+other generators form exp(V h) once per run with :func:`expm`, a Pade
+[13/13] approximant with scaling and squaring (Higham, SIAM J. Matrix Anal.
+Appl. 26, 1179, 2005) written in numpy, and step with dense matrix-vector
+products, a cost fixed by the dimension. Its scaling exponent also comes
+from the exact 1-norm. A master equation maps Hermitian states to
+Hermitian states, so in a basis of Hermitian matrices its generator is
+real; the dense steps exponentiate it there, in real arithmetic. scipy is
+used for ``scipy.sparse`` only: ``scipy.linalg`` would load scipy's own
+OpenBLAS, whose thread pool beside numpy's slows every dense kernel of the
+process.
 
 :func:`diagonalize` and :func:`propagate` sum eigenmodes instead. They share
 nothing with :func:`evolve` but the superoperator, and serve as the oracle
@@ -22,9 +28,9 @@ that the invariant checks compare it with.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm  # before scipy.sparse: see the engine imports
 import scipy.sparse as sp
 
 from .errors import NumericalError
@@ -43,26 +49,40 @@ TAYLOR_THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 UNIT_ROUNDOFF = 2.0**-53
+# Pade [13/13] coefficients b_0..b_13 and theta_13, the largest ||A||_1 for
+# which the approximant of exp(A) meets the backward-error bound u (Higham
+# 2005, Table 2.3 and Alg. 2.3).
+PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0,
+)
+THETA13 = 5.371920351148152
 # evolve steps densely when ||V - mu||_1 t_span > dim^3 / STIFF_RATIO: dense
 # steps cost O(dim^3); the sparse products of Taylor steps follow
 # ||V - mu||_1 t_span. Stage-1 stepping time (20 ps, 401 points; 2 cores,
 # OpenBLAS 0.3.31), Taylor/dense in s, by n_levels and gamma_ph in meV,
 # with y = ||V - mu||_1 t_span / dim^3:
-#   5: 0.001 (y=3.4e-5) 0.028/0.033; 6: 0.001 (1.3e-5) 0.038/0.046,
-#   0.1 (1.6e-5) 0.029/0.049; 7: 0.001 (6.1e-6) 0.057/0.11; 8: 0.001
-#   (3.1e-6) 0.061/0.25, 0.3 (9.3e-6) 0.11/0.22, 1 (2.9e-5) 0.36/0.26;
-#   10: 1 (1.0e-5) 0.47/0.67; 12: 1 (4.3e-6) 1.4/2.2, 3 (1.3e-5) 3.3/2.3;
-#   15: 0.3 (4.6e-7) 0.49/5.9, 1 (1.5e-6) 2.8/8.3, 3 (4.4e-6) 5.7/7.5,
-#   10 (1.5e-5) 21/8.6.
-# Break-even y falls with size: above 3.4e-5 up to n_levels=6, about 1.8e-5
-# at 8, 1.4e-5 at 10, 8e-6 at 12 and 5.5e-6 at 15. The threshold,
-# y = 9.1e-6, lies inside that band. Raising it would trade seconds at
-# n_levels >= 12 for tenths below; lowering it would add expm's workspace
-# (26 MB per concurrent run at n_levels=7) where Taylor steps are faster.
+#   5: 0.001 (y=3.4e-5) 0.033/0.010, 0.1 (4.0e-5) 0.013/0.010; 6: 0.001
+#   (1.3e-5) 0.022/0.017, 0.1 (1.6e-5) 0.017/0.019, 0.3 (3.6e-5)
+#   0.033/0.017; 7: 0.001 (6.1e-6) 0.029/0.032, 0.1 (7.3e-6) 0.022/0.032,
+#   0.3 (1.7e-5) 0.053/0.032; 8: 0.001 (3.1e-6) 0.036/0.063, 0.3 (9.3e-6)
+#   0.065/0.064, 1 (2.9e-5) 0.25/0.073; 10: 0.3 (3.2e-6) 0.15/0.21, 0.6
+#   (6.2e-6) 0.29/0.22; 12: 1 (4.3e-6) 0.63/0.56, 3 (1.3e-5) 1.6/0.59;
+#   15: 0.3 (4.6e-7) 0.32/1.6, 1 (1.5e-6) 1.2/1.7, 3 (4.4e-6) 3.1/1.9,
+#   10 (1.5e-5) 9.7/2.0.
+# Break-even y falls with size: below 3.4e-5 at n_levels=5, about 1.5e-5 at
+# 6, 1e-5 at 7, 9e-6 at 8, 5e-6 at 10, 4e-6 at 12 and 2.2e-6 at 15. The
+# threshold, y = 9.1e-6, lies inside that band. Lowering it would gain at
+# n_levels >= 10 and lose at 7 and 8.
 STIFF_RATIO = 1.1e5
 # Largest log2 ||V h||_1 of a dense step: expm squares about that many
-# times, each a dense dim^3 product (0.8 s at n_levels=15 on 2 cores).
+# times, each a dense dim^3 product (0.2 s at n_levels=15 on 2 cores).
 MAX_LOG2_STEP_NORM = 40.0
+# Largest max |Im W| / max |W| that the dense steps drop from W = T V T^-1 as
+# rounding; assembling a Liouvillian leaves about 1e-16.
+HERMITICITY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -107,17 +127,31 @@ def propagate(rho0, ep, times):
     return vecs.T.reshape(times.shape + (dim, dim)).swapaxes(-1, -2)
 
 
-def _shift(v):
-    """A = V - mu and mu = tr V / dim, the generator the Taylor steps expand."""
-    dim = v.shape[0]
-    mu = v.trace() / dim
-    return v - mu * sp.eye_array(dim, format="csr"), mu
-
-
-def _shifted_one_norm(v):
-    """||V - mu||_1; inf or nan when it overflows, which evolve rejects."""
+def _one_norm(m):
+    """Exact ||m||_1 of a dense or sparse matrix; inf or nan on overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(abs(_shift(v)[0]).sum(axis=0).max())
+        return float(abs(m).sum(axis=0).max())
+
+
+class Shifted(NamedTuple):
+    """A = V - mu with mu = tr V / dim, the generator the Taylor steps
+    expand, and ||A||_1, which sizes them and picks the stepper."""
+
+    a: sp.csr_array
+    mu: complex
+    norm: float
+
+
+def _shift(v):
+    """V - mu and its 1-norm, built once per :func:`evolve` call; a norm
+    that overflows comes back inf or nan, which evolve rejects."""
+    dim = v.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = v.trace() / dim
+        a = v - mu * sp.eye_array(dim, format="csr")
+    # abs() of a CSR array sorts its indices in place; the copy keeps the
+    # entry order, and with it the rounding, of the Taylor steps' products
+    return Shifted(a, mu, _one_norm(a.copy()))
 
 
 def _equal_step_runs(times):
@@ -131,10 +165,10 @@ def _equal_step_runs(times):
     return runs
 
 
-def is_stiff(v, t_span):
-    """Whether stepping the sparse generator ``v`` densely over ``t_span`` ps
-    is cheaper than Taylor steps."""
-    return bool(_shifted_one_norm(v) * t_span > v.shape[0]**3 / STIFF_RATIO)
+def is_stiff(shifted, t_span):
+    """Whether stepping the generator densely over ``t_span`` ps is cheaper
+    than Taylor steps, judged from its :class:`Shifted` form."""
+    return bool(shifted.norm * t_span > shifted.a.shape[0]**3 / STIFF_RATIO)
 
 
 def _taylor_parameters(t_norm):
@@ -169,9 +203,9 @@ def _taylor_terms(a, z, span, terms):
     return terms[:p + 1]
 
 
-def _taylor_steps(v, x, times, norm):
-    """Vectorized states at ``times`` by truncated Taylor series, ``norm``
-    being ||V - mu||_1 (Al-Mohy & Higham 2011, Alg. 5.2).
+def _taylor_steps(shifted, x, times):
+    """Vectorized states at ``times`` by truncated Taylor series of the
+    :class:`Shifted` generator (Al-Mohy & Higham 2011, Alg. 5.2).
 
     Each run of ``count`` equal steps h takes one (m*, s) for its span
     count h. Output steps are cut into ceil(s / count) sub-steps when
@@ -182,7 +216,7 @@ def _taylor_steps(v, x, times, norm):
     then come from one matrix product, exp(k delta mu) sum_p (k / d)^p K_p
     for K_p = (d delta A)^p / p! z.
     """
-    a, mu = _shift(v)
+    a, mu, norm = shifted
     out = np.empty((times.size, x.size), dtype=complex)
     i = 0
     for h, count in _equal_step_runs(times):
@@ -213,30 +247,104 @@ def _taylor_steps(v, x, times, norm):
     return out
 
 
+def _scaling_exponent(norm):
+    """Smallest s >= 0 with norm / 2^s <= THETA13, for a finite norm."""
+    s = max(0, math.ceil(math.log2(norm / THETA13))) if norm > THETA13 else 0
+    if norm / 2.0**s > THETA13:  # the log rounded down to an integer
+        s += 1
+    return s
+
+
+def expm(m):
+    """exp(m) of a dense square matrix: the Pade [13/13] approximant of
+    m / 2^s squared s times, s from the exact 1-norm (Higham 2005, Alg. 2.3
+    at degree 13)."""
+    s = _scaling_exponent(_one_norm(m))
+    a = m * 2.0**-s
+    powers = np.empty((3,) + a.shape, dtype=a.dtype)  # a^2, a^4, a^6
+    np.matmul(a, a, out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[1], powers[0], out=powers[2])
+    diagonal = np.diag_indices(len(a))
+
+    def even_sum(c0, c2, c4, c6):
+        # one pass over the three powers instead of one per term
+        out = np.tensordot((c2, c4, c6), powers, axes=1)
+        out[diagonal] += c0
+        return out
+
+    b = PADE13
+    u = powers[2] @ even_sum(0.0, b[9], b[11], b[13])
+    u += even_sum(b[1], b[3], b[5], b[7])
+    u = a @ u
+    w = powers[2] @ even_sum(0.0, b[8], b[10], b[12])
+    w += even_sum(b[0], b[2], b[4], b[6])
+    del a, powers  # free before the solve allocates its workspace
+    numerator = w + u
+    w -= u
+    del u
+    r = np.linalg.solve(w, numerator)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _hermitian_basis(dim):
+    """Sparse T and T^-1 for column-stacked dim x dim matrices. T vec(rho)
+    holds rho's diagonal, Re rho_ij at (i, j) and Im rho_ij at (j, i) for
+    i < j, so it is real for Hermitian rho, and T V T^-1 is real for any
+    generator V that maps Hermitian matrices to Hermitian matrices."""
+    col, row = np.divmod(np.arange(dim * dim), dim)
+    side = [row < col, row > col]
+    transpose = sp.csr_array((np.ones(dim * dim),
+                              (np.arange(dim * dim), row * dim + col)))
+
+    def own_plus_partner(own, partner):
+        return (sp.diags_array(np.select(side, own, 1.0))
+                + sp.diags_array(np.select(side, partner, 0.0)) @ transpose)
+
+    return (own_plus_partner([0.5, 0.5j], [0.5, -0.5j]),
+            own_plus_partner([1.0, -1j], [1j, 1.0]))
+
+
 def _dense_steps(v, x, times):
     """Vectorized states at ``times``: one exp(V h) per run of equal steps h,
-    applied by dense matrix-vector products. A step with log2 ||V h||_1 above
-    MAX_LOG2_STEP_NORM is refused before any dense work."""
+    applied by dense matrix-vector products. The exponentials are real, a
+    quarter of the arithmetic and half the memory of complex ones: they are
+    taken of W = T V T^-1 in the Hermitian basis of :func:`_hermitian_basis`
+    and applied to the real and imaginary parts of T x. A step with
+    log2 ||V h||_1 above MAX_LOG2_STEP_NORM is refused before any dense
+    work, and so is a generator that does not preserve Hermiticity beyond
+    rounding."""
     runs = _equal_step_runs(times)
-    with np.errstate(over="ignore"):
-        step_norm = float(abs(v).sum(axis=0).max()) * max(h for h, _ in runs)
+    step_norm = _one_norm(v) * max(h for h, _ in runs)
     if not step_norm <= 2.0**MAX_LOG2_STEP_NORM:
         raise NumericalError(
             f"a grid step of the generator has ||V h||_1 = {step_norm:.3g}, "
             f"beyond 2^{MAX_LOG2_STEP_NORM:g}")
-    out = np.empty((times.size, x.size), dtype=complex)
+    t, t_inv = _hermitian_basis(math.isqrt(x.size))
+    w = t @ v @ t_inv
+    # read the stored entries: abs(w.imag) would sort the indices it shares
+    # with w in place, permuting only the imaginary halves of w's entries
+    imag = np.abs(w.data.imag).max(initial=0.0)
+    real = np.abs(w.data.real).max(initial=0.0)
+    if not imag <= HERMITICITY_TOLERANCE * real:
+        raise NumericalError("the generator does not preserve Hermiticity")
+    w = w.real
+    ys = (t @ x).view(float).reshape(-1, 2)  # columns: real, imaginary part
+    out = np.empty((times.size,) + ys.shape)
     i = 0
     for h, count in runs:
         if h == 0:
-            out[i:i + count] = x
+            out[i:i + count] = ys
             i += count
             continue
-        step = expm((v * h).toarray())
+        step = expm((w * h).toarray())
         for _ in range(count):
-            x = step @ x
-            out[i] = x
+            ys = step @ ys
+            out[i] = ys
             i += 1
-    return out
+    return out.view(complex)[..., 0] @ t_inv.T
 
 
 def evolve(rho0, v, times):
@@ -252,13 +360,13 @@ def evolve(rho0, v, times):
     if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("evolve needs a nonempty nondecreasing grid from t >= 0")
     v = sp.csr_array(v)
-    norm = _shifted_one_norm(v)
-    if not (np.all(np.isfinite(v.data)) and math.isfinite(norm)):
+    shifted = _shift(v)
+    if not (np.all(np.isfinite(v.data)) and math.isfinite(shifted.norm)):
         raise NumericalError("superoperator entries or 1-norm are not finite")
     x = rho0.reshape(-1, order="F").astype(complex)
-    used_dense = is_stiff(v, times[-1])
+    used_dense = is_stiff(shifted, times[-1])
     vecs = (_dense_steps(v, x, times) if used_dense
-            else _taylor_steps(v, x, times, norm))
+            else _taylor_steps(shifted, x, times))
     if not np.all(np.isfinite(vecs)):
         raise NumericalError("propagated states are not finite")
     states = vecs.reshape(times.size, *rho0.shape).transpose(0, 2, 1)

@@ -524,12 +524,22 @@ class TestArgumentErrors:
         assert err.value.code == 2
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    # scipy.linalg would also load scipy's own BLAS; the stage1 run at
+    # n_levels=4 takes the dense steps, so a lazy import would show there
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(spinheat.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, spinheat.cli; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60)
+    script = (
+        "import sys, spinheat.cli\n"
+        "loaded = lambda: [name for name in ('scipy.integrate', 'scipy.linalg')"
+        " if name in sys.modules]\n"
+        "print(loaded())\n"
+        f"code = spinheat.cli.main(['stage1', '--out', {str(tmp_path)!r},"
+        " '--set', 'n_levels=4'])\n"
+        "print(code, loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"

@@ -1,23 +1,28 @@
-"""Grid propagation, eigendecomposition and direct adaptive integration.
+"""Grid propagation, the dense exponential, eigendecomposition and direct
+adaptive integration.
 
 The eigenmode path and the test-only direct integrator
 (``reference.integrate_direct``) share nothing but the superoperator itself,
 so their agreement is the module's central evidence; the production path
 ``evolve`` and both of its steppers are then pinned to the eigenmode path.
 A closed-form Rabi oscillation pins the direct integrator independently of
-both.
+both. ``scipy.linalg.expm`` is the test-side reference of the in-house
+dense exponential.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm as reference_expm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import integrate_direct
 
 from spinheat.config import parse_config, to_engine_config
 from spinheat.constants import HBAR
-from spinheat.engine import heat_extraction_stage, stage_machinery
+from spinheat.engine import CHECK_GRID, heat_extraction_stage, stage_machinery
 from spinheat.errors import NumericalError
 from spinheat.quantum_core import (
     IDX_UP, embed, level_projector, product_operators, thermal_state,
@@ -27,8 +32,9 @@ from spinheat.liouvillian import (
     build_superoperator, hamiltonian_superoperator,
 )
 from spinheat.propagator import (
-    MAX_LOG2_STEP_NORM, TAYLOR_THETA, _dense_steps, _shifted_one_norm,
-    _taylor_parameters, _taylor_steps, diagonalize, evolve, is_stiff,
+    MAX_LOG2_STEP_NORM, TAYLOR_THETA, THETA13, _dense_steps,
+    _hermitian_basis, _one_norm, _scaling_exponent, _shift,
+    _taylor_parameters, _taylor_steps, diagonalize, evolve, expm, is_stiff,
     propagate,
 )
 from spinheat.spectral import thermal_energy
@@ -207,7 +213,7 @@ def test_steppers_match_eigenmode_propagation(times, stepper):
     rho0 = initial_state(6)
     x = rho0.reshape(-1, order="F").astype(complex)
     if stepper == "taylor":
-        vecs = _taylor_steps(v, x, times, _shifted_one_norm(v))
+        vecs = _taylor_steps(_shift(v), x, times)
     else:
         vecs = _dense_steps(v, x, times)
     assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
@@ -225,11 +231,11 @@ def column_stacked(rho):
 def test_taylor_steps_match_eigenmode_propagation_off_the_stage_grid(times):
     v, _ = stage1_superoperator(6)
     rho0 = initial_state(6)
-    norm = _shifted_one_norm(v)
+    shifted = _shift(v)
     # the first output step needs several blocks: it is cut into sub-steps
     steps = np.diff(times, prepend=0.0)
-    assert _taylor_parameters(steps[steps > 0][0] * norm)[1] > 1
-    vecs = _taylor_steps(v, column_stacked(rho0), times, norm)
+    assert _taylor_parameters(steps[steps > 0][0] * shifted.norm)[1] > 1
+    vecs = _taylor_steps(shifted, column_stacked(rho0), times)
     assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
 
 
@@ -237,16 +243,16 @@ def test_taylor_steps_under_zero_generator_match_eigenmode_propagation():
     rho0 = initial_state(3)
     v = sp.csr_array((81, 81), dtype=complex)
     times = np.array([0.0, 0.5, 2.0])
-    vecs = _taylor_steps(v, column_stacked(rho0), times, 0.0)
+    vecs = _taylor_steps(_shift(v), column_stacked(rho0), times)
     assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
 
 
 def test_taylor_steps_are_bitwise_repeatable():
     v, _ = stage1_superoperator(6)
     x = column_stacked(initial_state(6))
-    norm = _shifted_one_norm(v)
-    first = _taylor_steps(v, x, GRIDS[0], norm)
-    assert np.array_equal(first, _taylor_steps(v, x, GRIDS[0], norm))
+    shifted = _shift(v)
+    first = _taylor_steps(shifted, x, GRIDS[0])
+    assert np.array_equal(first, _taylor_steps(shifted, x, GRIDS[0]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,11 +264,81 @@ def test_taylor_parameters_keep_each_block_within_theta(t_norm):
     assert t_norm / s <= TAYLOR_THETA[m_star]
 
 
+def relative_error(result, reference):
+    return _one_norm(result - reference) / _one_norm(reference)
+
+
+@pytest.mark.parametrize("n_levels", range(3, 9))
+def test_expm_matches_scipy_on_check_grid_steps(n_levels):
+    cfg = to_engine_config(parse_config(
+        "check", overrides=[f"n_levels={n_levels}"]))
+    for temperature, gamma_ph in CHECK_GRID:
+        point = replace(cfg, temperature=temperature,
+                        gamma_ph_energy=gamma_ph)
+        _, v = stage_machinery(heat_extraction_stage(point), point)
+        step = (v * point.grid_dt).toarray()
+        assert relative_error(expm(step), reference_expm(step)) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("norm", np.logspace(-3, 3, 13))
+def test_expm_matches_scipy_on_random_matrices(norm, dtype):
+    # complex as the generators are, real as the dense steps use them
+    rng = np.random.default_rng(int(np.log10(norm) * 2) + 7)
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    if dtype is float:
+        m = m.real.copy()
+    m *= norm / _one_norm(m)
+    result = expm(m)
+    assert result.dtype == m.dtype
+    assert relative_error(result, reference_expm(m)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=2.0**1000))
+@example(85.95072561837043)  # 16 theta_13 exactly: s = 4
+@example(85.95072561837044)  # one ulp above, yet log2(norm / theta_13) = 4
+def test_scaling_exponent_brings_the_norm_within_theta13(norm):
+    s = _scaling_exponent(norm)
+    assert _one_norm(np.array([[norm]]) / 2.0**s) <= THETA13
+    assert s == 0 or norm / 2.0**(s - 1) > THETA13
+
+
+def test_hermitian_basis_makes_states_and_liouvillians_real():
+    t, t_inv = _hermitian_basis(9)
+    assert np.array_equal((t @ t_inv).toarray(), np.eye(81))
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    y = t @ column_stacked(m + m.conj().T)
+    assert np.max(np.abs(y.imag)) == 0.0
+    v, _ = stage1_superoperator(3, gamma_ph_mev=0.1)
+    w = (t @ v @ t_inv).toarray()
+    assert np.max(np.abs(w.imag)) <= 1e-15 * np.max(np.abs(w.real))
+
+
+def test_dense_steps_propagate_a_non_hermitian_state():
+    # the real exponential acts on the real and imaginary parts of T x
+    v, _ = stage1_superoperator(4)
+    rng = np.random.default_rng(11)
+    rho0 = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    times = GRIDS[1]
+    vecs = _dense_steps(v, column_stacked(rho0), times)
+    assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
+
+
+def test_dense_steps_refuse_a_generator_that_breaks_hermiticity():
+    # rho -> 0.1 i rho takes Hermitian states to anti-Hermitian ones
+    v, _ = stage1_superoperator(3)
+    v = v + 0.1j * sp.eye_array(81)
+    with pytest.raises(NumericalError, match="Hermiticity"):
+        _dense_steps(v, column_stacked(initial_state(3)), GRIDS[1])
+
+
 def test_evolve_stiff_branch_matches_eigenmode_propagation():
     v, _ = stage1_superoperator(4, gamma_ph_mev=30.0)
     rho0 = initial_state(4)
     times = np.arange(0.0, 2.0 + 0.025, 0.05)
-    assert is_stiff(v, times[-1])
+    assert is_stiff(_shift(v), times[-1])
     states, used_dense = evolve(rho0, v, times)
     assert used_dense
     ep = diagonalize(v)
@@ -274,7 +350,7 @@ def test_default_stage_branch(gamma_ph, stiff):
     cfg = to_engine_config(parse_config(
         "stage1", overrides=[f"gamma_ph_meV={gamma_ph}"]))
     _, v = stage_machinery(heat_extraction_stage(cfg), cfg)
-    assert is_stiff(v, cfg.stage1_duration) is stiff
+    assert is_stiff(_shift(v), cfg.stage1_duration) is stiff
 
 
 def test_evolve_rejects_non_finite_generator():
@@ -301,7 +377,7 @@ def test_dense_steps_refuse_an_oversized_step_before_expm(monkeypatch):
 def test_evolve_rejects_non_finite_states(monkeypatch):
     import spinheat.propagator as propagator_module
     monkeypatch.setattr(propagator_module, "_taylor_steps",
-                        lambda v, x, times, norm: np.full((times.size, x.size),
+                        lambda shifted, x, times: np.full((times.size, x.size),
                                                           np.nan))
     v, _ = stage1_superoperator(3)
     with pytest.raises(NumericalError, match="not finite"):
