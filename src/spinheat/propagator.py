@@ -1,29 +1,36 @@
 """Propagation of the vectorized master equation dvec(rho)/dt = V vec(rho).
 
+A master equation maps Hermitian states to Hermitian states, so in a basis
+of Hermitian matrices (:func:`_hermitian_basis`, T vec(rho) real for
+Hermitian rho) its generator W = T V T^-1 is real. Every propagation here
+runs in that basis, in real arithmetic: :func:`_real_form` builds W once
+per generator and refuses one that does not preserve Hermiticity.
+
 :func:`evolve` is the one production path: it samples the state on an output
-grid by applying exp(V h) over each run of equal steps h. The action of a
+grid by applying exp(W h) over each run of equal steps h to the real
+columns of T vec(rho0), one for a Hermitian rho0 and two (real and
+imaginary part) otherwise, and gathers the states back. The action of a
 step comes from one of two schemes, picked by :func:`is_stiff`. Generators
-whose ||V - mu||_1 t is small against dim^3 take the truncated Taylor
+whose ||W - mu||_1 t is small against dim^3 take the truncated Taylor
 scheme of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488, 2011, Alg. 5.2),
-restated here: with A = V - mu (mu = tr V / dim) it needs only sparse
+restated here: with A = W - mu (mu = tr W / dim) it needs only sparse
 matrix-vector products and costs in proportion to ||A||_1 t. Its Taylor
 degree and block count come from the exact 1-norm alone, which bounds
 ||A^p||^(1/p) from above for every p, so no norm estimate (and none of its
 random probes) is ever needed and repeated runs give the same bits. The
-other generators form exp(V h) once per run with :func:`expm`, a Pade
+other generators form exp(W h) once per run with :func:`expm`, a Pade
 [13/13] approximant with scaling and squaring (Higham, SIAM J. Matrix Anal.
 Appl. 26, 1179, 2005) written in numpy, and step with dense matrix-vector
 products, a cost fixed by the dimension. Its scaling exponent also comes
-from the exact 1-norm. A master equation maps Hermitian states to
-Hermitian states, so in a basis of Hermitian matrices its generator is
-real; the dense steps exponentiate it there, in real arithmetic. scipy is
-used for ``scipy.sparse`` only: ``scipy.linalg`` would load scipy's own
-OpenBLAS, whose thread pool beside numpy's slows every dense kernel of the
-process.
+from the exact 1-norm. scipy is used for ``scipy.sparse`` only:
+``scipy.linalg`` would load scipy's own OpenBLAS, whose thread pool beside
+numpy's slows every dense kernel of the process.
 
-:func:`diagonalize` and :func:`propagate` sum eigenmodes instead. They share
-nothing with :func:`evolve` but the superoperator, and serve as the oracle
-that the invariant checks compare it with.
+:func:`diagonalize` and :func:`propagate` sum eigenmodes instead: the
+eigenvectors of the real W, mapped back by T^-1, and their duals. They
+share nothing with :func:`evolve` but the superoperator and the Hermitian
+basis, an exact similarity, and serve as the oracle that the invariant
+checks compare it with.
 """
 
 import math
@@ -59,28 +66,31 @@ PADE13 = (
     16380.0, 182.0, 1.0,
 )
 THETA13 = 5.371920351148152
-# evolve steps densely when ||V - mu||_1 t_span > dim^3 / STIFF_RATIO: dense
+# evolve steps densely when ||W - mu||_1 t_span > dim^3 / STIFF_RATIO: dense
 # steps cost O(dim^3); the sparse products of Taylor steps follow
-# ||V - mu||_1 t_span. Stage-1 stepping time (20 ps, 401 points; 2 cores,
-# OpenBLAS 0.3.31), Taylor/dense in s, by n_levels and gamma_ph in meV,
-# with y = ||V - mu||_1 t_span / dim^3:
-#   5: 0.001 (y=3.4e-5) 0.033/0.010, 0.1 (4.0e-5) 0.013/0.010; 6: 0.001
-#   (1.3e-5) 0.022/0.017, 0.1 (1.6e-5) 0.017/0.019, 0.3 (3.6e-5)
-#   0.033/0.017; 7: 0.001 (6.1e-6) 0.029/0.032, 0.1 (7.3e-6) 0.022/0.032,
-#   0.3 (1.7e-5) 0.053/0.032; 8: 0.001 (3.1e-6) 0.036/0.063, 0.3 (9.3e-6)
-#   0.065/0.064, 1 (2.9e-5) 0.25/0.073; 10: 0.3 (3.2e-6) 0.15/0.21, 0.6
-#   (6.2e-6) 0.29/0.22; 12: 1 (4.3e-6) 0.63/0.56, 3 (1.3e-5) 1.6/0.59;
-#   15: 0.3 (4.6e-7) 0.32/1.6, 1 (1.5e-6) 1.2/1.7, 3 (4.4e-6) 3.1/1.9,
-#   10 (1.5e-5) 9.7/2.0.
-# Break-even y falls with size: below 3.4e-5 at n_levels=5, about 1.5e-5 at
-# 6, 1e-5 at 7, 9e-6 at 8, 5e-6 at 10, 4e-6 at 12 and 2.2e-6 at 15. The
+# ||W - mu||_1 t_span. Stage-1 stepping time of the real steppers (20 ps,
+# 401 points; 2 cores, OpenBLAS 0.3.31), Taylor/dense in s, by n_levels and
+# gamma_ph in meV, with y = ||W - mu||_1 t_span / dim^3:
+#   4: 0.001 (y=1.1e-4) 0.029/0.006; 5: 0.001 (3.4e-5) 0.034/0.014, 0.1
+#   (4.3e-5) 0.030/0.013; 6: 0.001 (1.3e-5) 0.041/0.025, 0.1 (1.8e-5)
+#   0.036/0.028, 0.3 (4.0e-5) 0.090/0.026; 7: 0.001 (6.1e-6) 0.048/0.059,
+#   0.1 (8.7e-6) 0.041/0.068, 0.3 (2.0e-5) 0.10/0.061; 8: 0.001 (3.1e-6)
+#   0.068/0.12, 0.3 (1.1e-5) 0.21/0.13, 1 (3.4e-5) 0.45/0.13; 10: 0.3
+#   (4.0e-6) 0.29/0.42, 0.6 (7.6e-6) 0.53/0.45; 12: 1 (5.3e-6) 1.03/0.99,
+#   3 (1.6e-5) 2.9/0.94; 15: 0.3 (5.7e-7) 0.78/2.5, 1 (1.8e-6) 1.7/3.2,
+#   3 (5.4e-6) 5.0/3.2, 10 (1.8e-5) 16.7/3.6.
+# Break-even y falls with size: below 1.3e-5 at n_levels <= 6, about
+# 1.3e-5 at 7, 6e-6 at 8 and 10, 5e-6 at 12 and 3.3e-6 at 15. The
 # threshold, y = 9.1e-6, lies inside that band. Lowering it would gain at
-# n_levels >= 10 and lose at 7 and 8.
+# n_levels >= 8 and lose at 7.
 STIFF_RATIO = 1.1e5
-# Largest log2 ||V h||_1 of a dense step: expm squares about that many
+# Largest log2 ||W h||_1 of a dense step: expm squares about that many
 # times, each a dense dim^3 product (0.2 s at n_levels=15 on 2 cores).
 MAX_LOG2_STEP_NORM = 40.0
-# Largest max |Im W| / max |W| that the dense steps drop from W = T V T^-1 as
+# Rows that _from_hermitian gathers at a time: each of its working copies
+# holds 0.5 MB at n_levels=15.
+GATHER_ROWS = 16
+# Largest max |Im W| / max |W| that _real_form drops from W = T V T^-1 as
 # rounding; assembling a Liouvillian leaves about 1e-16.
 HERMITICITY_TOLERANCE = 1e-12
 
@@ -98,17 +108,23 @@ class EigenPropagator:
 def diagonalize(v):
     """Eigendecompose a superoperator (dense or sparse) and build its dual basis.
 
-    Duals come from inverting the right-eigenvector matrix, which enforces
+    The decomposition is of the real W of :func:`_real_form`; its right
+    vectors R come back as T^-1 R and the duals D = R^-1 as D T. Duals come
+    from inverting the right-eigenvector matrix, which enforces
     biorthonormality directly; its residual measures how far from defective
-    the generator is. A failed decomposition or a singular eigenvector
-    matrix raises :class:`NumericalError`.
+    the generator is. A generator refused by :func:`_real_form`, a failed
+    decomposition or a singular eigenvector matrix raises
+    :class:`NumericalError`.
     """
+    form = _real_form(sp.csr_array(v))
     try:
-        eigenvalues, right = np.linalg.eig(sp.csr_array(v).toarray())
+        eigenvalues, right = np.linalg.eig(form.w.toarray())
         dual = np.linalg.inv(right)
     except np.linalg.LinAlgError as err:
         raise NumericalError(
             f"superoperator eigendecomposition failed: {err}") from err
+    right = form.t_inv @ right
+    dual = dual @ form.t
     residual = float(np.max(np.abs(dual @ right - np.eye(right.shape[0]))))
     return EigenPropagator(eigenvalues=eigenvalues, right_vectors=right,
                            dual_vectors=dual, biorthonormality_residual=residual)
@@ -133,25 +149,50 @@ def _one_norm(m):
         return float(abs(m).sum(axis=0).max())
 
 
+class RealForm(NamedTuple):
+    """A generator V in the Hermitian basis of :func:`_hermitian_basis`:
+    the real W = T V T^-1, with T and T^-1."""
+
+    w: sp.csr_array
+    t: sp.csr_array
+    t_inv: sp.csr_array
+
+
+def _real_form(v):
+    """The :class:`RealForm` of a CSR generator, refused when its entries
+    are not finite or when it does not preserve Hermiticity beyond
+    rounding. W has sorted indices, so that abs() in :func:`_one_norm`
+    permutes none of its entries; V itself is only read."""
+    if not np.all(np.isfinite(v.data)):
+        raise NumericalError("superoperator entries are not finite")
+    t, t_inv = _hermitian_basis(math.isqrt(v.shape[0]))
+    w = t @ v @ t_inv
+    imag = np.abs(w.data.imag).max(initial=0.0)
+    real = np.abs(w.data.real).max(initial=0.0)
+    if not imag <= HERMITICITY_TOLERANCE * real:
+        raise NumericalError("the generator does not preserve Hermiticity")
+    w = w.real
+    w.sum_duplicates()
+    return RealForm(w, t, t_inv)
+
+
 class Shifted(NamedTuple):
-    """A = V - mu with mu = tr V / dim, the generator the Taylor steps
+    """A = W - mu with mu = tr W / dim, the real generator the Taylor steps
     expand, and ||A||_1, which sizes them and picks the stepper."""
 
     a: sp.csr_array
-    mu: complex
+    mu: float
     norm: float
 
 
-def _shift(v):
-    """V - mu and its 1-norm, built once per :func:`evolve` call; a norm
+def _shift(w):
+    """W - mu and its 1-norm, built once per :func:`evolve` call; a norm
     that overflows comes back inf or nan, which evolve rejects."""
-    dim = v.shape[0]
+    dim = w.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = v.trace() / dim
-        a = v - mu * sp.eye_array(dim, format="csr")
-    # abs() of a CSR array sorts its indices in place; the copy keeps the
-    # entry order, and with it the rounding, of the Taylor steps' products
-    return Shifted(a, mu, _one_norm(a.copy()))
+        mu = w.trace() / dim
+        a = w - mu * sp.eye_array(dim, format="csr")
+    return Shifted(a, mu, _one_norm(a))
 
 
 def _equal_step_runs(times):
@@ -203,9 +244,11 @@ def _taylor_terms(a, z, span, terms):
     return terms[:p + 1]
 
 
-def _taylor_steps(shifted, x, times):
-    """Vectorized states at ``times`` by truncated Taylor series of the
-    :class:`Shifted` generator (Al-Mohy & Higham 2011, Alg. 5.2).
+def _taylor_steps(shifted, x, times, out):
+    """Fill ``out`` with the Hermitian-basis coordinates at ``times``, one
+    row per time, by truncated Taylor series of the :class:`Shifted`
+    generator (Al-Mohy & Higham 2011, Alg. 5.2), and return it; ``x`` is
+    one real column or several.
 
     Each run of ``count`` equal steps h takes one (m*, s) for its span
     count h. Output steps are cut into ceil(s / count) sub-steps when
@@ -217,7 +260,6 @@ def _taylor_steps(shifted, x, times):
     for K_p = (d delta A)^p / p! z.
     """
     a, mu, norm = shifted
-    out = np.empty((times.size, x.size), dtype=complex)
     i = 0
     for h, count in _equal_step_runs(times):
         if h == 0:
@@ -229,15 +271,15 @@ def _taylor_steps(shifted, x, times):
         q = count * sub
         block = q // s
         delta = h / sub
-        terms = np.empty((m_star + 1, x.size), dtype=complex)
+        terms = np.empty((m_star + 1,) + x.shape)
         for start in range(0, q, block):
             d = min(block, q - start)
             k = np.arange(1, d + 1)
             used = _taylor_terms(a, x, d * delta, terms)
             weights = (k / d)[:, None] ** np.arange(len(used))
-            # real weights on the real and imaginary parts: one real product
-            ys = (weights @ used.view(float)).view(complex)
+            ys = weights @ used.reshape(len(used), -1)
             ys *= np.exp(k * delta * mu)[:, None]
+            ys = ys.reshape((d,) + x.shape)
             x = ys[-1]
             # blocks hold whole output steps (sub = 1) or, as q < 2 s then,
             # one sub-step each, kept when it ends an output step
@@ -294,57 +336,68 @@ def _hermitian_basis(dim):
     holds rho's diagonal, Re rho_ij at (i, j) and Im rho_ij at (j, i) for
     i < j, so it is real for Hermitian rho, and T V T^-1 is real for any
     generator V that maps Hermitian matrices to Hermitian matrices."""
-    col, row = np.divmod(np.arange(dim * dim), dim)
+    # 32-bit indices, as the assembled generator has: W and W - mu keep
+    # them, which halves the index traffic of the Taylor steps' products
+    own = np.arange(dim * dim, dtype=np.int32)
+    col, row = np.divmod(own, dim)
     side = [row < col, row > col]
-    transpose = sp.csr_array((np.ones(dim * dim),
-                              (np.arange(dim * dim), row * dim + col)))
+    coordinates = (np.concatenate((own, own)),
+                   np.concatenate((own, row * dim + col)))
 
-    def own_plus_partner(own, partner):
-        return (sp.diags_array(np.select(side, own, 1.0))
-                + sp.diags_array(np.select(side, partner, 0.0)) @ transpose)
+    def own_plus_partner(own_factor, partner_factor):
+        factors = np.concatenate((np.select(side, own_factor, 1.0),
+                                  np.select(side, partner_factor, 0.0)))
+        return sp.csr_array((factors, coordinates), shape=(own.size,) * 2)
 
     return (own_plus_partner([0.5, 0.5j], [0.5, -0.5j]),
             own_plus_partner([1.0, -1j], [1j, 1.0]))
 
 
-def _dense_steps(v, x, times):
-    """Vectorized states at ``times``: one exp(V h) per run of equal steps h,
-    applied by dense matrix-vector products. The exponentials are real, a
-    quarter of the arithmetic and half the memory of complex ones: they are
-    taken of W = T V T^-1 in the Hermitian basis of :func:`_hermitian_basis`
-    and applied to the real and imaginary parts of T x. A step with
-    log2 ||V h||_1 above MAX_LOG2_STEP_NORM is refused before any dense
-    work, and so is a generator that does not preserve Hermiticity beyond
-    rounding."""
+def _from_hermitian(vecs):
+    """Replace each row y of the complex stack ``vecs`` by the column-stacked
+    matrix T^-1 y, GATHER_ROWS rows at a time: for i < j, rho_ij and rho_ji
+    are y at (i, j) plus and minus i times y at (j, i), and rho_ii is y at
+    (i, i)."""
+    n = vecs.shape[-1]
+    dim = math.isqrt(n)
+    own = np.arange(n)
+    col, row = np.divmod(own, dim)
+    partner = row * dim + col
+    lower = row > col
+    real_at = np.where(lower, partner, own)
+    imag_at = np.where(lower, own, partner)
+    phase = 1j * np.sign(col - row)
+    for start in range(0, len(vecs), GATHER_ROWS):
+        rows = vecs[start:start + GATHER_ROWS]
+        y = rows.copy()
+        rows[...] = y[:, real_at] + phase * y[:, imag_at]
+    return vecs
+
+
+def _dense_steps(w, x, times, out):
+    """Fill ``out`` with the Hermitian-basis coordinates at ``times``, one
+    row per time, and return it: one real exp(W h) per run of equal steps
+    h, applied by dense matrix-vector products to ``x``, one real column or
+    several. A step with log2 ||W h||_1 above MAX_LOG2_STEP_NORM is refused
+    before any dense work."""
     runs = _equal_step_runs(times)
-    step_norm = _one_norm(v) * max(h for h, _ in runs)
+    step_norm = _one_norm(w) * max(h for h, _ in runs)
     if not step_norm <= 2.0**MAX_LOG2_STEP_NORM:
         raise NumericalError(
-            f"a grid step of the generator has ||V h||_1 = {step_norm:.3g}, "
+            f"a grid step of the generator has ||W h||_1 = {step_norm:.3g}, "
             f"beyond 2^{MAX_LOG2_STEP_NORM:g}")
-    t, t_inv = _hermitian_basis(math.isqrt(x.size))
-    w = t @ v @ t_inv
-    # read the stored entries: abs(w.imag) would sort the indices it shares
-    # with w in place, permuting only the imaginary halves of w's entries
-    imag = np.abs(w.data.imag).max(initial=0.0)
-    real = np.abs(w.data.real).max(initial=0.0)
-    if not imag <= HERMITICITY_TOLERANCE * real:
-        raise NumericalError("the generator does not preserve Hermiticity")
-    w = w.real
-    ys = (t @ x).view(float).reshape(-1, 2)  # columns: real, imaginary part
-    out = np.empty((times.size,) + ys.shape)
     i = 0
     for h, count in runs:
         if h == 0:
-            out[i:i + count] = ys
+            out[i:i + count] = x
             i += count
             continue
         step = expm((w * h).toarray())
         for _ in range(count):
-            ys = step @ ys
-            out[i] = ys
+            x = step @ x
+            out[i] = x
             i += 1
-    return out.view(complex)[..., 0] @ t_inv.T
+    return out
 
 
 def evolve(rho0, v, times):
@@ -353,20 +406,33 @@ def evolve(rho0, v, times):
     Returns ``(states, used_dense)``: an array of shape (len(times), d, d)
     and whether the dense steps ran. Uniform grids with a shorter last step,
     grids starting after 0 and single times all work; each run of equal
-    steps is advanced together. Non-finite generators or states raise
+    steps is advanced together. Non-finite generators or states, and
+    generators that do not preserve Hermiticity, raise
     :class:`NumericalError`.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("evolve needs a nonempty nondecreasing grid from t >= 0")
-    v = sp.csr_array(v)
-    shifted = _shift(v)
-    if not (np.all(np.isfinite(v.data)) and math.isfinite(shifted.norm)):
-        raise NumericalError("superoperator entries or 1-norm are not finite")
-    x = rho0.reshape(-1, order="F").astype(complex)
+    form = _real_form(sp.csr_array(v))
+    shifted = _shift(form.w)
+    if not math.isfinite(shifted.norm):
+        raise NumericalError("the superoperator's 1-norm is not finite")
+    y = form.t @ rho0.reshape(-1, order="F").astype(complex)
+    # the steppers write T vec(rho) into the stack that then holds the
+    # states: its real parts when T vec(rho0) is real, as it is exactly for
+    # a Hermitian rho0, else its real and imaginary parts as two columns
+    vecs = np.zeros((times.size, y.size), dtype=complex)
+    if np.any(y.imag):
+        x = y.view(float).reshape(-1, 2)
+        coordinates = vecs.view(float).reshape(times.size, -1, 2)
+    else:
+        x, coordinates = y.real, vecs.real
     used_dense = is_stiff(shifted, times[-1])
-    vecs = (_dense_steps(v, x, times) if used_dense
-            else _taylor_steps(shifted, x, times))
+    if used_dense:
+        _dense_steps(form.w, x, times, coordinates)
+    else:
+        _taylor_steps(shifted, x, times, coordinates)
+    _from_hermitian(vecs)
     if not np.all(np.isfinite(vecs)):
         raise NumericalError("propagated states are not finite")
     states = vecs.reshape(times.size, *rho0.shape).transpose(0, 2, 1)

@@ -2,21 +2,32 @@
 
 The central check rebuilds the master equation right side in plain matrix
 form, term by term, and compares it with the vectorized superoperator action
-on random density matrices.
+on random density matrices. The one-pass assembly is also compared entry by
+entry with ``reference.superoperator``, which sums the terms as sparse
+Kronecker products.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from reference import basis_index
+from reference import (
+    basis_index, hamiltonian_superoperator, lindblad_dissipator, superoperator,
+)
 
+from spinheat.config import parse_config, to_engine_config
 from spinheat.constants import HBAR
+from spinheat.engine import (
+    CHECK_GRID, dissipation_spec, heat_extraction_stage,
+    stage_hamiltonian_spec, work_output_stage,
+)
 from spinheat.quantum_core import (
     IDX_DN, IDX_UP, IDX_X, embed, fock_operators,
     level_projector, product_operators, thermal_state, transition_operator,
 )
 from spinheat.liouvillian import (
     DissipationSpec, StageHamiltonianSpec, build_hamiltonian,
-    build_superoperator, hamiltonian_superoperator, lindblad_dissipator,
+    build_superoperator,
 )
 from spinheat.spectral import thermal_energy
 
@@ -192,3 +203,24 @@ def test_dimension_mismatch_rejected():
     h = build_hamiltonian(STAGE1, product_operators(5, OMEGA1))
     with pytest.raises(ValueError):
         build_superoperator(h, dissipation(), ops)
+
+
+def one_norm(m):
+    return float(abs(m).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("n_levels", range(3, 9))
+def test_superoperator_matches_term_by_term_reference(n_levels):
+    cfg = to_engine_config(parse_config(
+        "check", overrides=[f"n_levels={n_levels}"]))
+    for temperature, gamma_ph in CHECK_GRID:
+        point = replace(cfg, temperature=temperature,
+                        gamma_ph_energy=gamma_ph)
+        ops = product_operators(point.n_levels, point.omega1_energy / HBAR)
+        for stage in (heat_extraction_stage(point), work_output_stage(point)):
+            h = build_hamiltonian(stage_hamiltonian_spec(stage, point), ops)
+            d = dissipation_spec(point)
+            v = build_superoperator(h, d, ops)
+            reference = superoperator(h, d, ops)
+            assert v.nnz == reference.nnz
+            assert one_norm(v - reference) <= 1e-15 * one_norm(reference)

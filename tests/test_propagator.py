@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm as reference_expm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import integrate_direct
+from reference import hamiltonian_superoperator, integrate_direct
 
 from spinheat.config import parse_config, to_engine_config
 from spinheat.constants import HBAR
@@ -29,13 +29,13 @@ from spinheat.quantum_core import (
 )
 from spinheat.liouvillian import (
     DissipationSpec, StageHamiltonianSpec, build_hamiltonian,
-    build_superoperator, hamiltonian_superoperator,
+    build_superoperator,
 )
 from spinheat.propagator import (
-    MAX_LOG2_STEP_NORM, TAYLOR_THETA, THETA13, _dense_steps,
-    _hermitian_basis, _one_norm, _scaling_exponent, _shift,
-    _taylor_parameters, _taylor_steps, diagonalize, evolve, expm, is_stiff,
-    propagate,
+    GATHER_ROWS, MAX_LOG2_STEP_NORM, TAYLOR_THETA, THETA13, _dense_steps,
+    _from_hermitian, _hermitian_basis, _one_norm, _real_form,
+    _scaling_exponent, _shift, _taylor_parameters, _taylor_steps,
+    diagonalize, evolve, expm, is_stiff, propagate,
 )
 from spinheat.spectral import thermal_energy
 
@@ -60,13 +60,15 @@ def initial_state(n_c, temperature=60.0):
 
 
 def test_diagonal_superoperator_is_its_own_eigenbasis():
-    v = np.diag([-1.0 + 0.0j, -2.0 + 3.0j])
+    # the generator of a d = 2 system scaling rho_11 by -1 and the
+    # coherences by -2 -+ 3i: diagonal and Hermiticity-preserving
+    v = np.diag([0.0, -2.0 + 3.0j, -2.0 - 3.0j, -1.0])
     ep = diagonalize(v)
-    assert np.allclose(sorted(ep.eigenvalues, key=lambda z: -z.real),
-                       [-1.0, -2.0 + 3.0j])
+    assert np.allclose(sorted(ep.eigenvalues, key=lambda z: (-z.real, -z.imag)),
+                       [0.0, -1.0, -2.0 + 3.0j, -2.0 - 3.0j])
     # eigenvectors and duals are the standard basis up to phase
     overlap = np.abs(ep.dual_vectors @ ep.right_vectors)
-    assert np.allclose(overlap, np.eye(2), atol=1e-12)
+    assert np.allclose(overlap, np.eye(4), atol=1e-12)
 
 
 def test_biorthonormality_at_production_parameters():
@@ -206,21 +208,41 @@ def test_evolve_matches_eigenmode_propagation(times, dense):
     assert np.max(np.abs(states - propagate(rho0, diagonalize(v), times))) <= 1e-10
 
 
+def column_stacked(rho):
+    return rho.reshape(-1, order="F").astype(complex)
+
+
+def real_stepping(v, rho0):
+    """The real form of ``v`` and the Hermitian-basis coordinates of a
+    Hermitian ``rho0``, as the steppers take them."""
+    form = _real_form(sp.csr_array(v))
+    y = form.t @ column_stacked(rho0)
+    assert not np.any(y.imag)
+    return form, y.real
+
+
+def rows_for(times, y):
+    """The array a stepper fills: one row of coordinates per time."""
+    return np.empty((times.size,) + y.shape)
+
+
+def vectors(coordinates):
+    """Column-stacked states of real Hermitian-basis coordinates."""
+    return _from_hermitian(coordinates.astype(complex))
+
+
 @pytest.mark.parametrize("stepper", ["taylor", "dense"])
 @pytest.mark.parametrize("times", GRIDS, ids=GRID_IDS)
 def test_steppers_match_eigenmode_propagation(times, stepper):
     v, _ = stage1_superoperator(6)
     rho0 = initial_state(6)
-    x = rho0.reshape(-1, order="F").astype(complex)
+    form, y = real_stepping(v, rho0)
     if stepper == "taylor":
-        vecs = _taylor_steps(_shift(v), x, times)
+        ys = _taylor_steps(_shift(form.w), y, times, rows_for(times, y))
     else:
-        vecs = _dense_steps(v, x, times)
+        ys = _dense_steps(form.w, y, times, rows_for(times, y))
+    vecs = vectors(ys)
     assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
-
-
-def column_stacked(rho):
-    return rho.reshape(-1, order="F").astype(complex)
 
 
 @pytest.mark.parametrize("times", [
@@ -231,11 +253,12 @@ def column_stacked(rho):
 def test_taylor_steps_match_eigenmode_propagation_off_the_stage_grid(times):
     v, _ = stage1_superoperator(6)
     rho0 = initial_state(6)
-    shifted = _shift(v)
+    form, y = real_stepping(v, rho0)
+    shifted = _shift(form.w)
     # the first output step needs several blocks: it is cut into sub-steps
     steps = np.diff(times, prepend=0.0)
     assert _taylor_parameters(steps[steps > 0][0] * shifted.norm)[1] > 1
-    vecs = _taylor_steps(shifted, column_stacked(rho0), times)
+    vecs = vectors(_taylor_steps(shifted, y, times, rows_for(times, y)))
     assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
 
 
@@ -243,16 +266,19 @@ def test_taylor_steps_under_zero_generator_match_eigenmode_propagation():
     rho0 = initial_state(3)
     v = sp.csr_array((81, 81), dtype=complex)
     times = np.array([0.0, 0.5, 2.0])
-    vecs = _taylor_steps(_shift(v), column_stacked(rho0), times)
+    form, y = real_stepping(v, rho0)
+    vecs = vectors(_taylor_steps(_shift(form.w), y, times,
+                                 rows_for(times, y)))
     assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
 
 
 def test_taylor_steps_are_bitwise_repeatable():
     v, _ = stage1_superoperator(6)
-    x = column_stacked(initial_state(6))
-    shifted = _shift(v)
-    first = _taylor_steps(shifted, x, GRIDS[0])
-    assert np.array_equal(first, _taylor_steps(shifted, x, GRIDS[0]))
+    form, y = real_stepping(v, initial_state(6))
+    shifted = _shift(form.w)
+    first = _taylor_steps(shifted, y, GRIDS[0], rows_for(GRIDS[0], y))
+    assert np.array_equal(
+        first, _taylor_steps(shifted, y, GRIDS[0], rows_for(GRIDS[0], y)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -311,34 +337,64 @@ def test_hermitian_basis_makes_states_and_liouvillians_real():
     m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     y = t @ column_stacked(m + m.conj().T)
     assert np.max(np.abs(y.imag)) == 0.0
+    # the gather back is T^-1, on real and on complex coordinates, over
+    # more rows than it gathers at a time
+    assert np.array_equal(vectors(y.real[None])[0], t_inv @ y.real)
+    shape = (2 * GATHER_ROWS + 3, 81)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(_from_hermitian(stack.copy()), (t_inv @ stack.T).T)
     v, _ = stage1_superoperator(3, gamma_ph_mev=0.1)
     w = (t @ v @ t_inv).toarray()
     assert np.max(np.abs(w.imag)) <= 1e-15 * np.max(np.abs(w.real))
 
 
-def test_dense_steps_propagate_a_non_hermitian_state():
-    # the real exponential acts on the real and imaginary parts of T x
+@pytest.mark.parametrize("dense", [False, True], ids=["taylor", "dense"])
+def test_evolve_propagates_a_non_hermitian_state(monkeypatch, dense):
+    # both steppers act on the real and imaginary parts of T x as two columns
+    import spinheat.propagator as propagator_module
+    monkeypatch.setattr(propagator_module, "is_stiff",
+                        lambda shifted, t_span: dense)
     v, _ = stage1_superoperator(4)
     rng = np.random.default_rng(11)
     rho0 = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     times = GRIDS[1]
-    vecs = _dense_steps(v, column_stacked(rho0), times)
-    assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
+    states, used_dense = evolve(rho0, v, times)
+    assert used_dense is dense
+    assert np.max(np.abs(states - propagate(rho0, diagonalize(v), times))) <= 1e-10
 
 
-def test_dense_steps_refuse_a_generator_that_breaks_hermiticity():
+# evolve on the stage-1 grid at n_levels=6 takes dense steps, on the short
+# grid Taylor steps (test_evolve_matches_eigenmode_propagation)
+GENERATOR_USES = [
+    lambda v: evolve(initial_state(6), v, GRIDS[1]),
+    lambda v: evolve(initial_state(6), v, GRIDS[0]),
+    diagonalize,
+]
+GENERATOR_USE_IDS = ["taylor", "dense", "diagonalize"]
+
+
+@pytest.mark.parametrize("run", GENERATOR_USES, ids=GENERATOR_USE_IDS)
+def test_generator_that_breaks_hermiticity_is_refused(run):
     # rho -> 0.1 i rho takes Hermitian states to anti-Hermitian ones
-    v, _ = stage1_superoperator(3)
-    v = v + 0.1j * sp.eye_array(81)
+    v, _ = stage1_superoperator(6)
     with pytest.raises(NumericalError, match="Hermiticity"):
-        _dense_steps(v, column_stacked(initial_state(3)), GRIDS[1])
+        run(v + 0.1j * sp.eye_array(324))
+
+
+@pytest.mark.parametrize("run", GENERATOR_USES, ids=GENERATOR_USE_IDS)
+def test_propagation_leaves_the_generator_untouched(run):
+    v, _ = stage1_superoperator(6)
+    indices, data = v.indices.copy(), v.data.copy()
+    run(v)
+    assert np.array_equal(v.indices, indices)
+    assert np.array_equal(v.data, data)
 
 
 def test_evolve_stiff_branch_matches_eigenmode_propagation():
     v, _ = stage1_superoperator(4, gamma_ph_mev=30.0)
     rho0 = initial_state(4)
     times = np.arange(0.0, 2.0 + 0.025, 0.05)
-    assert is_stiff(_shift(v), times[-1])
+    assert is_stiff(_shift(_real_form(v).w), times[-1])
     states, used_dense = evolve(rho0, v, times)
     assert used_dense
     ep = diagonalize(v)
@@ -350,7 +406,7 @@ def test_default_stage_branch(gamma_ph, stiff):
     cfg = to_engine_config(parse_config(
         "stage1", overrides=[f"gamma_ph_meV={gamma_ph}"]))
     _, v = stage_machinery(heat_extraction_stage(cfg), cfg)
-    assert is_stiff(_shift(v), cfg.stage1_duration) is stiff
+    assert is_stiff(_shift(_real_form(v).w), cfg.stage1_duration) is stiff
 
 
 def test_evolve_rejects_non_finite_generator():
@@ -368,17 +424,16 @@ def test_dense_steps_refuse_an_oversized_step_before_expm(monkeypatch):
 
     monkeypatch.setattr(propagator_module, "expm", unreachable)
     v, _ = stage1_superoperator(3)
-    h = 2.0**(MAX_LOG2_STEP_NORM + 1) / float(abs(v).sum(axis=0).max())
+    form, y = real_stepping(v, initial_state(3))
+    h = 2.0**(MAX_LOG2_STEP_NORM + 1) / _one_norm(form.w)
     with pytest.raises(NumericalError, match="beyond 2"):
-        _dense_steps(v, initial_state(3).reshape(-1).astype(complex),
-                     np.array([0.0, h]))
+        _dense_steps(form.w, y, np.array([0.0, h]), np.empty((2, y.size)))
 
 
 def test_evolve_rejects_non_finite_states(monkeypatch):
     import spinheat.propagator as propagator_module
     monkeypatch.setattr(propagator_module, "_taylor_steps",
-                        lambda shifted, x, times: np.full((times.size, x.size),
-                                                          np.nan))
+                        lambda shifted, x, times, out: out.fill(np.nan))
     v, _ = stage1_superoperator(3)
     with pytest.raises(NumericalError, match="not finite"):
         evolve(initial_state(3), v, [0.0, 0.1])
