@@ -299,12 +299,13 @@ def to_erasure_inputs(run_config):
     count = v["nucleus_count"]
     sigma = v["sigma_nm"]
     x = np.linspace(-2 * sigma, 2 * sigma, count) if count > 1 else np.zeros(1)
-    if v["lattice_jitter_nm"] > 0:
-        rng = np.random.default_rng(v["seed"])
-        x = x + rng.uniform(-v["lattice_jitter_nm"], v["lattice_jitter_nm"],
-                            count)
     scale = v["coupling_scale_rad_per_ps"]
     try:
+        if v["lattice_jitter_nm"] > 0:
+            # uniform() raises OverflowError when twice the jitter overflows
+            rng = np.random.default_rng(v["seed"])
+            x = x + rng.uniform(-v["lattice_jitter_nm"],
+                                v["lattice_jitter_nm"], count)
         rates = (v["suppression_phi_tau_sigma"]
                  / (v["pulse_duration_ps"] * sigma)) * x
         if v["coupling_envelope"] == "gaussian":

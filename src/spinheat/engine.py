@@ -17,17 +17,26 @@ photon energy gap; the work-output stage drives the down transition
 resonantly and lasts one pi pulse, locally refined because the phonon
 dressing detunes the bare pi time slightly.
 
+Each stage generator is prepared once (``propagator.prepare``: its real
+Hermitian-basis form and its invariant blocks) and every propagation with it
+reuses that record: the pi-pulse candidates and the work pulse share the
+stage-2 one, and the invariant checks hand the same record to the
+eigenmode oracle and to ``evolve``. Stage 1 starts in the block of
+{up, X} x {up, X} and (dn, dn) and never leaves it; the switch state also
+holds up-X coherences, so stage 2 steps the coherence block too.
+
 The invariant checks of the stage-1 generator and the truncation-convergence
 report of an n_levels sweep verify the dot dynamics.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .constants import HBAR
-from .errors import PositivityError
+from .errors import ConfigError, PositivityError
 from .quantum_core import (
     IDX_DN, IDX_UP, embed, expectation, level_projector, product_operators,
     thermal_state,
@@ -35,7 +44,7 @@ from .quantum_core import (
 from .liouvillian import (
     DissipationSpec, StageHamiltonianSpec, build_hamiltonian, build_superoperator,
 )
-from .propagator import diagonalize, evolve, propagate
+from .propagator import diagonalize, evolve, prepare, propagate
 from .spectral import reorganization_energy, thermal_energy
 
 
@@ -137,10 +146,20 @@ def work_output_stage(cfg, duration=None):
 
 
 def stage_hamiltonian_spec(stage, cfg):
-    """Map a stage description to Hamiltonian coefficients."""
+    """Map a stage description to Hamiltonian coefficients. A cutoff and
+    coupling strength whose mode coupling leaves floating-point range are a
+    configuration error; the reorganization energy, of lower order in the
+    cutoff, is then finite too."""
     omega1 = cfg.omega1_energy / HBAR
     omega_b = cfg.omega_b_energy / HBAR
-    coupling_d1 = np.sqrt(2 * cfg.alpha_p * omega_b**4)
+    try:
+        coupling_d1 = np.sqrt(2 * cfg.alpha_p * omega_b**4)
+    except OverflowError:  # omega_b**4 of a Python float
+        coupling_d1 = math.inf
+    if not math.isfinite(coupling_d1):
+        raise ConfigError(
+            f"omega_b_meV = {cfg.omega_b_energy:g} with alpha_p_over_4pi2_ps2 "
+            f"= {cfg.alpha_p:g} gives a mode coupling that is not finite")
     exciton = -stage.detuning_energy
     if cfg.detuning_reference == "relaxed":
         exciton += reorganization_energy(cfg.alpha_p, cfg.omega_b_energy)
@@ -220,8 +239,9 @@ def _sample(states, times, ops, occupation_ref, abort_threshold, used_dense):
 
 
 def _evolve_stage(rho0, stage, cfg, ops, v, occupation_ref=None):
-    """Trajectory of one stage and its states on the output grid; dN1 is
-    measured from ``occupation_ref``, by default from the first sample."""
+    """Trajectory of one stage and its states on the output grid, for the
+    stage generator or its prepared record ``v``; dN1 is measured from
+    ``occupation_ref``, by default from the first sample."""
     times = _stage_grid(stage.duration, cfg.grid_dt)
     states, used_dense = evolve(rho0, v, times)
     traj = _sample(states, times, ops, occupation_ref, cfg.positivity_abort,
@@ -291,8 +311,8 @@ def run_cycle(cfg):
     The work pulse is a pi pulse at the stage-2 Rabi energy, refined within
     +-20% to maximize the final down population (the phonon dressing
     slightly shifts the bare pi time). The hand-off state is the stage-1
-    grid state at the switch time, and one stage-2 generator serves both the
-    refinement and the work pulse.
+    grid state at the switch time, and one prepared stage-2 generator
+    serves both the refinement and the work pulse.
     """
     rho0 = initial_state(cfg)
     stage1 = heat_extraction_stage(cfg)
@@ -303,7 +323,7 @@ def run_cycle(cfg):
     rho_switch = states1[k_switch].copy()
 
     stage2 = work_output_stage(cfg)
-    _, v2 = stage_machinery(stage2, cfg)
+    v2 = prepare(stage_machinery(stage2, cfg)[1])
     candidates = np.linspace(PI_WINDOW[0] * stage2.duration,
                              PI_WINDOW[1] * stage2.duration, PI_CANDIDATES)
     states, _ = evolve(rho_switch, v2, candidates)
@@ -347,7 +367,8 @@ def invariant_checks(cfg):
     """Stage-1 generator invariants and oracle agreement over ``CHECK_GRID``:
     trace annihilation, no growing mode, biorthonormal eigenvectors, and
     the production propagator matching the eigenmode oracle on the output
-    grid.
+    grid. The eigenvalue and biorthonormality records take the largest
+    value over the generator's invariant blocks, each decomposed on its own.
     """
     records = []
     for temperature, gamma_ph in CHECK_GRID:
@@ -356,10 +377,11 @@ def invariant_checks(cfg):
         _, v = stage_machinery(heat_extraction_stage(point), point)
         vec_identity = np.eye(3 * point.n_levels).reshape(-1, order="F")
         trace_residual = float(np.max(np.abs(vec_identity @ v)))
-        ep = diagonalize(v)
+        prepared = prepare(v)
+        ep = diagonalize(prepared)
         rho0 = initial_state(point)
         times = _stage_grid(point.stage1_duration, point.grid_dt)
-        states, _ = evolve(rho0, v, times)
+        states, _ = evolve(rho0, prepared, times)
         # np.max, unlike max(), lets a NaN state fail the check
         agreement = float(np.max(np.abs(states - propagate(rho0, ep, times))))
         checks = (

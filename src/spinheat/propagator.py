@@ -6,31 +6,44 @@ Hermitian rho) its generator W = T V T^-1 is real. Every propagation here
 runs in that basis, in real arithmetic: :func:`_real_form` builds W once
 per generator and refuses one that does not preserve Hermiticity.
 
+The electronic selection rules split every stage generator exactly into
+invariant blocks, and :func:`prepare` finds them as the connected
+components of W's sparsity graph: the {g, X} x {g, X} and (o, o)
+coordinates, and the o x {g, X} coherences with their conjugates (g the
+driven ground level, o the other). Entries between invariant blocks are
+zero by construction, so each is propagated and diagonalized on its own.
+The :class:`Prepared` record holds W, the invariant blocks and the shifted
+form of each; it is built once per generator and serves both paths below.
+
 :func:`evolve` is the one production path: it samples the state on an output
 grid by applying exp(W h) over each run of equal steps h to the real
 columns of T vec(rho0), one for a Hermitian rho0 and two (real and
-imaginary part) otherwise, and gathers the states back. The action of a
-step comes from one of two schemes, picked by :func:`is_stiff`. Generators
-whose ||W - mu||_1 t is small against dim^3 take the truncated Taylor
-scheme of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488, 2011, Alg. 5.2),
-restated here: with A = W - mu (mu = tr W / dim) it needs only sparse
-matrix-vector products and costs in proportion to ||A||_1 t. Its Taylor
-degree and block count come from the exact 1-norm alone, which bounds
-||A^p||^(1/p) from above for every p, so no norm estimate (and none of its
-random probes) is ever needed and repeated runs give the same bits. The
-other generators form exp(W h) once per run with :func:`expm`, a Pade
-[13/13] approximant with scaling and squaring (Higham, SIAM J. Matrix Anal.
-Appl. 26, 1179, 2005) written in numpy, and step with dense matrix-vector
+imaginary part) otherwise, and gathers the states back. It steps only the
+invariant blocks where T vec(rho0) is nonzero; the other coordinates stay
+exactly 0. The stepped blocks take one of two schemes, picked once per
+call by :func:`is_stiff` from the whole W (STIFF_RATIO says why not per
+block). Generators whose ||W - mu||_1 t is small against dim^3 take the
+truncated Taylor scheme of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488,
+2011, Alg. 5.2), restated here: with A = W - mu on a block (mu = tr W /
+dim, W and dim the block's) it needs only sparse matrix-vector products
+and costs in proportion to ||A||_1 t. Its Taylor degree and block count
+come from the exact 1-norm alone, which bounds ||A^p||^(1/p) from above
+for every p, so no norm estimate (and none of its random probes) is ever
+needed and repeated runs give the same bits. The other generators form
+exp(W h) of each block once per run with :func:`expm`, a Pade [13/13]
+approximant with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
+26, 1179, 2005) written in numpy, and step with dense matrix-vector
 products, a cost fixed by the dimension. Its scaling exponent also comes
 from the exact 1-norm. scipy is used for ``scipy.sparse`` only:
 ``scipy.linalg`` would load scipy's own OpenBLAS, whose thread pool beside
 numpy's slows every dense kernel of the process.
 
 :func:`diagonalize` and :func:`propagate` sum eigenmodes instead: the
-eigenvectors of the real W, mapped back by T^-1, and their duals. They
-share nothing with :func:`evolve` but the superoperator and the Hermitian
-basis, an exact similarity, and serve as the oracle that the invariant
-checks compare it with.
+eigenvectors of each invariant block of the real W, mapped back by T^-1,
+and their duals. They share nothing with :func:`evolve` but the
+superoperator, the Hermitian basis and the invariant blocks (exact
+similarities), and serve as the oracle that the invariant checks compare
+it with.
 """
 
 import math
@@ -66,10 +79,11 @@ PADE13 = (
     16380.0, 182.0, 1.0,
 )
 THETA13 = 5.371920351148152
-# evolve steps densely when ||W - mu||_1 t_span > dim^3 / STIFF_RATIO: dense
-# steps cost O(dim^3); the sparse products of Taylor steps follow
-# ||W - mu||_1 t_span. Stage-1 stepping time of the real steppers (20 ps,
-# 401 points; 2 cores, OpenBLAS 0.3.31), Taylor/dense in s, by n_levels and
+# evolve steps densely when ||W - mu||_1 t_span > dim^3 / STIFF_RATIO, W,
+# mu and dim those of the whole generator: dense steps cost O(dim^3); the
+# sparse products of Taylor steps follow ||W - mu||_1 t_span. Stage-1
+# stepping time of the real steppers on the whole generator (20 ps, 401
+# points; 2 cores, OpenBLAS 0.3.31), Taylor/dense in s, by n_levels and
 # gamma_ph in meV, with y = ||W - mu||_1 t_span / dim^3:
 #   4: 0.001 (y=1.1e-4) 0.029/0.006; 5: 0.001 (3.4e-5) 0.034/0.014, 0.1
 #   (4.3e-5) 0.030/0.013; 6: 0.001 (1.3e-5) 0.041/0.025, 0.1 (1.8e-5)
@@ -83,6 +97,13 @@ THETA13 = 5.371920351148152
 # 1.3e-5 at 7, 6e-6 at 8 and 10, 5e-6 at 12 and 3.3e-6 at 15. The
 # threshold, y = 9.1e-6, lies inside that band. Lowering it would gain at
 # n_levels >= 8 and lose at 7.
+# The same threshold on the stage-1 block alone (5 n_levels^2
+# coordinates, y about 5.8 times larger) would step it densely at
+# n_levels 7 and 8. Wall time falls there (n_levels=8: 0.028 s against
+# 0.051 s), but the dense steps run on both OpenBLAS threads, and the
+# second one spins on after them: CPU time of the n_levels=8 cycle rose
+# from 0.10-0.13 s to 0.17-0.19 s. So the choice stays with the whole
+# generator until a cost model weighs CPU as well as wall time.
 STIFF_RATIO = 1.1e5
 # Largest log2 ||W h||_1 of a dense step: expm squares about that many
 # times, each a dense dim^3 product (0.2 s at n_levels=15 on 2 cores).
@@ -97,49 +118,71 @@ HERMITICITY_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class EigenPropagator:
-    """Full eigensystem of one superoperator."""
+    """Full eigensystem of one superoperator, one invariant block after the
+    other: ``mode_blocks`` holds the block of each mode."""
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     dual_vectors: np.ndarray
     biorthonormality_residual: float
+    mode_blocks: np.ndarray
 
 
 def diagonalize(v):
-    """Eigendecompose a superoperator (dense or sparse) and build its dual basis.
+    """Eigendecompose a superoperator (dense or sparse, or its
+    :class:`Prepared` record) and build its dual basis.
 
-    The decomposition is of the real W of :func:`_real_form`; its right
-    vectors R come back as T^-1 R and the duals D = R^-1 as D T. Duals come
-    from inverting the right-eigenvector matrix, which enforces
-    biorthonormality directly; its residual measures how far from defective
-    the generator is. A generator refused by :func:`_real_form`, a failed
-    decomposition or a singular eigenvector matrix raises
-    :class:`NumericalError`.
+    Each invariant block of the real W of :func:`prepare` is decomposed on
+    its own; its right vectors R come back as T^-1 R and its duals
+    D = R^-1 as D T, so that modes of different blocks share no
+    coordinate. Duals come from inverting the right-eigenvector matrix,
+    which enforces biorthonormality directly; the largest residual over the
+    blocks measures how far from defective the generator is. A generator
+    refused by :func:`_real_form`, a failed decomposition or a singular
+    eigenvector matrix raises :class:`NumericalError`.
     """
-    form = _real_form(sp.csr_array(v))
-    try:
-        eigenvalues, right = np.linalg.eig(form.w.toarray())
-        dual = np.linalg.inv(right)
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(
-            f"superoperator eigendecomposition failed: {err}") from err
-    right = form.t_inv @ right
-    dual = dual @ form.t
-    residual = float(np.max(np.abs(dual @ right - np.eye(right.shape[0]))))
+    prepared = prepare(v)
+    t, t_inv = prepared.form.t, prepared.form.t_inv
+    dim = t.shape[0]
+    eigenvalues = np.empty(dim, dtype=complex)
+    right = np.zeros((dim, dim), dtype=complex)
+    dual = np.zeros((dim, dim), dtype=complex)
+    mode_blocks = np.empty(dim, dtype=int)
+    residual = 0.0
+    start = 0
+    for k, block in enumerate(prepared.blocks):
+        try:
+            values, vectors = np.linalg.eig(block.w.toarray())
+            inverse = np.linalg.inv(vectors)
+        except np.linalg.LinAlgError as err:
+            raise NumericalError(
+                f"superoperator eigendecomposition failed: {err}") from err
+        modes = slice(start, start + values.size)
+        eigenvalues[modes] = values
+        right[:, modes] = t_inv[:, block.index] @ vectors
+        dual[modes] = inverse @ t[block.index]
+        mode_blocks[modes] = k
+        residual = max(residual, float(np.max(np.abs(
+            inverse @ vectors - np.eye(values.size)))))
+        start = modes.stop
     return EigenPropagator(eigenvalues=eigenvalues, right_vectors=right,
-                           dual_vectors=dual, biorthonormality_residual=residual)
+                           dual_vectors=dual, biorthonormality_residual=residual,
+                           mode_blocks=mode_blocks)
 
 
 def propagate(rho0, ep, times):
     """rho0 evolved to ``times`` (ps) as a sum over eigenmodes: one state for
-    a scalar time, a stack of states for an array of times."""
+    a scalar time, a stack of states for an array of times. Only the modes
+    of invariant blocks with a nonzero coefficient are summed; a block the
+    state does not occupy has coefficients of exactly 0."""
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError(f"propagation times must be nonnegative, got {times}")
     dim = rho0.shape[0]
     c = ep.dual_vectors @ rho0.reshape(-1, order="F")
-    vecs = ep.right_vectors @ (
-        c[:, None] * np.exp(np.outer(ep.eigenvalues, times)))
+    kept = np.isin(ep.mode_blocks, ep.mode_blocks[c != 0])
+    vecs = ep.right_vectors[:, kept] @ (
+        c[kept, None] * np.exp(np.outer(ep.eigenvalues[kept], times)))
     return vecs.T.reshape(times.shape + (dim, dim)).swapaxes(-1, -2)
 
 
@@ -186,13 +229,70 @@ class Shifted(NamedTuple):
 
 
 def _shift(w):
-    """W - mu and its 1-norm, built once per :func:`evolve` call; a norm
-    that overflows comes back inf or nan, which evolve rejects."""
+    """W - mu and its 1-norm; a norm that overflows comes back inf or nan,
+    which evolve rejects."""
     dim = w.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         mu = w.trace() / dim
         a = w - mu * sp.eye_array(dim, format="csr")
     return Shifted(a, mu, _one_norm(a))
+
+
+class Block(NamedTuple):
+    """One invariant block of W: its Hermitian-basis coordinates (sorted),
+    W restricted to them, and the :class:`Shifted` form of that."""
+
+    index: np.ndarray
+    w: sp.csr_array
+    shifted: Shifted
+
+
+class Prepared(NamedTuple):
+    """A generator made ready for :func:`evolve` and :func:`diagonalize`:
+    its :class:`RealForm`, the :class:`Shifted` form of the whole W, which
+    picks the stepper, and the invariant blocks of W (each a
+    :class:`Block`), in the order of their first coordinate."""
+
+    form: RealForm
+    shifted: Shifted
+    blocks: tuple
+
+
+def _components(w):
+    """Connected components of the sparsity graph |W| + |W|^T of a CSR
+    matrix, as sorted index arrays in the order of their first index. Each
+    round of label propagation lowers every node's label to the smallest
+    label of its edges, then jumps each label to its own label."""
+    dim = w.shape[0]
+    nonzero = w.data != 0
+    rows = np.repeat(np.arange(dim), np.diff(w.indptr))[nonzero]
+    cols = w.indices[nonzero]
+    labels = np.arange(dim)
+    while True:
+        lowest = np.minimum(labels[rows], labels[cols])
+        lowered = labels.copy()
+        np.minimum.at(lowered, rows, lowest)
+        np.minimum.at(lowered, cols, lowest)
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, labels):
+            break
+        labels = lowered
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def prepare(v):
+    """The :class:`Prepared` record of a generator, dense or sparse; a
+    record is returned as it is. A generator refused by :func:`_real_form`
+    raises :class:`NumericalError`."""
+    if isinstance(v, Prepared):
+        return v
+    form = _real_form(sp.csr_array(v))
+    blocks = []
+    for index in _components(form.w):
+        w = form.w[index][:, index]
+        blocks.append(Block(index, w, _shift(w)))
+    return Prepared(form, _shift(form.w), tuple(blocks))
 
 
 def _equal_step_runs(times):
@@ -401,37 +501,43 @@ def _dense_steps(w, x, times, out):
 
 
 def evolve(rho0, v, times):
-    """States exp(V t) rho0 at each of ``times`` (ps, nondecreasing, >= 0).
+    """States exp(V t) rho0 at each of ``times`` (ps, nondecreasing, >= 0),
+    for a generator V or its :class:`Prepared` record ``v``.
 
     Returns ``(states, used_dense)``: an array of shape (len(times), d, d)
-    and whether the dense steps ran. Uniform grids with a shorter last step,
-    grids starting after 0 and single times all work; each run of equal
-    steps is advanced together. Non-finite generators or states, and
-    generators that do not preserve Hermiticity, raise
-    :class:`NumericalError`.
+    and whether the propagated invariant blocks took dense steps. Uniform
+    grids with a shorter last step, grids starting after 0 and single times
+    all work; each run of equal steps is advanced together. Non-finite
+    generators or states, and generators that do not preserve Hermiticity,
+    raise :class:`NumericalError`.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("evolve needs a nonempty nondecreasing grid from t >= 0")
-    form = _real_form(sp.csr_array(v))
-    shifted = _shift(form.w)
-    if not math.isfinite(shifted.norm):
+    prepared = prepare(v)
+    if not math.isfinite(prepared.shifted.norm):
         raise NumericalError("the superoperator's 1-norm is not finite")
-    y = form.t @ rho0.reshape(-1, order="F").astype(complex)
-    # the steppers write T vec(rho) into the stack that then holds the
-    # states: its real parts when T vec(rho0) is real, as it is exactly for
-    # a Hermitian rho0, else its real and imaginary parts as two columns
+    y = prepared.form.t @ rho0.reshape(-1, order="F").astype(complex)
+    # the steppers' rows go into the stack that then holds the states: its
+    # real parts when T vec(rho0) is real, as it is exactly for a Hermitian
+    # rho0, else its real and imaginary parts as two columns
     vecs = np.zeros((times.size, y.size), dtype=complex)
     if np.any(y.imag):
         x = y.view(float).reshape(-1, 2)
         coordinates = vecs.view(float).reshape(times.size, -1, 2)
     else:
         x, coordinates = y.real, vecs.real
-    used_dense = is_stiff(shifted, times[-1])
-    if used_dense:
-        _dense_steps(form.w, x, times, coordinates)
-    else:
-        _taylor_steps(shifted, x, times, coordinates)
+    used_dense = is_stiff(prepared.shifted, times[-1])
+    for block in prepared.blocks:
+        x0 = x[block.index]
+        if not np.any(x0):
+            continue  # an invariant block that starts at 0 stays at 0
+        rows = np.empty((times.size,) + x0.shape)
+        if used_dense:
+            _dense_steps(block.w, x0, times, rows)
+        else:
+            _taylor_steps(block.shifted, x0, times, rows)
+        coordinates[:, block.index] = rows
     _from_hermitian(vecs)
     if not np.all(np.isfinite(vecs)):
         raise NumericalError("propagated states are not finite")

@@ -161,6 +161,16 @@ class TestStage1Command:
         assert err.startswith("numerical failure:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["stage1", "cycle", "check"])
+    def test_unrepresentable_mode_coupling_exits_2(self, tmp_path, capsys,
+                                                  kind):
+        # omega_b**4 overflows a Python float, which raises OverflowError
+        assert main([kind, "--out", str(tmp_path), "--set", "n_levels=3",
+                     "--set", "omega_b_meV=1e300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "omega_b_meV" in err and "Traceback" not in err
+
     def test_huge_friction_refused_before_dense_work(self, tmp_path, capsys,
                                                      monkeypatch):
         # at the default n_levels=15 a dense step would square 2025 x 2025
@@ -336,12 +346,13 @@ class TestErasureCommand:
         "lattice_jitter_nm=1e6", "sigma_nm=1e-300", "sigma_nm=1e300",
         "coupling_scale_rad_per_ps=1e300", "coupling_scale_rad_per_ps=1e-300",
         "g_n=1e-300", "pulse_gradient_T_per_nm=1e300",
-        "pulse_duration_ps=1e-320", "pulse_duration_ns=1e-320"])
+        "pulse_duration_ps=1e-320", "pulse_duration_ns=1e-320",
+        "lattice_jitter_nm=1.7e308"])
     def test_unusable_chain_exits_2(self, tmp_path, capsys, override):
         # each key is valid alone, but the couplings underflow to zero, the
-        # envelope width, the couplings' squared sum or the pulse rates
-        # overflow, or the feasibility estimate leaves floating-point range
-        # (the feasibility duration underflows to 0 s)
+        # jitter's range, the envelope width, the couplings' squared sum or
+        # the pulse rates overflow, or the feasibility estimate leaves
+        # floating-point range (the feasibility duration underflows to 0 s)
         assert main(["erasure", "--out", str(tmp_path),
                      "--set", override]) == 2
         err = capsys.readouterr().err

@@ -22,10 +22,13 @@ from reference import hamiltonian_superoperator, integrate_direct
 
 from spinheat.config import parse_config, to_engine_config
 from spinheat.constants import HBAR
-from spinheat.engine import CHECK_GRID, heat_extraction_stage, stage_machinery
+from spinheat.engine import (
+    CHECK_GRID, heat_extraction_stage, stage_machinery, work_output_stage,
+)
 from spinheat.errors import NumericalError
 from spinheat.quantum_core import (
-    IDX_UP, embed, level_projector, product_operators, thermal_state,
+    IDX_DN, IDX_UP, N_ELECTRONIC, embed, level_projector,
+    product_operators, thermal_state,
 )
 from spinheat.liouvillian import (
     DissipationSpec, StageHamiltonianSpec, build_hamiltonian,
@@ -35,7 +38,7 @@ from spinheat.propagator import (
     GATHER_ROWS, MAX_LOG2_STEP_NORM, TAYLOR_THETA, THETA13, _dense_steps,
     _from_hermitian, _hermitian_basis, _one_norm, _real_form,
     _scaling_exponent, _shift, _taylor_parameters, _taylor_steps,
-    diagonalize, evolve, expm, is_stiff, propagate,
+    diagonalize, evolve, expm, is_stiff, prepare, propagate,
 )
 from spinheat.spectral import thermal_energy
 
@@ -437,3 +440,92 @@ def test_evolve_rejects_non_finite_states(monkeypatch):
     v, _ = stage1_superoperator(3)
     with pytest.raises(NumericalError, match="not finite"):
         evolve(initial_state(3), v, [0.0, 0.1])
+
+
+def stage_generator(stage_id, n_levels):
+    """A stage generator at the defaults and the stage it belongs to."""
+    cfg = to_engine_config(parse_config(
+        "stage1", overrides=[f"n_levels={n_levels}"]))
+    stage = (heat_extraction_stage(cfg) if stage_id == "heat_extraction"
+             else work_output_stage(cfg))
+    return stage_machinery(stage, cfg)[1], stage
+
+
+def coherence_block(stage, n_levels):
+    """Coordinates of the o x {g, X} coherences and their conjugates, o the
+    ground level the stage does not drive; every other coordinate is in
+    {g, X} x {g, X} or (o, o). Product-space index m holds electronic
+    level m % N_ELECTRONIC."""
+    other = IDX_DN if stage.driven_transition == IDX_UP else IDX_UP
+    dim = N_ELECTRONIC * n_levels
+    col, row = np.divmod(np.arange(dim * dim), dim)
+    return (row % N_ELECTRONIC == other) != (col % N_ELECTRONIC == other)
+
+
+@pytest.mark.parametrize("n_levels", [4, 8, 15])
+@pytest.mark.parametrize("stage_id", ["heat_extraction", "work_output"])
+def test_blocks_are_the_selection_rule_sets(stage_id, n_levels):
+    v, stage = stage_generator(stage_id, n_levels)
+    coherences = coherence_block(stage, n_levels)
+    prepared = prepare(v)
+    population, coherence = (block.index for block in prepared.blocks)
+    assert np.array_equal(population, np.flatnonzero(~coherences))
+    assert np.array_equal(coherence, np.flatnonzero(coherences))
+    assert (population.size, coherence.size) == (5 * n_levels**2,
+                                                 4 * n_levels**2)
+    w = prepared.form.w
+    assert not np.any(w[population][:, coherence].data)
+    assert not np.any(w[coherence][:, population].data)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["taylor", "dense"])
+def test_stage1_stays_in_its_block(monkeypatch, dense):
+    import spinheat.propagator as propagator_module
+    monkeypatch.setattr(propagator_module, "is_stiff",
+                        lambda shifted, t_span: dense)
+    v, stage = stage_generator("heat_extraction", 6)
+    rho0 = initial_state(6)
+    states, _ = evolve(rho0, v, GRIDS[0])
+    outside = coherence_block(stage, 6).reshape(18, 18, order="F")
+    assert np.all(states[:, outside] == 0.0)
+    # the oracle's coefficients of the coherence block are exactly 0 too
+    ep = diagonalize(v)
+    c = ep.dual_vectors @ column_stacked(rho0)
+    assert np.all(c[ep.mode_blocks == 1] == 0.0)
+    assert np.all(c[ep.mode_blocks == 0] != 0.0)
+
+
+@pytest.mark.parametrize("n_levels", [6, 10])
+def test_restricted_taylor_steps_match_full_space_steps(monkeypatch,
+                                                        n_levels):
+    import spinheat.propagator as propagator_module
+    monkeypatch.setattr(propagator_module, "is_stiff",
+                        lambda shifted, t_span: False)
+    v, _ = stage1_superoperator(n_levels)
+    rho0 = initial_state(n_levels)
+    times = GRIDS[0]
+    form, y = real_stepping(v, rho0)
+    full = vectors(_taylor_steps(_shift(form.w), y, times, rows_for(times, y)))
+    states, used_dense = evolve(rho0, v, times)
+    assert not used_dense
+    restricted = states.transpose(0, 2, 1).reshape(times.size, -1)
+    assert np.max(np.abs(restricted - full)) <= 1e-14
+    assert np.max(np.abs(restricted - eigenmode_vectors(rho0, v, times))) \
+        <= 1e-10
+
+
+def test_switch_state_propagates_both_blocks():
+    # the stage-2 start holds up-X coherences, which lie in stage 2's
+    # coherence block (up is its undriven level): both blocks are stepped
+    v1, _ = stage_generator("heat_extraction", 5)
+    rho0 = initial_state(5)
+    rho_switch = evolve(rho0, v1, np.array([0.0, 9.75]))[0][-1]
+    v2, stage2 = stage_generator("work_output", 5)
+    prepared = prepare(v2)
+    coherences = coherence_block(stage2, 5).reshape(15, 15, order="F")
+    assert np.any(rho_switch[coherences] != 0.0)
+    times = GRIDS[2]
+    states, _ = evolve(rho_switch, prepared, times)
+    assert np.all(np.any(states[1:, coherences] != 0.0, axis=1))
+    oracle = propagate(rho_switch, diagonalize(prepared), times)
+    assert np.max(np.abs(states - oracle)) <= 1e-10
