@@ -293,8 +293,9 @@ def to_engine_config(run_config):
 def to_erasure_inputs(run_config):
     """Coupling profile, with the erasure pulse's precession rates, and
     feasibility pulse of an erasure run. Valid keys can still give couplings
-    that underflow to zero, or an envelope, coupling sum or rates that
-    overflow; these are configuration errors."""
+    that underflow to zero, or an envelope, coupling sum, rates or pulse
+    phases that overflow; these are configuration errors. The sum of |rates|
+    times the pulse duration bounds every phase the pulse forms."""
     v = run_config.values
     count = v["nucleus_count"]
     sigma = v["sigma_nm"]
@@ -319,6 +320,12 @@ def to_erasure_inputs(run_config):
             "no usable nuclear chain from sigma_nm, lattice_jitter_nm, "
             f"coupling_scale_rad_per_ps and pulse_duration_ps: {err}"
         ) from None
+    phase_bound = float(np.sum(np.abs(rates))) * v["pulse_duration_ps"]
+    if not math.isfinite(phase_bound):
+        raise ConfigError(
+            f"suppression_phi_tau_sigma = {v['suppression_phi_tau_sigma']:g} "
+            f"with pulse_duration_ps = {v['pulse_duration_ps']:g} gives pulse "
+            "phases that are not finite")
     if not 0 < profile.gamma < math.inf:
         raise ConfigError(
             f"coupling sum gamma = {profile.gamma:g} rad^2/ps^2 is not "

@@ -17,13 +17,15 @@ photon energy gap; the work-output stage drives the down transition
 resonantly and lasts one pi pulse, locally refined because the phonon
 dressing detunes the bare pi time slightly.
 
-Each stage generator is prepared once (``propagator.prepare``: its real
-Hermitian-basis form and its invariant blocks) and every propagation with it
-reuses that record: the pi-pulse candidates and the work pulse share the
-stage-2 one, and the invariant checks hand the same record to the
-eigenmode oracle and to ``evolve``. Stage 1 starts in the block of
-{up, X} x {up, X} and (dn, dn) and never leaves it; the switch state also
-holds up-X coherences, so stage 2 steps the coherence block too.
+Each stage generator is prepared once, where it is built
+(``propagator.prepare``: its Hermitian basis, the shifted form of its real
+generator and its invariant blocks), and every propagation with it reuses
+that record: the pi-pulse candidates and the work pulse share the stage-2
+one, and the invariant checks hand the same record to the eigenmode oracle
+and to ``evolve``. Stage 1 starts in the block of {up, X} x {up, X} and
+(dn, dn) and never leaves it; the switch state also holds up-X coherences,
+so stage 2 steps the coherence block too. ``evolve`` returns exactly
+Hermitian states, so the observables are sampled from them as they are.
 
 The invariant checks of the stage-1 generator and the truncation-convergence
 report of an n_levels sweep verify the dot dynamics.
@@ -204,27 +206,14 @@ def _stage_grid(duration, grid_dt):
     return times
 
 
-# states per batched eigvalsh call in the positivity monitor: 1 MB of
-# workspace at n_levels=15, and batching past it gains nothing
-EIGVALSH_CHUNK = 32
-
-
-def _min_eigenvalues(states):
-    """Smallest eigenvalue of the Hermitian part of each state, computed in
-    chunks of EIGVALSH_CHUNK so that no second copy of the stack is made."""
-    out = np.empty(len(states))
-    for start in range(0, len(states), EIGVALSH_CHUNK):
-        chunk = states[start:start + EIGVALSH_CHUNK]
-        hermitian = (chunk + chunk.conj().swapaxes(-1, -2)) / 2
-        out[start:start + EIGVALSH_CHUNK] = np.linalg.eigvalsh(hermitian)[:, 0]
-    return out
-
-
 def _sample(states, times, ops, occupation_ref, abort_threshold, used_dense):
+    """Trajectory of a stack of exactly Hermitian states, as ``evolve``
+    returns them (eigvalsh reads one triangle of each); a smallest
+    eigenvalue below ``abort_threshold`` raises :class:`PositivityError`."""
     rho_up, rho_dn, rho_xx, nbar, q1bar = (
         expectation(states, op).real
         for op in (ops.proj_up, ops.proj_dn, ops.proj_x, ops.number, ops.q1))
-    min_eig = _min_eigenvalues(states)
+    min_eig = np.linalg.eigvalsh(states)[:, 0]
     below = np.flatnonzero(min_eig < abort_threshold)
     if below.size:
         k = below[0]
@@ -238,12 +227,12 @@ def _sample(states, times, ops, occupation_ref, abort_threshold, used_dense):
                       used_dense_propagation=used_dense)
 
 
-def _evolve_stage(rho0, stage, cfg, ops, v, occupation_ref=None):
+def _evolve_stage(rho0, stage, cfg, ops, prepared, occupation_ref=None):
     """Trajectory of one stage and its states on the output grid, for the
-    stage generator or its prepared record ``v``; dN1 is measured from
+    stage generator's prepared record; dN1 is measured from
     ``occupation_ref``, by default from the first sample."""
     times = _stage_grid(stage.duration, cfg.grid_dt)
-    states, used_dense = evolve(rho0, v, times)
+    states, used_dense = evolve(rho0, prepared, times)
     traj = _sample(states, times, ops, occupation_ref, cfg.positivity_abort,
                    used_dense)
     return traj, states
@@ -252,7 +241,7 @@ def _evolve_stage(rho0, stage, cfg, ops, v, occupation_ref=None):
 def run_stage(rho0, stage, cfg):
     """Propagate one stage and sample the observables on the output grid."""
     ops, v = stage_machinery(stage, cfg)
-    return _evolve_stage(rho0, stage, cfg, ops, v)[0]
+    return _evolve_stage(rho0, stage, cfg, ops, prepare(v))[0]
 
 
 def find_switch_time(traj):
@@ -317,7 +306,7 @@ def run_cycle(cfg):
     rho0 = initial_state(cfg)
     stage1 = heat_extraction_stage(cfg)
     ops, v1 = stage_machinery(stage1, cfg)
-    traj1, states1 = _evolve_stage(rho0, stage1, cfg, ops, v1)
+    traj1, states1 = _evolve_stage(rho0, stage1, cfg, ops, prepare(v1))
     switch = find_switch_time(traj1)
     k_switch = int(np.searchsorted(traj1.times, switch.time))
     rho_switch = states1[k_switch].copy()

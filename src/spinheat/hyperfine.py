@@ -19,7 +19,7 @@ and its gradient in T/nm; SI constants enter only there.
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -471,7 +471,8 @@ def pulse_feasibility(pulse, sigma, wire_radius, standoff):
     suppression parameter phi tau sigma = 1, twice the bare gradient-time
     threshold; the margin ratio is measured against it. A pulse whose
     numbers leave floating-point range, including a duration that
-    underflows to 0 s, is a configuration error.
+    underflows to 0 s and any report field that is not finite, is a
+    configuration error.
     """
     if sigma <= 0 or wire_radius <= 0 or standoff < 0:
         raise ValueError("geometry must be positive")
@@ -487,7 +488,7 @@ def pulse_feasibility(pulse, sigma, wire_radius, standoff):
         required_current = wire_factor * gradient_si
         current_time_product = required_current * tau_s
         parameter = pulse.phi * (pulse.duration * 1e3) * sigma
-        return FeasibilityReport(
+        report = FeasibilityReport(
             gradient_time_product=gradient_si * tau_s,
             gradient_time_threshold=gradient_time_threshold,
             required_current=required_current,
@@ -498,8 +499,11 @@ def pulse_feasibility(pulse, sigma, wire_radius, standoff):
             continuum_suppression=float(np.exp(-parameter**2 / 4)),
             margin_ratio=current_time_product / current_time_threshold,
         )
+        if all(map(math.isfinite, astuple(report))):
+            return report
     except (ZeroDivisionError, OverflowError):
-        raise ConfigError(
-            f"feasibility of {pulse} at sigma {sigma:g} nm, wire radius "
-            f"{wire_radius:g} nm, standoff {standoff:g} nm leaves "
-            "floating-point range") from None
+        pass
+    raise ConfigError(
+        f"feasibility of {pulse} at sigma {sigma:g} nm, wire radius "
+        f"{wire_radius:g} nm, standoff {standoff:g} nm leaves "
+        "floating-point range")

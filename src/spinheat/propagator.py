@@ -12,42 +12,41 @@ components of W's sparsity graph: the {g, X} x {g, X} and (o, o)
 coordinates, and the o x {g, X} coherences with their conjugates (g the
 driven ground level, o the other). Entries between invariant blocks are
 zero by construction, so each is propagated and diagonalized on its own.
-The :class:`Prepared` record holds W, the invariant blocks and the shifted
-form of each; it is built once per generator and serves both paths below.
+:func:`prepare` is the one entry point: its :class:`Prepared` record holds
+T, the shifted form of the whole W and the invariant blocks; it is built
+once per generator and serves both paths below.
 
-:func:`evolve` is the one production path: it samples the state on an output
-grid by applying exp(W h) over each run of equal steps h to the real
-columns of T vec(rho0), one for a Hermitian rho0 and two (real and
-imaginary part) otherwise, and gathers the states back. It steps only the
-invariant blocks where T vec(rho0) is nonzero; the other coordinates stay
-exactly 0. The stepped blocks take one of two schemes, picked once per
-call by :func:`is_stiff` from the whole W (STIFF_RATIO says why not per
-block). Generators whose ||W - mu||_1 t is small against dim^3 take the
-truncated Taylor scheme of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488,
-2011, Alg. 5.2), restated here: with A = W - mu on a block (mu = tr W /
-dim, W and dim the block's) it needs only sparse matrix-vector products
-and costs in proportion to ||A||_1 t. Its Taylor degree and block count
-come from the exact 1-norm alone, which bounds ||A^p||^(1/p) from above
-for every p, so no norm estimate (and none of its random probes) is ever
-needed and repeated runs give the same bits. The other generators form
-exp(W h) of each block once per run with :func:`expm`, a Pade [13/13]
-approximant with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
-26, 1179, 2005) written in numpy, and step with dense matrix-vector
-products, a cost fixed by the dimension. Its scaling exponent also comes
-from the exact 1-norm. scipy is used for ``scipy.sparse`` only:
-``scipy.linalg`` would load scipy's own OpenBLAS, whose thread pool beside
-numpy's slows every dense kernel of the process.
+:func:`evolve` is the one production path: it samples the state on an
+output grid by applying exp(W h) over each run of equal steps h to the
+vector T vec(rho0), real as rho0 must be exactly Hermitian, and gathers the
+states back. It steps only the invariant blocks where T vec(rho0) is
+nonzero; the other coordinates stay exactly 0. The stepped blocks take one
+of two schemes, picked once per call by :func:`is_stiff` from the whole W
+(STIFF_RATIO says why not per block). Generators whose ||W - mu||_1 t is
+small against dim^3 take the truncated Taylor scheme of Al-Mohy & Higham
+(SIAM J. Sci. Comput. 33, 488, 2011, Alg. 5.2), restated here: with
+A = W - mu on a block (mu = tr W / dim, W and dim the block's) it needs
+only sparse matrix-vector products and costs in proportion to ||A||_1 t.
+Its Taylor degree and block count come from the exact 1-norm alone, which
+bounds ||A^p||^(1/p) from above for every p, so no norm estimate (and none
+of its random probes) is ever needed and repeated runs give the same bits.
+The other generators form exp(W h) of each block once per run with
+:func:`expm`, a Pade [13/13] approximant with scaling and squaring (Higham,
+SIAM J. Matrix Anal. Appl. 26, 1179, 2005) written in numpy, and step with
+dense matrix-vector products, a cost fixed by the dimension. Its scaling
+exponent also comes from the exact 1-norm. scipy is used for
+``scipy.sparse`` only: ``scipy.linalg`` would load scipy's own OpenBLAS,
+whose thread pool beside numpy's slows every dense kernel of the process.
 
-:func:`diagonalize` and :func:`propagate` sum eigenmodes instead: the
-eigenvectors of each invariant block of the real W, mapped back by T^-1,
-and their duals. They share nothing with :func:`evolve` but the
-superoperator, the Hermitian basis and the invariant blocks (exact
-similarities), and serve as the oracle that the invariant checks compare
-it with.
+:func:`diagonalize` and :func:`propagate` sum eigenmodes instead: each
+invariant block's eigenvectors R and duals R^-1, kept in the Hermitian
+basis. They share nothing with :func:`evolve` but the superoperator, the
+Hermitian basis, the invariant blocks (exact similarities) and the gather
+:func:`_from_hermitian` back to states, and serve as the oracle that the
+invariant checks compare it with.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -116,74 +115,69 @@ GATHER_ROWS = 16
 HERMITICITY_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class EigenPropagator:
-    """Full eigensystem of one superoperator, one invariant block after the
-    other: ``mode_blocks`` holds the block of each mode."""
+class BlockModes(NamedTuple):
+    """Eigensystem of one invariant block of W: its Hermitian-basis
+    coordinates, its eigenvalues, the right eigenvector matrix R and R^-1."""
 
+    index: np.ndarray
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    dual_vectors: np.ndarray
+    right: np.ndarray
+    inverse: np.ndarray
+
+
+class EigenPropagator(NamedTuple):
+    """Eigensystem of one generator: T, the eigenvalues of all blocks, the
+    :class:`BlockModes` of each and the largest biorthonormality residual."""
+
+    t: sp.csr_array
+    eigenvalues: np.ndarray
+    blocks: tuple
     biorthonormality_residual: float
-    mode_blocks: np.ndarray
 
 
-def diagonalize(v):
-    """Eigendecompose a superoperator (dense or sparse, or its
-    :class:`Prepared` record) and build its dual basis.
+def diagonalize(prepared):
+    """Eigendecompose each invariant block of a :class:`Prepared` generator
+    on its own, in the Hermitian basis.
 
-    Each invariant block of the real W of :func:`prepare` is decomposed on
-    its own; its right vectors R come back as T^-1 R and its duals
-    D = R^-1 as D T, so that modes of different blocks share no
-    coordinate. Duals come from inverting the right-eigenvector matrix,
-    which enforces biorthonormality directly; the largest residual over the
-    blocks measures how far from defective the generator is. A generator
-    refused by :func:`_real_form`, a failed decomposition or a singular
-    eigenvector matrix raises :class:`NumericalError`.
+    Duals come from inverting each block's right-eigenvector matrix, which
+    enforces biorthonormality directly; the largest residual over the
+    blocks measures how far from defective the generator is. A failed
+    decomposition or a singular eigenvector matrix raises
+    :class:`NumericalError`.
     """
-    prepared = prepare(v)
-    t, t_inv = prepared.form.t, prepared.form.t_inv
-    dim = t.shape[0]
-    eigenvalues = np.empty(dim, dtype=complex)
-    right = np.zeros((dim, dim), dtype=complex)
-    dual = np.zeros((dim, dim), dtype=complex)
-    mode_blocks = np.empty(dim, dtype=int)
+    blocks = []
     residual = 0.0
-    start = 0
-    for k, block in enumerate(prepared.blocks):
+    for block in prepared.blocks:
         try:
             values, vectors = np.linalg.eig(block.w.toarray())
             inverse = np.linalg.inv(vectors)
         except np.linalg.LinAlgError as err:
             raise NumericalError(
                 f"superoperator eigendecomposition failed: {err}") from err
-        modes = slice(start, start + values.size)
-        eigenvalues[modes] = values
-        right[:, modes] = t_inv[:, block.index] @ vectors
-        dual[modes] = inverse @ t[block.index]
-        mode_blocks[modes] = k
+        blocks.append(BlockModes(block.index, values, vectors, inverse))
         residual = max(residual, float(np.max(np.abs(
             inverse @ vectors - np.eye(values.size)))))
-        start = modes.stop
-    return EigenPropagator(eigenvalues=eigenvalues, right_vectors=right,
-                           dual_vectors=dual, biorthonormality_residual=residual,
-                           mode_blocks=mode_blocks)
+    eigenvalues = np.concatenate([block.eigenvalues for block in blocks])
+    return EigenPropagator(prepared.t, eigenvalues, tuple(blocks), residual)
 
 
 def propagate(rho0, ep, times):
     """rho0 evolved to ``times`` (ps) as a sum over eigenmodes: one state for
-    a scalar time, a stack of states for an array of times. Only the modes
-    of invariant blocks with a nonzero coefficient are summed; a block the
-    state does not occupy has coefficients of exactly 0."""
+    a scalar time, a stack of states for an array of times. Only the blocks
+    where R^-1 T vec(rho0) is nonzero are summed, and the coordinates are
+    gathered back as :func:`evolve` gathers them."""
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError(f"propagation times must be nonnegative, got {times}")
-    dim = rho0.shape[0]
-    c = ep.dual_vectors @ rho0.reshape(-1, order="F")
-    kept = np.isin(ep.mode_blocks, ep.mode_blocks[c != 0])
-    vecs = ep.right_vectors[:, kept] @ (
-        c[kept, None] * np.exp(np.outer(ep.eigenvalues[kept], times)))
-    return vecs.T.reshape(times.shape + (dim, dim)).swapaxes(-1, -2)
+    y = ep.t @ rho0.reshape(-1, order="F").astype(complex)
+    vecs = np.zeros((times.size, y.size), dtype=complex)
+    for block in ep.blocks:
+        c = block.inverse @ y[block.index]
+        if np.any(c):
+            vecs[:, block.index] = (block.right @ (c[:, None] * np.exp(
+                np.outer(block.eigenvalues, times)))).T
+    _from_hermitian(vecs)
+    return vecs.reshape(times.shape + rho0.shape).swapaxes(-1, -2)
 
 
 def _one_norm(m):
@@ -192,18 +186,9 @@ def _one_norm(m):
         return float(abs(m).sum(axis=0).max())
 
 
-class RealForm(NamedTuple):
-    """A generator V in the Hermitian basis of :func:`_hermitian_basis`:
-    the real W = T V T^-1, with T and T^-1."""
-
-    w: sp.csr_array
-    t: sp.csr_array
-    t_inv: sp.csr_array
-
-
 def _real_form(v):
-    """The :class:`RealForm` of a CSR generator, refused when its entries
-    are not finite or when it does not preserve Hermiticity beyond
+    """The real W = T V T^-1 of a CSR generator V, and T, refused when V's
+    entries are not finite or when it does not preserve Hermiticity beyond
     rounding. W has sorted indices, so that abs() in :func:`_one_norm`
     permutes none of its entries; V itself is only read."""
     if not np.all(np.isfinite(v.data)):
@@ -216,7 +201,7 @@ def _real_form(v):
         raise NumericalError("the generator does not preserve Hermiticity")
     w = w.real
     w.sum_duplicates()
-    return RealForm(w, t, t_inv)
+    return w, t
 
 
 class Shifted(NamedTuple):
@@ -249,11 +234,11 @@ class Block(NamedTuple):
 
 class Prepared(NamedTuple):
     """A generator made ready for :func:`evolve` and :func:`diagonalize`:
-    its :class:`RealForm`, the :class:`Shifted` form of the whole W, which
+    the Hermitian basis T, the :class:`Shifted` form of the whole W, which
     picks the stepper, and the invariant blocks of W (each a
     :class:`Block`), in the order of their first coordinate."""
 
-    form: RealForm
+    t: sp.csr_array
     shifted: Shifted
     blocks: tuple
 
@@ -282,17 +267,14 @@ def _components(w):
 
 
 def prepare(v):
-    """The :class:`Prepared` record of a generator, dense or sparse; a
-    record is returned as it is. A generator refused by :func:`_real_form`
-    raises :class:`NumericalError`."""
-    if isinstance(v, Prepared):
-        return v
-    form = _real_form(sp.csr_array(v))
+    """The :class:`Prepared` record of a generator, dense or sparse. A
+    generator refused by :func:`_real_form` raises :class:`NumericalError`."""
+    w, t = _real_form(sp.csr_array(v))
     blocks = []
-    for index in _components(form.w):
-        w = form.w[index][:, index]
-        blocks.append(Block(index, w, _shift(w)))
-    return Prepared(form, _shift(form.w), tuple(blocks))
+    for index in _components(w):
+        w_block = w[index][:, index]
+        blocks.append(Block(index, w_block, _shift(w_block)))
+    return Prepared(t, _shift(w), tuple(blocks))
 
 
 def _equal_step_runs(times):
@@ -347,8 +329,8 @@ def _taylor_terms(a, z, span, terms):
 def _taylor_steps(shifted, x, times, out):
     """Fill ``out`` with the Hermitian-basis coordinates at ``times``, one
     row per time, by truncated Taylor series of the :class:`Shifted`
-    generator (Al-Mohy & Higham 2011, Alg. 5.2), and return it; ``x`` is
-    one real column or several.
+    generator (Al-Mohy & Higham 2011, Alg. 5.2) applied to the real vector
+    ``x``, and return it.
 
     Each run of ``count`` equal steps h takes one (m*, s) for its span
     count h. Output steps are cut into ceil(s / count) sub-steps when
@@ -371,15 +353,14 @@ def _taylor_steps(shifted, x, times, out):
         q = count * sub
         block = q // s
         delta = h / sub
-        terms = np.empty((m_star + 1,) + x.shape)
+        terms = np.empty((m_star + 1, x.size))
         for start in range(0, q, block):
             d = min(block, q - start)
             k = np.arange(1, d + 1)
             used = _taylor_terms(a, x, d * delta, terms)
             weights = (k / d)[:, None] ** np.arange(len(used))
-            ys = weights @ used.reshape(len(used), -1)
+            ys = weights @ used
             ys *= np.exp(k * delta * mu)[:, None]
-            ys = ys.reshape((d,) + x.shape)
             x = ys[-1]
             # blocks hold whole output steps (sub = 1) or, as q < 2 s then,
             # one sub-step each, kept when it ends an output step
@@ -477,8 +458,8 @@ def _from_hermitian(vecs):
 def _dense_steps(w, x, times, out):
     """Fill ``out`` with the Hermitian-basis coordinates at ``times``, one
     row per time, and return it: one real exp(W h) per run of equal steps
-    h, applied by dense matrix-vector products to ``x``, one real column or
-    several. A step with log2 ||W h||_1 above MAX_LOG2_STEP_NORM is refused
+    h, applied by dense matrix-vector products to the real vector ``x``. A
+    step with log2 ||W h||_1 above MAX_LOG2_STEP_NORM is refused
     before any dense work."""
     runs = _equal_step_runs(times)
     step_norm = _one_norm(w) * max(h for h, _ in runs)
@@ -500,44 +481,39 @@ def _dense_steps(w, x, times, out):
     return out
 
 
-def evolve(rho0, v, times):
+def evolve(rho0, prepared, times):
     """States exp(V t) rho0 at each of ``times`` (ps, nondecreasing, >= 0),
-    for a generator V or its :class:`Prepared` record ``v``.
+    for the :class:`Prepared` record of a generator V.
 
-    Returns ``(states, used_dense)``: an array of shape (len(times), d, d)
-    and whether the propagated invariant blocks took dense steps. Uniform
-    grids with a shorter last step, grids starting after 0 and single times
-    all work; each run of equal steps is advanced together. Non-finite
-    generators or states, and generators that do not preserve Hermiticity,
-    raise :class:`NumericalError`.
+    Returns ``(states, used_dense)``: exactly Hermitian states of shape
+    (len(times), d, d), and whether the propagated invariant blocks took
+    dense steps. Uniform grids with a shorter last step, grids starting
+    after 0 and single times all work; each run of equal steps is advanced
+    together. A rho0 that is not exactly Hermitian raises ValueError;
+    non-finite generators or states raise :class:`NumericalError`.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("evolve needs a nonempty nondecreasing grid from t >= 0")
-    prepared = prepare(v)
     if not math.isfinite(prepared.shifted.norm):
         raise NumericalError("the superoperator's 1-norm is not finite")
-    y = prepared.form.t @ rho0.reshape(-1, order="F").astype(complex)
-    # the steppers' rows go into the stack that then holds the states: its
-    # real parts when T vec(rho0) is real, as it is exactly for a Hermitian
-    # rho0, else its real and imaginary parts as two columns
-    vecs = np.zeros((times.size, y.size), dtype=complex)
+    y = prepared.t @ rho0.reshape(-1, order="F").astype(complex)
     if np.any(y.imag):
-        x = y.view(float).reshape(-1, 2)
-        coordinates = vecs.view(float).reshape(times.size, -1, 2)
-    else:
-        x, coordinates = y.real, vecs.real
+        raise ValueError("evolve propagates exactly Hermitian states only")
+    # the steppers' rows go into the real parts of the stack that then
+    # holds the states
+    vecs = np.zeros((times.size, y.size), dtype=complex)
     used_dense = is_stiff(prepared.shifted, times[-1])
     for block in prepared.blocks:
-        x0 = x[block.index]
+        x0 = y.real[block.index]
         if not np.any(x0):
             continue  # an invariant block that starts at 0 stays at 0
-        rows = np.empty((times.size,) + x0.shape)
+        rows = np.empty((times.size, x0.size))
         if used_dense:
             _dense_steps(block.w, x0, times, rows)
         else:
             _taylor_steps(block.shifted, x0, times, rows)
-        coordinates[:, block.index] = rows
+        vecs.real[:, block.index] = rows
     _from_hermitian(vecs)
     if not np.all(np.isfinite(vecs)):
         raise NumericalError("propagated states are not finite")

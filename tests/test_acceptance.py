@@ -23,7 +23,7 @@ from spinheat.hyperfine import (ELECTRON_DN, ELECTRON_UP, CouplingProfile,
                                 initial_collective_state, pulse_feasibility,
                                 sector_oracle, state_from_terms,
                                 verified_erasure_step)
-from spinheat.propagator import diagonalize, propagate
+from spinheat.propagator import diagonalize, prepare, propagate
 
 SIGMA_NM = 5.0
 
@@ -91,7 +91,7 @@ def reduced_sets():
                                       gamma_ph_energy=gamma_ph)
             start = time.perf_counter()
             _, v = stage_machinery(heat_extraction_stage(cfg), cfg)
-            ep = diagonalize(v)
+            ep = diagonalize(prepare(v))
             rho0 = initial_state(cfg)
             times, direct = integrate_direct(rho0, v, cfg.stage1_duration,
                                              grid_dt=cfg.grid_dt)

@@ -1,15 +1,23 @@
 """Config resolution and CLI artifact contracts."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spinheat
+import spinheat.config as config_module
 from spinheat.cli import main
 from spinheat.constants import HBAR
 from spinheat.config import (MAX_GRID_BYTES, parameter_table, parse_config,
@@ -359,6 +367,32 @@ class TestErasureCommand:
         assert err.startswith("config error:")
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore")
+    def test_overflowing_pulse_phases_exit_2(self, tmp_path, capsys):
+        # the rates are finite, but rates times the pulse duration is not
+        assert main(["erasure", "--out", str(tmp_path),
+                     "--set", "suppression_phi_tau_sigma=1.7e308",
+                     "--set", "pulse_duration_ps=1e30"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+
+    @pytest.mark.parametrize("overrides", [
+        ("wire_radius_nm=1.7e308", "standoff_nm=1.7e308"),
+        ("sigma_nm=1e30", "pulse_gradient_T_per_nm=1e300"),
+        ("pulse_gradient_T_per_nm=1e-320", "pulse_duration_ns=1.7e308"),
+    ], ids=["distance", "suppression", "vanishing-gradient"])
+    def test_non_finite_feasibility_exits_2(self, tmp_path, capsys,
+                                            overrides):
+        # Python float products overflow to inf, and inf times a gradient
+        # that underflows gives NaN, without raising
+        argv = ["erasure", "--out", str(tmp_path)]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert not (tmp_path / "erasure_summary.json").exists()
+
     def test_jitter_is_seeded(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -554,3 +588,70 @@ def test_cli_import_leaves_out_scipy_integrate(tmp_path):
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "[]"
     assert lines[-1] == "0 []"
+
+
+def _refuse_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+# the float keys of both tables; int and choice keys parse no such value
+EXTREME_KEYS = {
+    table: tuple(name for name, spec in parameter_table(table).items()
+                 if spec.value_type is float)
+    for table in ("stage1", "erasure")}
+EXTREME_BASE = {
+    "stage1": ("n_levels=3", "stage1_duration_ps=1"),
+    "cycle": ("n_levels=3", "stage1_duration_ps=1"),
+    "erasure": ("nucleus_count=4",),
+}
+# magnitudes from 1e-320 to 1.7e308, spread evenly over the decades, of
+# either sign
+EXTREME_VALUES = st.builds(
+    lambda mantissa, exponent, sign: sign * min(
+        max(mantissa * 10.0**exponent, 1e-320), 1.7e308),
+    st.floats(1.0, 10.0, exclude_max=True), st.integers(-320, 308),
+    st.sampled_from((1.0, -1.0)))
+
+
+def _extreme_runs():
+    def assignments(kind):
+        keys = EXTREME_KEYS["erasure" if kind == "erasure" else "stage1"]
+        return st.tuples(st.just(kind), st.lists(
+            st.tuples(st.sampled_from(keys), EXTREME_VALUES),
+            min_size=1, max_size=2).map(tuple))
+    return st.sampled_from(tuple(EXTREME_BASE)).flatmap(assignments)
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(run=_extreme_runs())
+@example(run=("erasure", (("suppression_phi_tau_sigma", 1.7e308),
+                          ("pulse_duration_ps", 1e30))))
+@example(run=("erasure", (("wire_radius_nm", 1.7e308),
+                          ("standoff_nm", 1.7e308))))
+@example(run=("erasure", (("sigma_nm", 1e30),
+                          ("pulse_gradient_T_per_nm", 1e300))))
+@example(run=("erasure", (("pulse_gradient_T_per_nm", 1e-320),
+                          ("pulse_duration_ns", 1.7e308))))
+def test_extreme_values_map_to_an_exit_code(run):
+    """Any value of one or two keys exits 0, 2, 3 or 4, never with a
+    traceback, and an exit 0 leaves a strict-JSON summary. Every grid is
+    held to 16 MB, so that a drawn grid size or pi time exits 2 before it
+    allocates much."""
+    kind, assignments = run
+    argv = [kind]
+    for override in EXTREME_BASE[kind] + tuple(
+            f"{key}={value!r}" for key, value in assignments):
+        argv += ["--set", override]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(config_module, "MAX_GRID_BYTES", 2**24), \
+            contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", out])
+        summaries = [path.read_text()
+                     for path in pathlib.Path(out).glob("*_summary.json")]
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert len(summaries) == 1
+        json.loads(summaries[0], parse_constant=_refuse_constant)

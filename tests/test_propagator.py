@@ -62,55 +62,77 @@ def initial_state(n_c, temperature=60.0):
     return embed(level_projector(IDX_UP), thermal_state(OMEGA1, temperature, n_c))
 
 
+def mode_vectors(ep):
+    """The oracle's right eigenvectors mapped back by T^-1: one
+    column-stacked matrix per row, in the order of ``ep.eigenvalues``."""
+    dim = ep.t.shape[0]
+    modes = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for block in ep.blocks:
+        modes[start:start + block.eigenvalues.size, block.index] = block.right.T
+        start += block.eigenvalues.size
+    return _from_hermitian(modes)
+
+
 def test_diagonal_superoperator_is_its_own_eigenbasis():
     # the generator of a d = 2 system scaling rho_11 by -1 and the
     # coherences by -2 -+ 3i: diagonal and Hermiticity-preserving
     v = np.diag([0.0, -2.0 + 3.0j, -2.0 - 3.0j, -1.0])
-    ep = diagonalize(v)
+    ep = diagonalize(prepare(v))
     assert np.allclose(sorted(ep.eigenvalues, key=lambda z: (-z.real, -z.imag)),
                        [0.0, -1.0, -2.0 + 3.0j, -2.0 - 3.0j])
-    # eigenvectors and duals are the standard basis up to phase
-    overlap = np.abs(ep.dual_vectors @ ep.right_vectors)
-    assert np.allclose(overlap, np.eye(4), atol=1e-12)
+    # rho_00, the coherence pair (Im rho_01, Re rho_01) and rho_11
+    assert [block.index.tolist() for block in ep.blocks] == [[0], [1, 2], [3]]
+    for block in ep.blocks:
+        assert np.allclose(block.inverse @ block.right,
+                           np.eye(block.index.size), atol=1e-12)
+    # mapped back, each mode is a standard basis matrix up to phase and
+    # scale, the one that v scales by the mode's eigenvalue
+    modes = mode_vectors(ep)
+    overlap = np.abs(modes) / np.linalg.norm(modes, axis=1)[:, None]
+    assert np.allclose(np.sort(overlap, axis=1), [[0, 0, 0, 1]] * 4,
+                       atol=1e-12)
+    assert np.allclose(np.diag(v)[np.argmax(overlap, axis=1)], ep.eigenvalues)
 
 
 def test_biorthonormality_at_production_parameters():
     v, _ = stage1_superoperator(8)
-    ep = diagonalize(v)
+    ep = diagonalize(prepare(v))
     assert ep.biorthonormality_residual <= 1e-8
-    gram = ep.dual_vectors @ ep.right_vectors
-    assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-8
+    for block in ep.blocks:
+        gram = block.inverse @ block.right
+        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-8
 
 
 def test_spectrum_in_left_half_plane():
     v, _ = stage1_superoperator(6, gamma_ph_mev=0.1)
-    ep = diagonalize(v)
+    ep = diagonalize(prepare(v))
     assert np.max(ep.eigenvalues.real) <= 1e-8
 
 
 def test_unique_stationary_direction():
     v, _ = stage1_superoperator(4, gamma_ph_mev=0.1)
-    ep = diagonalize(v)
+    ep = diagonalize(prepare(v))
     assert int(np.sum(np.abs(ep.eigenvalues) <= 1e-8)) == 1
 
 
 def test_propagate_identity_at_time_zero():
     v, _ = stage1_superoperator(5)
-    ep = diagonalize(v)
+    ep = diagonalize(prepare(v))
     rho0 = initial_state(5)
     assert np.max(np.abs(propagate(rho0, ep, 0.0) - rho0)) < 1e-10
 
 
 def test_propagate_rejects_negative_time():
     v, _ = stage1_superoperator(4)
-    ep = diagonalize(v)
+    ep = diagonalize(prepare(v))
     with pytest.raises(ValueError):
         propagate(initial_state(4), ep, -1.0)
 
 
 def test_propagate_preserves_trace():
     v, _ = stage1_superoperator(6)
-    ep = diagonalize(v)
+    ep = diagonalize(prepare(v))
     rho0 = initial_state(6)
     for t in np.linspace(0.0, 20.0, 11):
         assert np.trace(propagate(rho0, ep, t)).real == pytest.approx(1.0, abs=1e-9)
@@ -118,7 +140,7 @@ def test_propagate_preserves_trace():
 
 def test_propagate_stacks_states_for_an_array_of_times():
     v, _ = stage1_superoperator(4)
-    ep = diagonalize(v)
+    ep = diagonalize(prepare(v))
     rho0 = initial_state(4)
     times = np.array([0.0, 0.7, 3.1])
     stacked = propagate(rho0, ep, times)
@@ -129,13 +151,17 @@ def test_propagate_stacks_states_for_an_array_of_times():
 
 def test_completeness_reconstructs_random_state():
     v, _ = stage1_superoperator(4)
-    ep = diagonalize(v)
+    ep = diagonalize(prepare(v))
     rng = np.random.default_rng(23)
     m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     rho = m @ m.conj().T
     rho /= np.trace(rho)
-    c = ep.dual_vectors @ rho.reshape(-1, order="F")
-    recon = (ep.right_vectors @ c).reshape(12, 12, order="F")
+    y = ep.t @ column_stacked(rho)
+    coordinates = np.zeros((1, y.size), dtype=complex)
+    for block in ep.blocks:
+        coordinates[0, block.index] = block.right @ (
+            block.inverse @ y[block.index])
+    recon = _from_hermitian(coordinates)[0].reshape(12, 12, order="F")
     assert np.max(np.abs(recon - rho)) < 1e-8
 
 
@@ -164,7 +190,7 @@ def test_direct_integrator_rabi_period():
 def test_propagate_matches_direct_integration():
     # The module's central cross-oracle check.
     v, _ = stage1_superoperator(8)
-    ep = diagonalize(v)
+    ep = diagonalize(prepare(v))
     rho0 = initial_state(8)
     times, states = integrate_direct(rho0, v, 20.0, tol=1e-10, grid_dt=0.5)
     worst = max(np.max(np.abs(propagate(rho0, ep, t) - s))
@@ -174,10 +200,10 @@ def test_propagate_matches_direct_integration():
 
 def test_stationary_state_invariant_under_direct_integration():
     v, _ = stage1_superoperator(4, gamma_ph_mev=0.1)
-    ep = diagonalize(v)
+    ep = diagonalize(prepare(v))
     k = int(np.argmin(np.abs(ep.eigenvalues)))
     dim = 12
-    rho_ss = ep.right_vectors[:, k].reshape(dim, dim, order="F")
+    rho_ss = mode_vectors(ep)[k].reshape(dim, dim, order="F")
     rho_ss = (rho_ss + rho_ss.conj().T) / 2
     rho_ss /= np.trace(rho_ss).real
     _, states = integrate_direct(rho_ss, v, 50.0, tol=1e-10, grid_dt=10.0)
@@ -194,7 +220,7 @@ GRID_IDS = ["stage1", "short-last-step", "pi-candidates"]
 
 def eigenmode_vectors(rho0, v, times):
     """Oracle states at ``times``, column-stacked as the steppers return them."""
-    states = propagate(rho0, diagonalize(v), times)
+    states = propagate(rho0, diagonalize(prepare(v)), times)
     return states.transpose(0, 2, 1).reshape(times.size, -1)
 
 
@@ -205,10 +231,10 @@ def test_evolve_matches_eigenmode_propagation(times, dense):
     # Taylor steps
     v, _ = stage1_superoperator(6)
     rho0 = initial_state(6)
-    states, used_dense = evolve(rho0, v, times)
+    states, used_dense = evolve(rho0, prepare(v), times)
     assert used_dense is dense
     assert states.shape == (times.size, 18, 18)
-    assert np.max(np.abs(states - propagate(rho0, diagonalize(v), times))) <= 1e-10
+    assert np.max(np.abs(states - propagate(rho0, diagonalize(prepare(v)), times))) <= 1e-10
 
 
 def column_stacked(rho):
@@ -216,12 +242,12 @@ def column_stacked(rho):
 
 
 def real_stepping(v, rho0):
-    """The real form of ``v`` and the Hermitian-basis coordinates of a
-    Hermitian ``rho0``, as the steppers take them."""
-    form = _real_form(sp.csr_array(v))
-    y = form.t @ column_stacked(rho0)
+    """The real generator W of ``v`` and the Hermitian-basis coordinates of
+    a Hermitian ``rho0``, as the steppers take them."""
+    w, t = _real_form(sp.csr_array(v))
+    y = t @ column_stacked(rho0)
     assert not np.any(y.imag)
-    return form, y.real
+    return w, y.real
 
 
 def rows_for(times, y):
@@ -239,11 +265,11 @@ def vectors(coordinates):
 def test_steppers_match_eigenmode_propagation(times, stepper):
     v, _ = stage1_superoperator(6)
     rho0 = initial_state(6)
-    form, y = real_stepping(v, rho0)
+    w, y = real_stepping(v, rho0)
     if stepper == "taylor":
-        ys = _taylor_steps(_shift(form.w), y, times, rows_for(times, y))
+        ys = _taylor_steps(_shift(w), y, times, rows_for(times, y))
     else:
-        ys = _dense_steps(form.w, y, times, rows_for(times, y))
+        ys = _dense_steps(w, y, times, rows_for(times, y))
     vecs = vectors(ys)
     assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
 
@@ -256,8 +282,8 @@ def test_steppers_match_eigenmode_propagation(times, stepper):
 def test_taylor_steps_match_eigenmode_propagation_off_the_stage_grid(times):
     v, _ = stage1_superoperator(6)
     rho0 = initial_state(6)
-    form, y = real_stepping(v, rho0)
-    shifted = _shift(form.w)
+    w, y = real_stepping(v, rho0)
+    shifted = _shift(w)
     # the first output step needs several blocks: it is cut into sub-steps
     steps = np.diff(times, prepend=0.0)
     assert _taylor_parameters(steps[steps > 0][0] * shifted.norm)[1] > 1
@@ -269,16 +295,16 @@ def test_taylor_steps_under_zero_generator_match_eigenmode_propagation():
     rho0 = initial_state(3)
     v = sp.csr_array((81, 81), dtype=complex)
     times = np.array([0.0, 0.5, 2.0])
-    form, y = real_stepping(v, rho0)
-    vecs = vectors(_taylor_steps(_shift(form.w), y, times,
+    w, y = real_stepping(v, rho0)
+    vecs = vectors(_taylor_steps(_shift(w), y, times,
                                  rows_for(times, y)))
     assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
 
 
 def test_taylor_steps_are_bitwise_repeatable():
     v, _ = stage1_superoperator(6)
-    form, y = real_stepping(v, initial_state(6))
-    shifted = _shift(form.w)
+    w, y = real_stepping(v, initial_state(6))
+    shifted = _shift(w)
     first = _taylor_steps(shifted, y, GRIDS[0], rows_for(GRIDS[0], y))
     assert np.array_equal(
         first, _taylor_steps(shifted, y, GRIDS[0], rows_for(GRIDS[0], y)))
@@ -349,29 +375,62 @@ def test_hermitian_basis_makes_states_and_liouvillians_real():
     v, _ = stage1_superoperator(3, gamma_ph_mev=0.1)
     w = (t @ v @ t_inv).toarray()
     assert np.max(np.abs(w.imag)) <= 1e-15 * np.max(np.abs(w.real))
+    # the gather that evolve and the oracle share, at the check sizes
+    # (n_levels 6 and 8)
+    for dim in (18, 24):
+        _, t_inv = _hermitian_basis(dim)
+        shape = (3, dim * dim)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(_from_hermitian(stack.copy()),
+                              (t_inv @ stack.T).T)
+
+
+def one_ulp_off_hermitian(n_c):
+    """The initial state with coherences, one of which misses the conjugate
+    of its partner by one ulp."""
+    rho = initial_state(n_c) + 0.25 * (np.eye(3 * n_c, k=1)
+                                       + np.eye(3 * n_c, k=-1))
+    rho[0, 1] = np.nextafter(rho[0, 1].real, 1.0)
+    return rho
+
+
+def random_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("rho0", [
+    random_matrix(12, 11),
+    one_ulp_off_hermitian(4),
+    np.full((12, 12), np.nan + 0j),
+], ids=["random", "one-ulp", "nan"])
+def test_evolve_refuses_a_non_hermitian_state(rho0):
+    v, _ = stage1_superoperator(4)
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve(rho0, prepare(v), GRIDS[1])
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["taylor", "dense"])
-def test_evolve_propagates_a_non_hermitian_state(monkeypatch, dense):
-    # both steppers act on the real and imaginary parts of T x as two columns
+def test_evolve_returns_exactly_hermitian_states(monkeypatch, dense):
+    # sampling reads one triangle of each state, and the switch state is
+    # the next stage's start: both rely on exact Hermiticity
     import spinheat.propagator as propagator_module
     monkeypatch.setattr(propagator_module, "is_stiff",
                         lambda shifted, t_span: dense)
-    v, _ = stage1_superoperator(4)
-    rng = np.random.default_rng(11)
-    rho0 = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    times = GRIDS[1]
-    states, used_dense = evolve(rho0, v, times)
-    assert used_dense is dense
-    assert np.max(np.abs(states - propagate(rho0, diagonalize(v), times))) <= 1e-10
+    v1, _ = stage_generator("heat_extraction", 5)
+    states1, _ = evolve(initial_state(5), prepare(v1), GRIDS[0])
+    v2, _ = stage_generator("work_output", 5)
+    states2, _ = evolve(states1[195], prepare(v2), GRIDS[2])  # t = 9.75 ps
+    for states in (states1, states2):
+        assert np.array_equal(states, states.conj().swapaxes(-1, -2))
 
 
 # evolve on the stage-1 grid at n_levels=6 takes dense steps, on the short
 # grid Taylor steps (test_evolve_matches_eigenmode_propagation)
 GENERATOR_USES = [
-    lambda v: evolve(initial_state(6), v, GRIDS[1]),
-    lambda v: evolve(initial_state(6), v, GRIDS[0]),
-    diagonalize,
+    lambda v: evolve(initial_state(6), prepare(v), GRIDS[1]),
+    lambda v: evolve(initial_state(6), prepare(v), GRIDS[0]),
+    lambda v: diagonalize(prepare(v)),
 ]
 GENERATOR_USE_IDS = ["taylor", "dense", "diagonalize"]
 
@@ -397,10 +456,10 @@ def test_evolve_stiff_branch_matches_eigenmode_propagation():
     v, _ = stage1_superoperator(4, gamma_ph_mev=30.0)
     rho0 = initial_state(4)
     times = np.arange(0.0, 2.0 + 0.025, 0.05)
-    assert is_stiff(_shift(_real_form(v).w), times[-1])
-    states, used_dense = evolve(rho0, v, times)
+    assert is_stiff(prepare(v).shifted, times[-1])
+    states, used_dense = evolve(rho0, prepare(v), times)
     assert used_dense
-    ep = diagonalize(v)
+    ep = diagonalize(prepare(v))
     assert np.max(np.abs(states[-1] - propagate(rho0, ep, times[-1]))) <= 1e-10
 
 
@@ -409,14 +468,14 @@ def test_default_stage_branch(gamma_ph, stiff):
     cfg = to_engine_config(parse_config(
         "stage1", overrides=[f"gamma_ph_meV={gamma_ph}"]))
     _, v = stage_machinery(heat_extraction_stage(cfg), cfg)
-    assert is_stiff(_shift(_real_form(v).w), cfg.stage1_duration) is stiff
+    assert is_stiff(prepare(v).shifted, cfg.stage1_duration) is stiff
 
 
 def test_evolve_rejects_non_finite_generator():
     v, _ = stage1_superoperator(3)
     v.data[0] = np.nan
     with pytest.raises(NumericalError):
-        evolve(initial_state(3), v, [0.0, 1.0])
+        evolve(initial_state(3), prepare(v), [0.0, 1.0])
 
 
 def test_dense_steps_refuse_an_oversized_step_before_expm(monkeypatch):
@@ -427,10 +486,10 @@ def test_dense_steps_refuse_an_oversized_step_before_expm(monkeypatch):
 
     monkeypatch.setattr(propagator_module, "expm", unreachable)
     v, _ = stage1_superoperator(3)
-    form, y = real_stepping(v, initial_state(3))
-    h = 2.0**(MAX_LOG2_STEP_NORM + 1) / _one_norm(form.w)
+    w, y = real_stepping(v, initial_state(3))
+    h = 2.0**(MAX_LOG2_STEP_NORM + 1) / _one_norm(w)
     with pytest.raises(NumericalError, match="beyond 2"):
-        _dense_steps(form.w, y, np.array([0.0, h]), np.empty((2, y.size)))
+        _dense_steps(w, y, np.array([0.0, h]), np.empty((2, y.size)))
 
 
 def test_evolve_rejects_non_finite_states(monkeypatch):
@@ -439,7 +498,7 @@ def test_evolve_rejects_non_finite_states(monkeypatch):
                         lambda shifted, x, times, out: out.fill(np.nan))
     v, _ = stage1_superoperator(3)
     with pytest.raises(NumericalError, match="not finite"):
-        evolve(initial_state(3), v, [0.0, 0.1])
+        evolve(initial_state(3), prepare(v), [0.0, 0.1])
 
 
 def stage_generator(stage_id, n_levels):
@@ -473,7 +532,7 @@ def test_blocks_are_the_selection_rule_sets(stage_id, n_levels):
     assert np.array_equal(coherence, np.flatnonzero(coherences))
     assert (population.size, coherence.size) == (5 * n_levels**2,
                                                  4 * n_levels**2)
-    w = prepared.form.w
+    w, _ = _real_form(sp.csr_array(v))
     assert not np.any(w[population][:, coherence].data)
     assert not np.any(w[coherence][:, population].data)
 
@@ -485,14 +544,17 @@ def test_stage1_stays_in_its_block(monkeypatch, dense):
                         lambda shifted, t_span: dense)
     v, stage = stage_generator("heat_extraction", 6)
     rho0 = initial_state(6)
-    states, _ = evolve(rho0, v, GRIDS[0])
+    prepared = prepare(v)
+    states, _ = evolve(rho0, prepared, GRIDS[0])
     outside = coherence_block(stage, 6).reshape(18, 18, order="F")
     assert np.all(states[:, outside] == 0.0)
     # the oracle's coefficients of the coherence block are exactly 0 too
-    ep = diagonalize(v)
-    c = ep.dual_vectors @ column_stacked(rho0)
-    assert np.all(c[ep.mode_blocks == 1] == 0.0)
-    assert np.all(c[ep.mode_blocks == 0] != 0.0)
+    ep = diagonalize(prepared)
+    y = ep.t @ column_stacked(rho0)
+    population, coherence = (block.inverse @ y[block.index]
+                             for block in ep.blocks)
+    assert np.all(coherence == 0.0)
+    assert np.all(population != 0.0)
 
 
 @pytest.mark.parametrize("n_levels", [6, 10])
@@ -504,9 +566,9 @@ def test_restricted_taylor_steps_match_full_space_steps(monkeypatch,
     v, _ = stage1_superoperator(n_levels)
     rho0 = initial_state(n_levels)
     times = GRIDS[0]
-    form, y = real_stepping(v, rho0)
-    full = vectors(_taylor_steps(_shift(form.w), y, times, rows_for(times, y)))
-    states, used_dense = evolve(rho0, v, times)
+    w, y = real_stepping(v, rho0)
+    full = vectors(_taylor_steps(_shift(w), y, times, rows_for(times, y)))
+    states, used_dense = evolve(rho0, prepare(v), times)
     assert not used_dense
     restricted = states.transpose(0, 2, 1).reshape(times.size, -1)
     assert np.max(np.abs(restricted - full)) <= 1e-14
@@ -519,7 +581,7 @@ def test_switch_state_propagates_both_blocks():
     # coherence block (up is its undriven level): both blocks are stepped
     v1, _ = stage_generator("heat_extraction", 5)
     rho0 = initial_state(5)
-    rho_switch = evolve(rho0, v1, np.array([0.0, 9.75]))[0][-1]
+    rho_switch = evolve(rho0, prepare(v1), np.array([0.0, 9.75]))[0][-1]
     v2, stage2 = stage_generator("work_output", 5)
     prepared = prepare(v2)
     coherences = coherence_block(stage2, 5).reshape(15, 15, order="F")
