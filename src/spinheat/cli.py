@@ -48,8 +48,13 @@ def _write_csv(path, run_config, columns, rows):
         for line in _header_lines(run_config):
             handle.write(f"# {line}\n")
         handle.write("# columns: " + ",".join(columns) + "\n")
+        # "%.17g" formats a float as _format_value does, in one call per row
+        float_row = ",".join(["%.17g"] * len(columns)) + "\n"
         for row in rows:
-            handle.write(",".join(_format_value(v) for v in row) + "\n")
+            if all([isinstance(v, float) for v in row]):
+                handle.write(float_row % tuple(row))
+            else:
+                handle.write(",".join(_format_value(v) for v in row) + "\n")
 
 
 def _write_json(path, payload):

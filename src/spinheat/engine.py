@@ -40,8 +40,8 @@ import numpy as np
 from .constants import HBAR
 from .errors import ConfigError, PositivityError
 from .quantum_core import (
-    IDX_DN, IDX_UP, embed, expectation, level_projector, product_operators,
-    thermal_state,
+    IDX_DN, IDX_UP, IDX_X, N_ELECTRONIC, embed, expectation, level_projector,
+    product_operators, thermal_state,
 )
 from .liouvillian import (
     DissipationSpec, StageHamiltonianSpec, build_hamiltonian, build_superoperator,
@@ -206,6 +206,35 @@ def _stage_grid(duration, grid_dt):
     return times
 
 
+# States whose {up, X} x bath blocks _min_eigenvalues copies at a time
+EIGVALSH_ROWS = 64
+
+
+def _min_eigenvalues(states):
+    """Smallest eigenvalue of each state of an exactly Hermitian stack.
+    When no state holds a dn-{up, X} coherence, as in every stage-1 stack
+    (evolve leaves that invariant block at exactly 0), each state is block
+    diagonal, and the smaller of the smallest eigenvalues of its
+    {up, X} x bath and dn x bath blocks is its own; otherwise each whole
+    state is diagonalized. Product-space index m holds electronic level
+    m % N_ELECTRONIC."""
+    count, dim = states.shape[:2]
+    split = states.reshape(count, dim // N_ELECTRONIC, N_ELECTRONIC,
+                           dim // N_ELECTRONIC, N_ELECTRONIC)
+    rest = [IDX_UP, IDX_X]
+    if any(np.any(split[:, :, IDX_DN, :, x]) or np.any(split[:, :, x, :, IDX_DN])
+           for x in rest):
+        return np.linalg.eigvalsh(states)[:, 0]
+    lowest = np.linalg.eigvalsh(split[:, :, IDX_DN, :, IDX_DN])[:, 0]
+    size = len(rest) * dim // N_ELECTRONIC
+    for start in range(0, count, EIGVALSH_ROWS):
+        rows = split[start:start + EIGVALSH_ROWS, :, rest][..., rest]
+        np.minimum(lowest[start:start + EIGVALSH_ROWS],
+                   np.linalg.eigvalsh(rows.reshape(-1, size, size))[:, 0],
+                   out=lowest[start:start + EIGVALSH_ROWS])
+    return lowest
+
+
 def _sample(states, times, ops, occupation_ref, abort_threshold, used_dense):
     """Trajectory of a stack of exactly Hermitian states, as ``evolve``
     returns them (eigvalsh reads one triangle of each); a smallest
@@ -213,7 +242,7 @@ def _sample(states, times, ops, occupation_ref, abort_threshold, used_dense):
     rho_up, rho_dn, rho_xx, nbar, q1bar = (
         expectation(states, op).real
         for op in (ops.proj_up, ops.proj_dn, ops.proj_x, ops.number, ops.q1))
-    min_eig = np.linalg.eigvalsh(states)[:, 0]
+    min_eig = _min_eigenvalues(states)
     below = np.flatnonzero(min_eig < abort_threshold)
     if below.size:
         k = below[0]

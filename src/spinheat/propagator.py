@@ -30,6 +30,13 @@ only sparse matrix-vector products and costs in proportion to ||A||_1 t.
 Its Taylor degree and block count come from the exact 1-norm alone, which
 bounds ||A^p||^(1/p) from above for every p, so no norm estimate (and none
 of its random probes) is ever needed and repeated runs give the same bits.
+Each product is one direct call of scipy's CSR kernel, the one ``a @ x``
+ends in, into a preallocated row, so the terms carry the bits of
+``a @ x`` without its dispatch and allocation. The stopping test reads the
+norm of the partial sum only when it can pass against twice the running
+sum of the term norms, which bounds that norm up to rounding far below the
+factor 2, so the series is truncated at the term where a test that reads
+the norm at every term would truncate it.
 The other generators form exp(W h) of each block once per run with
 :func:`expm`, a Pade [13/13] approximant with scaling and squaring (Higham,
 SIAM J. Matrix Anal. Appl. 26, 1179, 2005) written in numpy, and step with
@@ -51,6 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import NumericalError
 
@@ -84,25 +92,27 @@ THETA13 = 5.371920351148152
 # stepping time of the real steppers on the whole generator (20 ps, 401
 # points; 2 cores, OpenBLAS 0.3.31), Taylor/dense in s, by n_levels and
 # gamma_ph in meV, with y = ||W - mu||_1 t_span / dim^3:
-#   4: 0.001 (y=1.1e-4) 0.029/0.006; 5: 0.001 (3.4e-5) 0.034/0.014, 0.1
-#   (4.3e-5) 0.030/0.013; 6: 0.001 (1.3e-5) 0.041/0.025, 0.1 (1.8e-5)
-#   0.036/0.028, 0.3 (4.0e-5) 0.090/0.026; 7: 0.001 (6.1e-6) 0.048/0.059,
-#   0.1 (8.7e-6) 0.041/0.068, 0.3 (2.0e-5) 0.10/0.061; 8: 0.001 (3.1e-6)
-#   0.068/0.12, 0.3 (1.1e-5) 0.21/0.13, 1 (3.4e-5) 0.45/0.13; 10: 0.3
-#   (4.0e-6) 0.29/0.42, 0.6 (7.6e-6) 0.53/0.45; 12: 1 (5.3e-6) 1.03/0.99,
-#   3 (1.6e-5) 2.9/0.94; 15: 0.3 (5.7e-7) 0.78/2.5, 1 (1.8e-6) 1.7/3.2,
-#   3 (5.4e-6) 5.0/3.2, 10 (1.8e-5) 16.7/3.6.
-# Break-even y falls with size: below 1.3e-5 at n_levels <= 6, about
-# 1.3e-5 at 7, 6e-6 at 8 and 10, 5e-6 at 12 and 3.3e-6 at 15. The
-# threshold, y = 9.1e-6, lies inside that band. Lowering it would gain at
-# n_levels >= 8 and lose at 7.
+#   4: 0.001 (y=1.1e-4) 0.015/0.007; 5: 0.001 (3.4e-5) 0.020/0.014, 0.1
+#   (4.3e-5) 0.017/0.014; 6: 0.001 (1.3e-5) 0.026/0.031, 0.1 (1.8e-5)
+#   0.022/0.028, 0.3 (4.0e-5) 0.057/0.031; 7: 0.001 (6.1e-6) 0.027/0.060,
+#   0.1 (8.7e-6) 0.029/0.055, 0.3 (2.0e-5) 0.064/0.081; 8: 0.001 (3.1e-6)
+#   0.043/0.13, 0.3 (1.1e-5) 0.14/0.19, 1 (3.4e-5) 0.32/0.18; 10: 0.3
+#   (4.0e-6) 0.18/0.38, 0.6 (7.6e-6) 0.35/0.49; 12: 1 (5.3e-6) 0.78/1.12,
+#   3 (1.6e-5) 2.0/0.90; 15: 0.3 (5.7e-7) 0.51/2.6, 1 (1.8e-6) 1.2/2.6,
+#   3 (5.4e-6) 3.8/3.1, 10 (1.8e-5) 12.7/3.8.
+# Break-even y falls with size: about 2e-5 at n_levels 6 and 7, 1.5e-5 at
+# 8, 1.1e-5 at 10, 8e-6 at 12 and 4.3e-6 at 15. The threshold,
+# y = 9.1e-6, lies inside that band: it steps densely where Taylor steps
+# now win at n_levels 6 (y 1.3e-5 and 1.8e-5) and 8 (1.1e-5), and takes
+# Taylor steps where dense ones win at 15 (5.4e-6).
 # The same threshold on the stage-1 block alone (5 n_levels^2
 # coordinates, y about 5.8 times larger) would step it densely at
-# n_levels 7 and 8. Wall time falls there (n_levels=8: 0.028 s against
-# 0.051 s), but the dense steps run on both OpenBLAS threads, and the
-# second one spins on after them: CPU time of the n_levels=8 cycle rose
-# from 0.10-0.13 s to 0.17-0.19 s. So the choice stays with the whole
-# generator until a cost model weighs CPU as well as wall time.
+# n_levels 7 and 8, where the block's Taylor and dense steps now take
+# about the same wall time (n_levels=8: 0.032 s against 0.030 s), and the
+# dense steps run on both OpenBLAS threads, the second one spinning on
+# after them: CPU time of the n_levels=8 cycle rose from 0.10-0.13 s to
+# 0.17-0.19 s. So the choice stays with the whole generator until a cost
+# model weighs CPU as well as wall time.
 STIFF_RATIO = 1.1e5
 # Largest log2 ||W h||_1 of a dense step: expm squares about that many
 # times, each a dense dim^3 product (0.2 s at n_levels=15 on 2 cores).
@@ -312,15 +322,32 @@ def _taylor_terms(a, z, span, terms):
     """Fill rows p = 0, 1, ... of ``terms`` with (span A)^p / p! z until the
     series of exp(span A) z passes the stopping test of Al-Mohy & Higham
     (two consecutive terms below u ||partial sum||_inf) or ``terms`` is
-    full; return the rows filled."""
+    full; return the rows filled.
+
+    Each product is one call of the CSR kernel that ``a @ x`` ends in,
+    into the zeroed row, so the terms carry the bits ``a @ x`` gives. The
+    running sum of the term norms bounds ||partial sum||_inf from above;
+    rounding can carry the computed norm past that bound by a relative
+    O(p u) only, far below the factor 2, so while the test fails against
+    twice the bound it fails against the norm too, and the norm is read
+    only when the test can pass: the series stops at the same term.
+    """
+    n = z.size
     terms[0] = z
     total = z.copy()
-    previous = np.abs(z).max()
+    scratch = np.empty_like(z)
+    previous = bound = np.abs(z, out=scratch).max()
     for p in range(1, len(terms)):
-        np.multiply(a @ terms[p - 1], span / p, out=terms[p])
-        total += terms[p]
-        current = np.abs(terms[p]).max()
-        if previous + current <= UNIT_ROUNDOFF * np.abs(total).max():
+        term = terms[p]
+        term.fill(0.0)
+        csr_matvec(n, n, a.indptr, a.indices, a.data, terms[p - 1], term)
+        term *= span / p
+        total += term
+        current = np.abs(term, out=scratch).max()
+        bound += current
+        tail = previous + current
+        if (tail <= 2 * UNIT_ROUNDOFF * bound
+                and tail <= UNIT_ROUNDOFF * np.abs(total, out=scratch).max()):
             break
         previous = current
     return terms[:p + 1]

@@ -6,9 +6,11 @@ eigenmode oracle; ``superoperator`` assembles the master equation term by
 term from sparse Kronecker products (``hamiltonian_superoperator``,
 ``lindblad_dissipator``), the reference of the one-pass assembly in
 ``liouvillian``; ``min_eigenvalue`` is the per-state positivity monitor
-that the engine's batched sampling replaces; ``basis_index`` spells out the
-composite-basis ordering in closed form, and ``spinlabor_bound`` is the
-analytic erasure cost that criterion 11 anchors the ledger against.
+that the engine's batched sampling replaces; ``taylor_terms`` is the Taylor
+term loop through ``a @ x`` that reads the partial-sum norm at every term,
+which the production loop must match bit for bit; ``basis_index`` spells
+out the composite-basis ordering in closed form, and ``spinlabor_bound`` is
+the analytic erasure cost that criterion 11 anchors the ledger against.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from scipy.integrate import solve_ivp
 
 from spinheat.constants import HBAR
 from spinheat.errors import NumericalError
+from spinheat.propagator import UNIT_ROUNDOFF
 from spinheat.quantum_core import N_ELECTRONIC
 
 
@@ -36,6 +39,24 @@ def min_eigenvalue(rho):
     """Smallest eigenvalue of one Hermitian matrix: the per-state positivity
     monitor that the engine's batched sampling is checked against."""
     return float(np.linalg.eigvalsh(rho)[0])
+
+
+def taylor_terms(a, z, span, terms):
+    """Fill rows p = 0, 1, ... of ``terms`` with (span A)^p / p! z until the
+    series of exp(span A) z passes the stopping test of Al-Mohy & Higham
+    (two consecutive terms below u ||partial sum||_inf) or ``terms`` is
+    full; return the rows filled."""
+    terms[0] = z
+    total = z.copy()
+    previous = np.abs(z).max()
+    for p in range(1, len(terms)):
+        np.multiply(a @ terms[p - 1], span / p, out=terms[p])
+        total += terms[p]
+        current = np.abs(terms[p]).max()
+        if previous + current <= UNIT_ROUNDOFF * np.abs(total).max():
+            break
+        previous = current
+    return terms[:p + 1]
 
 
 def integrate_direct(rho0, v, t_end, tol=1e-9, grid_dt=0.05):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import spinheat
 import spinheat.config as config_module
-from spinheat.cli import main
+from spinheat.cli import _format_value, _write_csv, main
 from spinheat.constants import HBAR
 from spinheat.config import (MAX_GRID_BYTES, parameter_table, parse_config,
                              to_engine_config)
@@ -567,6 +567,22 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--jobs", "0"])
         assert err.value.code == 2
+
+
+def test_csv_rows_are_written_as_format_value_writes_them(tmp_path):
+    # all-float rows take one "%.17g" format call per row, the others
+    # _format_value per value: the bytes must not depend on which
+    extremes = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                1.7e308, -1.7e308, 0.1, 1 / 3, -2.5e-17]
+    rows = [(v, np.float64(v), -np.float64(v)) for v in extremes]
+    rows += [(1, 2.5, np.float64(-0.0)), (np.float64(0.1), 7, "up"),
+             (True, math.inf, 10**20)]
+    path = tmp_path / "rows.csv"
+    _write_csv(path, parse_config("stage1"), ("a", "b", "c"), rows)
+    lines = path.read_text().splitlines()
+    assert lines[-len(rows) - 1] == "# columns: a,b,c"
+    assert lines[-len(rows):] == [
+        ",".join(_format_value(v) for v in row) for row in rows]
 
 
 def test_cli_import_leaves_out_scipy_integrate(tmp_path):

@@ -11,7 +11,7 @@ from reference import min_eigenvalue, spinlabor_bound
 
 from spinheat.constants import HBAR
 from spinheat.engine import (
-    _sample, _stage_grid, stage_machinery,
+    EIGVALSH_ROWS, _min_eigenvalues, _sample, _stage_grid, stage_machinery,
     CycleLedger, EngineConfig, StageConfig, Trajectory, find_switch_time,
     heat_extraction_stage, initial_state, invariant_checks, make_ledger,
     run_cycle, run_stage, stage_hamiltonian_spec,
@@ -20,7 +20,7 @@ from spinheat.engine import (
 from spinheat.errors import PositivityError
 from spinheat.propagator import evolve, prepare
 from spinheat.quantum_core import (
-    IDX_DN, IDX_UP, embed, expectation, level_projector, thermal_state,
+    IDX_DN, IDX_UP, IDX_X, embed, expectation, level_projector, thermal_state,
 )
 
 
@@ -273,6 +273,22 @@ def test_vectorized_sampling_matches_per_state_reference():
     }
     for name, values in reference.items():
         assert np.max(np.abs(getattr(traj, name) - values)) <= 1e-12, name
+
+
+def test_positivity_monitor_reads_the_blocks_of_a_stage1_stack():
+    # stage 1 leaves every dn-{up, X} coherence at exactly 0, so the monitor
+    # diagonalizes the {up, X} x bath and dn x bath blocks, in chunks
+    states, _, _ = stage1_stack(duration=5.0)
+    assert len(states) > EIGVALSH_ROWS
+    split = states.reshape(len(states), 4, 3, 4, 3)
+    assert not np.any(split[:, :, IDX_DN, :, [IDX_UP, IDX_X]])
+    full = np.linalg.eigvalsh(states)[:, 0]
+    assert np.max(np.abs(_min_eigenvalues(states) - full)) <= 1e-15
+    # one coherence anywhere in the stack: every state is diagonalized whole
+    states = states.copy()
+    states[-1, IDX_DN, IDX_UP] = states[-1, IDX_UP, IDX_DN] = 1e-9
+    assert np.array_equal(_min_eigenvalues(states),
+                          np.linalg.eigvalsh(states)[:, 0])
 
 
 @pytest.mark.parametrize("k", [0, 17, 40])

@@ -18,12 +18,13 @@ import scipy.sparse as sp
 from scipy.linalg import expm as reference_expm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import hamiltonian_superoperator, integrate_direct
+from reference import hamiltonian_superoperator, integrate_direct, taylor_terms
 
 from spinheat.config import parse_config, to_engine_config
 from spinheat.constants import HBAR
 from spinheat.engine import (
-    CHECK_GRID, heat_extraction_stage, stage_machinery, work_output_stage,
+    CHECK_GRID, _stage_grid, heat_extraction_stage, initial_state as
+    stage1_start, stage_machinery, work_output_stage,
 )
 from spinheat.errors import NumericalError
 from spinheat.quantum_core import (
@@ -38,7 +39,8 @@ from spinheat.propagator import (
     GATHER_ROWS, MAX_LOG2_STEP_NORM, TAYLOR_THETA, THETA13, _dense_steps,
     _from_hermitian, _hermitian_basis, _one_norm, _real_form,
     _scaling_exponent, _shift, _taylor_parameters, _taylor_steps,
-    diagonalize, evolve, expm, is_stiff, prepare, propagate,
+    _taylor_terms, csr_matvec, diagonalize, evolve, expm, is_stiff,
+    prepare, propagate,
 )
 from spinheat.spectral import thermal_energy
 
@@ -308,6 +310,85 @@ def test_taylor_steps_are_bitwise_repeatable():
     first = _taylor_steps(shifted, y, GRIDS[0], rows_for(GRIDS[0], y))
     assert np.array_equal(
         first, _taylor_steps(shifted, y, GRIDS[0], rows_for(GRIDS[0], y)))
+
+
+def counting(loop, counts):
+    """``loop`` as a Taylor term loop that appends its number of terms to
+    ``counts``."""
+    def counted(a, z, span, terms):
+        used = loop(a, z, span, terms)
+        counts.append(len(used))
+        return used
+    return counted
+
+
+def assert_steps_match_the_reference_loop(monkeypatch, prepared, rho0, times):
+    """Taylor steps of every block that ``rho0`` occupies equal, bit for
+    bit, those of the reference term loop, block by block in the same
+    number of terms."""
+    import spinheat.propagator as propagator_module
+    y = prepared.t @ column_stacked(rho0)
+    stepped = 0
+    for block in prepared.blocks:
+        x = y.real[block.index]
+        if not np.any(x):
+            continue
+        results = []
+        for loop in (_taylor_terms, taylor_terms):
+            counts = []
+            monkeypatch.setattr(propagator_module, "_taylor_terms",
+                                counting(loop, counts))
+            rows = _taylor_steps(block.shifted, x, times, rows_for(times, x))
+            results.append((rows, counts))
+        (rows, counts), (reference_rows, reference_counts) = results
+        assert counts == reference_counts
+        assert np.array_equal(rows, reference_rows)
+        stepped += 1
+    assert stepped
+
+
+@pytest.mark.parametrize("n_levels", [4, 8, 15])
+@pytest.mark.parametrize("stage_id", ["heat_extraction", "work_output"])
+def test_taylor_steps_match_the_reference_loop(monkeypatch, stage_id,
+                                               n_levels):
+    cfg = to_engine_config(parse_config(
+        "stage1", overrides=[f"n_levels={n_levels}"]))
+    stage1 = heat_extraction_stage(cfg)
+    prepared = prepare(stage_machinery(stage1, cfg)[1])
+    rho0 = stage1_start(cfg)
+    times = _stage_grid(stage1.duration, cfg.grid_dt)
+    if stage_id == "work_output":
+        # from a switch state, which occupies both blocks of stage 2
+        rho0 = evolve(rho0, prepared, np.array([0.0, 9.75]))[0][-1]
+        stage2 = work_output_stage(cfg)
+        prepared = prepare(stage_machinery(stage2, cfg)[1])
+        times = _stage_grid(stage2.duration, cfg.grid_dt)
+    assert_steps_match_the_reference_loop(monkeypatch, prepared, rho0, times)
+
+
+@pytest.mark.parametrize("temperature, gamma_ph", CHECK_GRID)
+def test_taylor_steps_match_the_reference_loop_on_the_check_grid(
+        monkeypatch, temperature, gamma_ph):
+    cfg = replace(to_engine_config(parse_config("check")),
+                  temperature=temperature, gamma_ph_energy=gamma_ph)
+    stage = heat_extraction_stage(cfg)
+    prepared = prepare(stage_machinery(stage, cfg)[1])
+    assert_steps_match_the_reference_loop(
+        monkeypatch, prepared, stage1_start(cfg),
+        _stage_grid(stage.duration, cfg.grid_dt))
+
+
+def test_csr_kernel_matches_the_sparse_product():
+    # the Taylor terms call the kernel that ``a @ x`` ends in directly: a
+    # scipy that changes or removes it fails here
+    v, _ = stage1_superoperator(8)
+    w, y = real_stepping(v, initial_state(8))
+    a = _shift(w).a
+    rng = np.random.default_rng(3)
+    for x in (y, rng.standard_normal(y.size)):
+        out = np.zeros(y.size)
+        csr_matvec(y.size, y.size, a.indptr, a.indices, a.data, x, out)
+        assert np.array_equal(out, a @ x)
 
 
 @settings(max_examples=300, deadline=None)
