@@ -33,7 +33,6 @@ report of an n_levels sweep verify the dot dynamics.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -99,7 +98,6 @@ class Trajectory:
     dN1: np.ndarray  # change in mean mode occupation from the reference
     Q1bar: np.ndarray  # mean mode displacement
     min_eigenvalue: np.ndarray
-    final_state: Optional[np.ndarray]
     used_dense_propagation: bool = False
 
 
@@ -252,7 +250,6 @@ def _sample(states, times, ops, occupation_ref, abort_threshold, used_dense):
     ref = nbar[0] if occupation_ref is None else occupation_ref
     return Trajectory(times=times, rho_up=rho_up, rho_dn=rho_dn, rho_XX=rho_xx,
                       dN1=nbar - ref, Q1bar=q1bar, min_eigenvalue=min_eig,
-                      final_state=states[-1].copy(),
                       used_dense_propagation=used_dense)
 
 
@@ -305,16 +302,15 @@ def make_ledger(energy_gap, transfer_probability):
                        transfer_probability=p)
 
 
-def _stitch(parts, final_state):
+def _stitch(parts):
     """One trajectory from (trajectory, row slice, clock offset) parts."""
     series = {name: np.concatenate([getattr(traj, name)[rows]
                                     for traj, rows, _ in parts])
               for name in _SERIES}
     times = np.concatenate([offset + traj.times[rows]
                             for traj, rows, offset in parts])
-    return Trajectory(times=times, **series, final_state=final_state,
-                      used_dense_propagation=any(
-                          traj.used_dense_propagation for traj, _, _ in parts))
+    return Trajectory(times=times, **series, used_dense_propagation=any(
+        traj.used_dense_propagation for traj, _, _ in parts))
 
 
 # the pi-pulse refinement: PI_CANDIDATES durations spread evenly over
@@ -352,13 +348,10 @@ def run_cycle(cfg):
     traj2, _ = _evolve_stage(
         rho_switch, work_output_stage(cfg, duration=stage2_duration), cfg,
         ops, v2, nbar0)
-    final = traj2.final_state
     combined = _stitch([(traj1, slice(0, k_switch + 1), 0.0),
-                        (traj2, slice(1, None), switch.time)], final)
+                        (traj2, slice(1, None), switch.time)])
 
-    pops = (expectation(final, ops.proj_up).real,
-            expectation(final, ops.proj_dn).real,
-            expectation(final, ops.proj_x).real)
+    pops = (combined.rho_up[-1], combined.rho_dn[-1], combined.rho_XX[-1])
     transfer = combined.rho_dn[-1] - combined.rho_dn[0]
     return CycleResult(trajectory=combined,
                        ledger=make_ledger(cfg.energy_gap, transfer),

@@ -8,7 +8,10 @@ last). The closed-form maps implemented here are exact for n <= 1 and
 accurate to O(n/N) beyond. An exact verifier arbitrates every
 approximation: the exchange and the pulse conserve k = (flipped nuclei) +
 [electron down], so it works in the excitation sectors a state occupies,
-each of dimension C(N+1, k), and never builds the 2^(N+1)-state space.
+each of dimension C(N+1, k), and never builds the 2^(N+1)-state space. A
+nuclear configuration is its bit pattern sum_j 2^j over the flipped nuclei
+j, so configurations are ordered as integers, and the sector blocks are
+plain numpy arrays built where they are used.
 
 Unit conventions: couplings and pulse rates in rad/ps, the chain
 coordinate and sigma in nm, pulse and exchange durations in ps. PulseSpec,
@@ -23,7 +26,6 @@ from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .constants import HBAR_SI, MU_0_SI, MU_N_SI, NUCLEAR_RATE_PER_TESLA
 from .errors import ConfigError
@@ -36,7 +38,7 @@ EXCITATION_WARN_FRACTION = 0.05
 SHORT_PULSE_FRACTION = 0.1
 INEFFECTIVE_RATIO = 0.9
 # longest erasure chain; the erasure run occupies sectors of dimension 1
-# and N + 1 only
+# and N + 1 only, and int64 bit patterns hold up to 62 nuclei
 MAX_ORACLE_SPINS = 40
 # largest excitation sector the exact verifier builds and diagonalizes
 # densely; above every sector of N <= 12 (C(13, 6) = 1716)
@@ -114,7 +116,6 @@ class CouplingProfile:
             raise ValueError("pulse rates overflow")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        object.__setattr__(self, "_blocks", {})
 
     @property
     def count(self):
@@ -126,33 +127,26 @@ class CouplingProfile:
         return float(np.sum(self.couplings ** 2))
 
     def lowering_block(self, m):
-        """Collective lowering from m to m + 1 flipped nuclei: a CSR array
-        with entries a_j/sqrt(gamma), built once per profile and m."""
-        key = ("lowering", m)
-        if key not in self._blocks:
-            source = _layer(self.count, m).tolist()
-            position = {tuple(flips): i for i, flips
-                        in enumerate(_layer(self.count, m + 1).tolist())}
-            scale = self.couplings / np.sqrt(self.gamma)
-            rows, cols, data = [], [], []
-            for col, flips in enumerate(source):
-                for j in sorted(set(range(self.count)).difference(flips)):
-                    rows.append(position[tuple(sorted(flips + [j]))])
-                    cols.append(col)
-                    data.append(scale[j])
-            self._blocks[key] = sparse.csr_array(
-                (data, (rows, cols)), shape=(len(position), len(source)))
-        return self._blocks[key]
+        """Collective lowering from m to m + 1 flipped nuclei: a dense array
+        with entries a_j/sqrt(gamma), columns and rows in :func:`_layer`
+        order."""
+        source, target = _layer(self.count, m), _layer(self.count, m + 1)
+        cols, nuclei = np.nonzero(
+            (source[:, None] >> np.arange(self.count) & 1) == 0)
+        rows = np.searchsorted(target, source[cols] | 1 << nuclei)
+        block = np.zeros((target.size, source.size))
+        block[rows, cols] = (self.couplings / np.sqrt(self.gamma))[nuclei]
+        return block
 
     def pulse_diagonal(self, m):
         """Eigenvalues of the pulse generator on the configurations with m
-        flipped nuclei, rad/ps; built once per profile and m."""
-        key = ("pulse", m)
-        if key not in self._blocks:
-            theta_total = 0.5 * self.pulse_rates.sum()
-            self._blocks[key] = theta_total - self.pulse_rates[
-                _layer(self.count, m)].sum(axis=1)
-        return self._blocks[key]
+        flipped nuclei, rad/ps, in :func:`_layer` order; each sums the rates
+        of its flipped nuclei in ascending order."""
+        patterns = _layer(self.count, m)
+        bits = patterns[:, None] >> np.arange(self.count) & 1
+        flipped = np.nonzero(bits)[1].reshape(patterns.size, m)
+        return (0.5 * self.pulse_rates.sum()
+                - self.pulse_rates[flipped].sum(axis=1))
 
 
 def flop_duration(profile):
@@ -286,12 +280,11 @@ def erasure_step(mixture, profile, tau):
 
 
 def _layer(count, m):
-    """Flipped-nucleus indices of the C(count, m) nuclear configurations
-    with m flips, one sorted row each, in ascending order of their bit
-    patterns sum_j 2^j (colexicographic order)."""
-    rows = list(itertools.combinations(range(count), m))
-    rows = np.array(rows, dtype=np.intp).reshape(len(rows), m)
-    return rows[np.lexsort(rows.T)] if m > 1 else rows
+    """Bit patterns sum_j 2^j over the flipped nuclei j of the C(count, m)
+    nuclear configurations with m flips, in ascending order."""
+    flips = np.array(list(itertools.combinations(range(count), m)),
+                     dtype=np.int64).reshape(math.comb(count, m), m)
+    return np.sort((1 << flips).sum(axis=1))
 
 
 def _require_sectors(profile, k_max):
@@ -350,7 +343,7 @@ def _exchange_block(profile, k):
     """Flip-flop Hamiltonian sum_j a_j (s+ I_j- + h.c.) on sector k."""
     if k == 0:
         return np.zeros((1, 1))
-    coupling = np.sqrt(profile.gamma) * profile.lowering_block(k - 1).toarray()
+    coupling = np.sqrt(profile.gamma) * profile.lowering_block(k - 1)
     up, down = coupling.shape
     block = np.zeros((up + down, up + down))
     block[:up, up:] = coupling

@@ -117,6 +117,14 @@ STIFF_RATIO = 1.1e5
 # Largest log2 ||W h||_1 of a dense step: expm squares about that many
 # times, each a dense dim^3 product (0.2 s at n_levels=15 on 2 cores).
 MAX_LOG2_STEP_NORM = 40.0
+# Largest invariant block made dense, for an expm step or an eig. Peak RSS
+# of whole runs (2 cores, OpenBLAS 0.3.31) by n_levels, with the stage-1
+# block of 5 n_levels^2 coordinates: check 144, 285, 444, 623 and 856 MiB
+# at 12, 15, 18, 20 and 22 (blocks 720 to 2420); dense stage1 137, 223,
+# 307 and 424 MiB at 15, 18, 20 and 22. check grows by about 125 MiB per
+# 10^6 of the block's squared dimension, to about 900 MiB at this bound,
+# so both stay within the 1 GiB that MAX_GRID_BYTES allows the state grid.
+MAX_DENSE_DIMENSION = 2500
 # Rows that _from_hermitian gathers at a time: each of its working copies
 # holds 0.5 MB at n_levels=15.
 GATHER_ROWS = 16
@@ -152,14 +160,14 @@ def diagonalize(prepared):
     Duals come from inverting each block's right-eigenvector matrix, which
     enforces biorthonormality directly; the largest residual over the
     blocks measures how far from defective the generator is. A failed
-    decomposition or a singular eigenvector matrix raises
-    :class:`NumericalError`.
+    decomposition, a singular eigenvector matrix or a block larger than
+    MAX_DENSE_DIMENSION raises :class:`NumericalError`.
     """
     blocks = []
     residual = 0.0
     for block in prepared.blocks:
         try:
-            values, vectors = np.linalg.eig(block.w.toarray())
+            values, vectors = np.linalg.eig(_dense(block.w))
             inverse = np.linalg.inv(vectors)
         except np.linalg.LinAlgError as err:
             raise NumericalError(
@@ -194,6 +202,16 @@ def _one_norm(m):
     """Exact ||m||_1 of a dense or sparse matrix; inf or nan on overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         return float(abs(m).sum(axis=0).max())
+
+
+def _dense(m):
+    """A sparse square block as a dense array, refused before it is
+    allocated when it is larger than MAX_DENSE_DIMENSION."""
+    if m.shape[0] > MAX_DENSE_DIMENSION:
+        raise NumericalError(
+            f"dense work on an invariant block of {m.shape[0]} coordinates "
+            f"is beyond {MAX_DENSE_DIMENSION}; lower n_levels")
+    return m.toarray()
 
 
 def _real_form(v):
@@ -486,8 +504,8 @@ def _dense_steps(w, x, times, out):
     """Fill ``out`` with the Hermitian-basis coordinates at ``times``, one
     row per time, and return it: one real exp(W h) per run of equal steps
     h, applied by dense matrix-vector products to the real vector ``x``. A
-    step with log2 ||W h||_1 above MAX_LOG2_STEP_NORM is refused
-    before any dense work."""
+    step with log2 ||W h||_1 above MAX_LOG2_STEP_NORM, or a W larger than
+    MAX_DENSE_DIMENSION, is refused before any dense work."""
     runs = _equal_step_runs(times)
     step_norm = _one_norm(w) * max(h for h, _ in runs)
     if not step_norm <= 2.0**MAX_LOG2_STEP_NORM:
@@ -500,7 +518,7 @@ def _dense_steps(w, x, times, out):
             out[i:i + count] = x
             i += count
             continue
-        step = expm((w * h).toarray())
+        step = expm(_dense(w * h))
         for _ in range(count):
             x = step @ x
             out[i] = x

@@ -200,6 +200,31 @@ class TestStage1Command:
         assert calls == []
         assert capsys.readouterr().err.startswith("numerical failure:")
 
+    @pytest.mark.parametrize("kind", ["stage1", "cycle", "check"])
+    def test_oversized_dense_block_refused_before_dense_work(
+            self, tmp_path, capsys, monkeypatch, kind):
+        # n_levels=4 steps densely, and check decomposes its blocks densely;
+        # a bound just below the stage-1 block (5 n_levels^2 = 80
+        # coordinates) refuses both before any expm or eig
+        import spinheat.propagator as propagator_module
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(propagator_module, "MAX_DENSE_DIMENSION", 79)
+        monkeypatch.setattr(propagator_module, "expm",
+                            spy("expm", propagator_module.expm))
+        monkeypatch.setattr(np.linalg, "eig", spy("eig", np.linalg.eig))
+        assert main([kind, "--out", str(tmp_path)] + TINY) == 3
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "80 coordinates" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("override", ["grid_dt_ps=1e-300",
                                           "stage1_duration_ps=1e300"])
     def test_oversized_grid_exits_2(self, tmp_path, capsys, override):
@@ -619,6 +644,7 @@ EXTREME_BASE = {
     "stage1": ("n_levels=3", "stage1_duration_ps=1"),
     "cycle": ("n_levels=3", "stage1_duration_ps=1"),
     "erasure": ("nucleus_count=4",),
+    "check": ("n_levels=3", "stage1_duration_ps=1"),
 }
 # magnitudes from 1e-320 to 1.7e308, spread evenly over the decades, of
 # either sign
@@ -651,23 +677,26 @@ def _extreme_runs():
                           ("pulse_duration_ns", 1.7e308))))
 def test_extreme_values_map_to_an_exit_code(run):
     """Any value of one or two keys exits 0, 2, 3 or 4, never with a
-    traceback, and an exit 0 leaves a strict-JSON summary. Every grid is
-    held to 16 MB, so that a drawn grid size or pi time exits 2 before it
+    traceback, and an exit 0 leaves a strict-JSON summary, or for check a
+    report whose verdict says every record passed. Every grid is held to
+    16 MB, so that a drawn grid size or pi time exits 2 before it
     allocates much."""
     kind, assignments = run
     argv = [kind]
     for override in EXTREME_BASE[kind] + tuple(
             f"{key}={value!r}" for key, value in assignments):
         argv += ["--set", override]
-    err = io.StringIO()
+    err, report = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as out, \
             mock.patch.object(config_module, "MAX_GRID_BYTES", 2**24), \
-            contextlib.redirect_stderr(err):
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(report):
         code = main(argv + ["--out", out])
         summaries = [path.read_text()
                      for path in pathlib.Path(out).glob("*_summary.json")]
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
-    if code == 0:
+    if code == 0 and kind == "check":
+        assert report.getvalue().splitlines()[-1] == "check: 16/16 passed"
+    elif code == 0:
         assert len(summaries) == 1
         json.loads(summaries[0], parse_constant=_refuse_constant)

@@ -52,8 +52,7 @@ def synthetic_trajectory(times, rho_xx, dn1):
         rho_up=np.zeros(n), rho_dn=np.zeros(n),
         rho_XX=np.asarray(rho_xx, dtype=float),
         dN1=np.asarray(dn1, dtype=float),
-        Q1bar=np.zeros(n), min_eigenvalue=np.zeros(n),
-        final_state=None)
+        Q1bar=np.zeros(n), min_eigenvalue=np.zeros(n))
 
 
 def test_detuning_mapping_relaxed_reference():
@@ -107,7 +106,6 @@ def test_trajectory_population_conservation_and_grid():
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(6.0)
     assert np.allclose(np.diff(traj.times), 0.05)
-    assert traj.final_state is not None
     # exciton transfer visibly under way
     assert traj.rho_XX.max() > 0.1
 

@@ -7,12 +7,17 @@ n/N beyond that. The oracle itself is cross-checked against a dense
 full-space reference (``full_space_reference.py``) at small N.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from full_space_reference import embed, full_space_oracle, full_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinheat
 from spinheat.constants import HBAR_SI, MU_N_SI
 from spinheat.errors import ConfigError
 from spinheat.hyperfine import (
@@ -414,6 +419,20 @@ class TestCouplingProfile:
         with pytest.raises(ValueError):
             CouplingProfile(x=np.zeros(2), couplings=np.array([0.1, -0.1]),
                             sigma=SIGMA, pulse_rates=np.zeros(2))
+
+
+def test_import_leaves_out_scipy():
+    # configurations are bit patterns and the sector blocks numpy arrays,
+    # so the erasure machinery needs no scipy
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(spinheat.__file__)))
+    script = ("import sys, spinheat.hyperfine\n"
+              "print(sorted(name for name in sys.modules\n"
+              "             if name.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestPulseFeasibility:
