@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.random import default_rng
 
 from .constants import HBAR
 from .engine import PI_CANDIDATES, PI_WINDOW, EngineConfig
@@ -304,7 +305,7 @@ def to_erasure_inputs(run_config):
     try:
         if v["lattice_jitter_nm"] > 0:
             # uniform() raises OverflowError when twice the jitter overflows
-            rng = np.random.default_rng(v["seed"])
+            rng = default_rng(v["seed"])
             x = x + rng.uniform(-v["lattice_jitter_nm"],
                                 v["lattice_jitter_nm"], count)
         rates = (v["suppression_phi_tau_sigma"]

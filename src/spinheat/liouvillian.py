@@ -8,7 +8,7 @@ are assembled verbatim, with no secular simplification, so the generator is
 not guaranteed completely positive; positivity is monitored downstream.
 
 Vectorization is column-stacking: vec(A rho B) = (B^T kron A) vec(rho).
-The generator is assembled in one pass as a ``scipy.sparse`` CSR array:
+The generator is assembled in one pass as a CSR record (:mod:`.csr`):
 every term is folded into K_L rho, rho K_R or one of five sandwiches
 A rho B of sparse operators on the 3 N_c-dimensional dot-mode space, and
 the COO entries of their Kronecker products are summed once. Only 1.7 % of
@@ -19,9 +19,9 @@ grows.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .constants import HBAR
+from .csr import from_coo
 from .quantum_core import IDX_DN, IDX_UP
 
 _GROUND_LEVELS = (IDX_UP, IDX_DN)
@@ -94,7 +94,7 @@ def _kron_entries(b, a):
 
 
 def build_superoperator(h, dissipation, ops):
-    """Full master-equation generator acting on vec(rho), as a CSR array.
+    """Full master-equation generator acting on vec(rho), as a CSR record.
 
     Every term is written as K_L rho, rho K_R or a sandwich A rho B, with
     the left factors folded into K_L and the right factors into K_R:
@@ -109,7 +109,7 @@ def build_superoperator(h, dissipation, ops):
     with D[O] rho = 2 O rho O^dag - O^dag O rho - rho O^dag O,
     f = gamma_ph / i hbar (friction) and c = 2 gamma_ph E_th / hbar^2
     (diffusion). The COO entries of I kron K_L, K_R^T kron I
-    and the five sandwiches are summed into one CSR array.
+    and the five sandwiches are summed into one CSR record.
     """
     if h.shape != ops.identity.shape:
         raise ValueError(
@@ -135,11 +135,6 @@ def build_superoperator(h, dissipation, ops):
     )]
     rows, cols, data = (np.concatenate(part) for part in zip(*pieces))
     dim = h.shape[0] ** 2
-    # 32-bit indices, as scipy's Kronecker products give them; a generator
-    # of dimension 2^31 would not fit in memory
-    v = sp.csr_array((data, (rows.astype(np.int32), cols.astype(np.int32))),
-                     shape=(dim, dim))
     # entries that cancel exactly, such as the diagonal of an undamped
-    # commutator
-    v.eliminate_zeros()
-    return v
+    # commutator, are dropped
+    return from_coo(data, rows, cols, (dim, dim)).eliminate_zeros()

@@ -41,9 +41,11 @@ The other generators form exp(W h) of each block once per run with
 :func:`expm`, a Pade [13/13] approximant with scaling and squaring (Higham,
 SIAM J. Matrix Anal. Appl. 26, 1179, 2005) written in numpy, and step with
 dense matrix-vector products, a cost fixed by the dimension. Its scaling
-exponent also comes from the exact 1-norm. scipy is used for
-``scipy.sparse`` only: ``scipy.linalg`` would load scipy's own OpenBLAS,
-whose thread pool beside numpy's slows every dense kernel of the process.
+exponent also comes from the exact 1-norm. Of scipy only the compiled
+CSR kernels are used, through :mod:`spinheat.csr`, which loads them
+without importing ``scipy.sparse``; ``scipy.linalg`` would load scipy's
+own OpenBLAS, whose thread pool beside numpy's slows every dense kernel of
+the process.
 
 :func:`diagonalize` and :func:`propagate` sum eigenmodes instead: each
 invariant block's eigenvectors R and duals R^-1, kept in the Hermitian
@@ -57,9 +59,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
+from .csr import CSR, csr_matvec, from_coo
 from .errors import NumericalError
 
 # theta_m for unit roundoff u = 2^-53: the largest ||A||_1 t for which m
@@ -147,7 +148,7 @@ class EigenPropagator(NamedTuple):
     """Eigensystem of one generator: T, the eigenvalues of all blocks, the
     :class:`BlockModes` of each and the largest biorthonormality residual."""
 
-    t: sp.csr_array
+    t: CSR
     eigenvalues: np.ndarray
     blocks: tuple
     biorthonormality_residual: float
@@ -199,13 +200,16 @@ def propagate(rho0, ep, times):
 
 
 def _one_norm(m):
-    """Exact ||m||_1 of a dense or sparse matrix; inf or nan on overflow."""
+    """Exact ||m||_1 of a dense matrix or a CSR record without duplicates;
+    inf or nan on overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(m, CSR):
+            return float(m.abs_column_sums().max())
         return float(abs(m).sum(axis=0).max())
 
 
 def _dense(m):
-    """A sparse square block as a dense array, refused before it is
+    """A CSR square block as a dense array, refused before it is
     allocated when it is larger than MAX_DENSE_DIMENSION."""
     if m.shape[0] > MAX_DENSE_DIMENSION:
         raise NumericalError(
@@ -217,8 +221,7 @@ def _dense(m):
 def _real_form(v):
     """The real W = T V T^-1 of a CSR generator V, and T, refused when V's
     entries are not finite or when it does not preserve Hermiticity beyond
-    rounding. W has sorted indices, so that abs() in :func:`_one_norm`
-    permutes none of its entries; V itself is only read."""
+    rounding. W is canonical: sorted indices and no duplicates."""
     if not np.all(np.isfinite(v.data)):
         raise NumericalError("superoperator entries are not finite")
     t, t_inv = _hermitian_basis(math.isqrt(v.shape[0]))
@@ -227,16 +230,14 @@ def _real_form(v):
     real = np.abs(w.data.real).max(initial=0.0)
     if not imag <= HERMITICITY_TOLERANCE * real:
         raise NumericalError("the generator does not preserve Hermiticity")
-    w = w.real
-    w.sum_duplicates()
-    return w, t
+    return w.real(), t
 
 
 class Shifted(NamedTuple):
     """A = W - mu with mu = tr W / dim, the real generator the Taylor steps
     expand, and ||A||_1, which sizes them and picks the stepper."""
 
-    a: sp.csr_array
+    a: CSR
     mu: float
     norm: float
 
@@ -247,7 +248,7 @@ def _shift(w):
     dim = w.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         mu = w.trace() / dim
-        a = w - mu * sp.eye_array(dim, format="csr")
+        a = w.minus_identity(mu)
     return Shifted(a, mu, _one_norm(a))
 
 
@@ -256,7 +257,7 @@ class Block(NamedTuple):
     W restricted to them, and the :class:`Shifted` form of that."""
 
     index: np.ndarray
-    w: sp.csr_array
+    w: CSR
     shifted: Shifted
 
 
@@ -266,7 +267,7 @@ class Prepared(NamedTuple):
     picks the stepper, and the invariant blocks of W (each a
     :class:`Block`), in the order of their first coordinate."""
 
-    t: sp.csr_array
+    t: CSR
     shifted: Shifted
     blocks: tuple
 
@@ -295,12 +296,12 @@ def _components(w):
 
 
 def prepare(v):
-    """The :class:`Prepared` record of a generator, dense or sparse. A
-    generator refused by :func:`_real_form` raises :class:`NumericalError`."""
-    w, t = _real_form(sp.csr_array(v))
+    """The :class:`Prepared` record of a CSR generator. A generator refused
+    by :func:`_real_form` raises :class:`NumericalError`."""
+    w, t = _real_form(v)
     blocks = []
     for index in _components(w):
-        w_block = w[index][:, index]
+        w_block = w.submatrix(index)
         blocks.append(Block(index, w_block, _shift(w_block)))
     return Prepared(t, _shift(w), tuple(blocks))
 
@@ -473,7 +474,7 @@ def _hermitian_basis(dim):
     def own_plus_partner(own_factor, partner_factor):
         factors = np.concatenate((np.select(side, own_factor, 1.0),
                                   np.select(side, partner_factor, 0.0)))
-        return sp.csr_array((factors, coordinates), shape=(own.size,) * 2)
+        return from_coo(factors, *coordinates, (own.size,) * 2)
 
     return (own_plus_partner([0.5, 0.5j], [0.5, -0.5j]),
             own_plus_partner([1.0, -1j], [1j, 1.0]))
@@ -518,7 +519,7 @@ def _dense_steps(w, x, times, out):
             out[i:i + count] = x
             i += count
             continue
-        step = expm(_dense(w * h))
+        step = expm(_dense(w) * h)
         for _ in range(count):
             x = step @ x
             out[i] = x

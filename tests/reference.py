@@ -11,6 +11,8 @@ term loop through ``a @ x`` that reads the partial-sum norm at every term,
 which the production loop must match bit for bit; ``basis_index`` spells
 out the composite-basis ordering in closed form, and ``spinlabor_bound`` is
 the analytic erasure cost that criterion 11 anchors the ledger against.
+``csr_record`` and ``scipy_csr`` convert between scipy's sparse arrays and
+the package's :class:`~spinheat.csr.CSR` records.
 """
 
 import numpy as np
@@ -18,9 +20,23 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from spinheat.constants import HBAR
+from spinheat.csr import CSR
 from spinheat.errors import NumericalError
 from spinheat.propagator import UNIT_ROUNDOFF
 from spinheat.quantum_core import N_ELECTRONIC
+
+
+def csr_record(m):
+    """A dense matrix or a scipy sparse array as a CSR record, built as
+    ``scipy.sparse.csr_array(m)`` builds it."""
+    m = sp.csr_array(m)
+    return CSR(m.indptr, m.indices, m.data, m.shape)
+
+
+def scipy_csr(m):
+    """A copy of a CSR record as a ``scipy.sparse.csr_array``."""
+    return sp.csr_array((m.data, m.indices, m.indptr), shape=m.shape,
+                        copy=True)
 
 
 def basis_index(x, n):

@@ -631,6 +631,31 @@ def test_cli_import_leaves_out_scipy_integrate(tmp_path):
     assert lines[-1] == "0 []"
 
 
+def test_cli_main_imports_nothing(tmp_path):
+    # the benchmark's order: import, parse, then time main alone; a lazy
+    # import in main (numpy.random for the jitter) would land in its time
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(spinheat.__file__)))
+    runs = [["erasure", "--set", "lattice_jitter_nm=0.2"],
+            ["cycle", *TINY]]
+    script = (
+        "import sys, spinheat.cli as cli\n"
+        f"for argv in {runs!r}:\n"
+        f"    argv += ['--out', {str(tmp_path)!r}]\n"
+        "    args = cli.build_parser().parse_args(argv)\n"
+        "    cli.parse_config(args.kind, config_path=args.config,\n"
+        "                     overrides=args.overrides)\n"
+        "    before = set(sys.modules)\n"
+        "    code = cli.main(argv)\n"
+        "    print(argv[0], code, sorted(set(sys.modules) - before))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert [line for line in lines if line.startswith(("erasure ", "cycle "))
+            ] == ["erasure 0 []", "cycle 0 []"]
+
+
 def _refuse_constant(constant):
     raise ValueError(f"{constant} is not JSON")
 

@@ -18,7 +18,10 @@ import scipy.sparse as sp
 from scipy.linalg import expm as reference_expm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import hamiltonian_superoperator, integrate_direct, taylor_terms
+from reference import (
+    csr_record, hamiltonian_superoperator, integrate_direct, scipy_csr,
+    taylor_terms,
+)
 
 from spinheat.config import parse_config, to_engine_config
 from spinheat.constants import HBAR
@@ -80,7 +83,7 @@ def test_diagonal_superoperator_is_its_own_eigenbasis():
     # the generator of a d = 2 system scaling rho_11 by -1 and the
     # coherences by -2 -+ 3i: diagonal and Hermiticity-preserving
     v = np.diag([0.0, -2.0 + 3.0j, -2.0 - 3.0j, -1.0])
-    ep = diagonalize(prepare(v))
+    ep = diagonalize(prepare(csr_record(v)))
     assert np.allclose(sorted(ep.eigenvalues, key=lambda z: (-z.real, -z.imag)),
                        [0.0, -1.0, -2.0 + 3.0j, -2.0 - 3.0j])
     # rho_00, the coherence pair (Im rho_01, Re rho_01) and rho_11
@@ -246,7 +249,7 @@ def column_stacked(rho):
 def real_stepping(v, rho0):
     """The real generator W of ``v`` and the Hermitian-basis coordinates of
     a Hermitian ``rho0``, as the steppers take them."""
-    w, t = _real_form(sp.csr_array(v))
+    w, t = _real_form(v)
     y = t @ column_stacked(rho0)
     assert not np.any(y.imag)
     return w, y.real
@@ -295,7 +298,7 @@ def test_taylor_steps_match_eigenmode_propagation_off_the_stage_grid(times):
 
 def test_taylor_steps_under_zero_generator_match_eigenmode_propagation():
     rho0 = initial_state(3)
-    v = sp.csr_array((81, 81), dtype=complex)
+    v = csr_record(sp.csr_array((81, 81), dtype=complex))
     times = np.array([0.0, 0.5, 2.0])
     w, y = real_stepping(v, rho0)
     vecs = vectors(_taylor_steps(_shift(w), y, times,
@@ -388,7 +391,7 @@ def test_csr_kernel_matches_the_sparse_product():
     for x in (y, rng.standard_normal(y.size)):
         out = np.zeros(y.size)
         csr_matvec(y.size, y.size, a.indptr, a.indices, a.data, x, out)
-        assert np.array_equal(out, a @ x)
+        assert np.array_equal(out, scipy_csr(a) @ x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -412,7 +415,7 @@ def test_expm_matches_scipy_on_check_grid_steps(n_levels):
         point = replace(cfg, temperature=temperature,
                         gamma_ph_energy=gamma_ph)
         _, v = stage_machinery(heat_extraction_stage(point), point)
-        step = (v * point.grid_dt).toarray()
+        step = (scipy_csr(v) * point.grid_dt).toarray()
         assert relative_error(expm(step), reference_expm(step)) <= 1e-12
 
 
@@ -452,7 +455,8 @@ def test_hermitian_basis_makes_states_and_liouvillians_real():
     assert np.array_equal(vectors(y.real[None])[0], t_inv @ y.real)
     shape = (2 * GATHER_ROWS + 3, 81)
     stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert np.array_equal(_from_hermitian(stack.copy()), (t_inv @ stack.T).T)
+    assert np.array_equal(_from_hermitian(stack.copy()),
+                          (scipy_csr(t_inv) @ stack.T).T)
     v, _ = stage1_superoperator(3, gamma_ph_mev=0.1)
     w = (t @ v @ t_inv).toarray()
     assert np.max(np.abs(w.imag)) <= 1e-15 * np.max(np.abs(w.real))
@@ -463,7 +467,7 @@ def test_hermitian_basis_makes_states_and_liouvillians_real():
         shape = (3, dim * dim)
         stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert np.array_equal(_from_hermitian(stack.copy()),
-                              (t_inv @ stack.T).T)
+                              (scipy_csr(t_inv) @ stack.T).T)
 
 
 def one_ulp_off_hermitian(n_c):
@@ -521,7 +525,7 @@ def test_generator_that_breaks_hermiticity_is_refused(run):
     # rho -> 0.1 i rho takes Hermitian states to anti-Hermitian ones
     v, _ = stage1_superoperator(6)
     with pytest.raises(NumericalError, match="Hermiticity"):
-        run(v + 0.1j * sp.eye_array(324))
+        run(csr_record(scipy_csr(v) + 0.1j * sp.eye_array(324)))
 
 
 @pytest.mark.parametrize("run", GENERATOR_USES, ids=GENERATOR_USE_IDS)
@@ -613,7 +617,7 @@ def test_blocks_are_the_selection_rule_sets(stage_id, n_levels):
     assert np.array_equal(coherence, np.flatnonzero(coherences))
     assert (population.size, coherence.size) == (5 * n_levels**2,
                                                  4 * n_levels**2)
-    w, _ = _real_form(sp.csr_array(v))
+    w = scipy_csr(_real_form(v)[0])
     assert not np.any(w[population][:, coherence].data)
     assert not np.any(w[coherence][:, population].data)
 
