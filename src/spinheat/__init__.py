@@ -1,3 +1,21 @@
-"""Quantum-dot spin-heat engine simulator."""
+"""Quantum-dot spin-heat engine simulator.
+
+Importing the package sets numpy's bundled OpenBLAS to one thread for the
+whole process, so that dense kernels give bits that do not depend on
+``OPENBLAS_NUM_THREADS``; ``blas_threads()`` reads the count back. The
+dynamic linker finds the symbols through numpy's ``_multiarray_umath``.
+"""
+
+import ctypes
+
+from numpy._core import _multiarray_umath
 
 __version__ = "0.1.0"
+
+_OPENBLAS = ctypes.CDLL(_multiarray_umath.__file__)
+try:
+    _OPENBLAS.scipy_openblas_set_num_threads64_(1)
+    blas_threads = _OPENBLAS.scipy_openblas_get_num_threads64_
+except AttributeError as err:  # its message names the missing symbol
+    raise ImportError(
+        f"numpy's OpenBLAS cannot set its thread count: {err}") from None

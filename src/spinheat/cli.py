@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas_threads
 from .config import (RunConfig, SWEEP_AXES, convert_value, parameter_table,
                      parse_config, split_assignment, to_engine_config,
                      to_erasure_inputs)
@@ -67,6 +67,7 @@ def _summary_base(run_config):
     return {
         "tool": "spinheat",
         "version": __version__,
+        "blas_threads": blas_threads(),
         "kind": run_config.kind,
         "parameters": dict(run_config.values),
         "provenance": dict(run_config.provenance),

@@ -47,6 +47,12 @@ without importing ``scipy.sparse``; ``scipy.linalg`` would load scipy's
 own OpenBLAS, whose thread pool beside numpy's slows every dense kernel of
 the process.
 
+Every dense kernel (expm, eig, inv) runs on the one OpenBLAS thread that
+importing :mod:`spinheat` sets for the process, so its bits do not depend
+on ``OPENBLAS_NUM_THREADS``. Dense blocks above ~700 coordinates give up a
+second thread's wall time: stage1 at n_levels=15, gamma_ph 10 meV, takes
+1.30 s against 0.98 s (CPU 1.42 against 1.84 s).
+
 :func:`diagonalize` and :func:`propagate` sum eigenmodes instead: each
 invariant block's eigenvectors R and duals R^-1, kept in the Hermitian
 basis. They share nothing with :func:`evolve` but the superoperator, the
@@ -91,29 +97,30 @@ THETA13 = 5.371920351148152
 # mu and dim those of the whole generator: dense steps cost O(dim^3); the
 # sparse products of Taylor steps follow ||W - mu||_1 t_span. Stage-1
 # stepping time of the real steppers on the whole generator (20 ps, 401
-# points; 2 cores, OpenBLAS 0.3.31), Taylor/dense in s, by n_levels and
-# gamma_ph in meV, with y = ||W - mu||_1 t_span / dim^3:
-#   4: 0.001 (y=1.1e-4) 0.015/0.007; 5: 0.001 (3.4e-5) 0.020/0.014, 0.1
-#   (4.3e-5) 0.017/0.014; 6: 0.001 (1.3e-5) 0.026/0.031, 0.1 (1.8e-5)
-#   0.022/0.028, 0.3 (4.0e-5) 0.057/0.031; 7: 0.001 (6.1e-6) 0.027/0.060,
-#   0.1 (8.7e-6) 0.029/0.055, 0.3 (2.0e-5) 0.064/0.081; 8: 0.001 (3.1e-6)
-#   0.043/0.13, 0.3 (1.1e-5) 0.14/0.19, 1 (3.4e-5) 0.32/0.18; 10: 0.3
-#   (4.0e-6) 0.18/0.38, 0.6 (7.6e-6) 0.35/0.49; 12: 1 (5.3e-6) 0.78/1.12,
-#   3 (1.6e-5) 2.0/0.90; 15: 0.3 (5.7e-7) 0.51/2.6, 1 (1.8e-6) 1.2/2.6,
-#   3 (5.4e-6) 3.8/3.1, 10 (1.8e-5) 12.7/3.8.
-# Break-even y falls with size: about 2e-5 at n_levels 6 and 7, 1.5e-5 at
-# 8, 1.1e-5 at 10, 8e-6 at 12 and 4.3e-6 at 15. The threshold,
-# y = 9.1e-6, lies inside that band: it steps densely where Taylor steps
-# now win at n_levels 6 (y 1.3e-5 and 1.8e-5) and 8 (1.1e-5), and takes
-# Taylor steps where dense ones win at 15 (5.4e-6).
+# points; 2 cores, one OpenBLAS 0.3.31 thread, CPU time within 2 % of
+# wall time), Taylor/dense in s, by n_levels and gamma_ph in meV, with
+# y = ||W - mu||_1 t_span / dim^3:
+#   4: 0.001 (y=1.1e-4) 0.010/0.007; 5: 0.001 (3.4e-5) 0.013/0.012, 0.1
+#   (4.3e-5) 0.009/0.011; 6: 0.001 (1.3e-5) 0.014/0.022, 0.1 (1.8e-5)
+#   0.012/0.024, 0.3 (4.0e-5) 0.030/0.025; 7: 0.001 (6.1e-6) 0.017/0.053,
+#   0.1 (8.7e-6) 0.016/0.048, 0.3 (2.0e-5) 0.034/0.047; 8: 0.001 (3.1e-6)
+#   0.022/0.115, 0.3 (1.1e-5) 0.096/0.115, 1 (3.4e-5) 0.16/0.12; 10: 0.3
+#   (4.0e-6) 0.10/0.36, 0.6 (7.6e-6) 0.24/0.37; 12: 1 (5.3e-6) 0.62/1.31,
+#   3 (1.6e-5) 1.68/1.26; 15: 0.3 (5.7e-7) 0.36/3.37, 1 (1.8e-6) 1.17/4.09,
+#   3 (5.4e-6) 2.95/4.15, 10 (1.8e-5) 9.0/4.4.
+# Break-even y falls with size: about 3e-5 at n_levels 6 and 7, 1.5e-5 to
+# 2e-5 at 8, 1.1e-5 at 12 and 8e-6 at 15. The threshold, y = 9.1e-6,
+# steps densely where Taylor steps win by 1.2-2x at n_levels 5 (y 4.3e-5),
+# 6 (1.3e-5 and 1.8e-5), 7 (2.0e-5) and 8 (1.1e-5), and picks the faster
+# stepper at 10, 12 and 15.
 # The same threshold on the stage-1 block alone (5 n_levels^2
 # coordinates, y about 5.8 times larger) would step it densely at
-# n_levels 7 and 8, where the block's Taylor and dense steps now take
-# about the same wall time (n_levels=8: 0.032 s against 0.030 s), and the
-# dense steps run on both OpenBLAS threads, the second one spinning on
-# after them: CPU time of the n_levels=8 cycle rose from 0.10-0.13 s to
-# 0.17-0.19 s. So the choice stays with the whole generator until a cost
-# model weighs CPU as well as wall time.
+# n_levels 7 and 8, where the block's Taylor and dense steps take about
+# the same time (n_levels=8: 0.017 s against 0.018 s). On one thread a
+# dense step costs no CPU time beyond its wall time, so what kept that
+# choice out, a second thread spinning on after dense steps, is gone; the
+# choice stays with the whole generator, where the table was measured,
+# until a cost model per block replaces this threshold.
 STIFF_RATIO = 1.1e5
 # Largest log2 ||W h||_1 of a dense step: expm squares about that many
 # times, each a dense dim^3 product (0.2 s at n_levels=15 on 2 cores).
