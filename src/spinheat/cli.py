@@ -4,6 +4,16 @@ Artifacts are deterministic: identical configuration produces
 byte-identical CSV and JSON output. Every file starts with a comment
 header listing the resolved parameters, marking each as a default or a
 user override, so a run is reproducible from its own header.
+
+A sweep runs its points in worker processes made by ``os.fork``, at most
+one per core and per point, and runs them inline where ``os.fork`` does
+not exist or one worker would do. Each worker sends its index entries and
+rho_XX traces back by pickle over a pipe, so the artifacts do not depend
+on ``--jobs``. Forking is safe with the threads ``import spinheat`` leaves
+(the main thread and OpenBLAS's idle worker): OpenBLAS shuts its pool down
+around ``fork`` itself, and a worker runs on the one BLAS thread that the
+package set. Python 3.12 and later may warn on forking a process that has
+threads.
 """
 
 import argparse
@@ -11,8 +21,8 @@ import dataclasses
 import itertools
 import json
 import os
+import pickle
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,6 +34,10 @@ from .engine import (heat_extraction_stage, initial_state, invariant_checks,
                      run_cycle, run_stage, truncation_convergence)
 from .errors import ConfigError, NumericalError, PositivityError
 from .hyperfine import pulse_feasibility, verified_erasure_step
+
+# signal.SIGKILL, fixed by POSIX; the signal module would add 1 ms to every
+# run kind's start-up
+SIGKILL = 9
 
 TRAJECTORY_COLUMNS = ("t_ps", "rho_up", "rho_dn", "rho_XX", "dN1", "Q1bar",
                       "min_eig")
@@ -179,18 +193,21 @@ def _parse_axes(axis_args, table):
     return axes
 
 
+def _point_entry(keys, combo, index):
+    return {"index": index, "values": dict(zip(keys, combo)),
+            "directory": f"point_{index:03d}", "status": "ok",
+            "message": None}
+
+
 def _sweep_point(run_config, keys, combo, index, out_dir):
-    directory = f"point_{index:03d}"
-    point_dir = os.path.join(out_dir, directory)
-    overrides = dict(zip(keys, combo))
+    entry = _point_entry(keys, combo, index)
+    point_dir = os.path.join(out_dir, entry["directory"])
     values = dict(run_config.values)
-    values.update(overrides)
+    values.update(entry["values"])
     provenance = dict(run_config.provenance)
-    provenance.update({key: "user" for key in overrides})
+    provenance.update({key: "user" for key in entry["values"]})
     point_config = RunConfig(kind="stage1", values=values,
                              provenance=provenance)
-    entry = {"index": index, "values": overrides, "directory": directory,
-             "status": "ok", "message": None}
     rho_XX = None
     try:
         os.makedirs(point_dir, exist_ok=True)
@@ -209,16 +226,86 @@ def _sweep_point(run_config, keys, combo, index, out_dir):
     return entry, rho_XX
 
 
+def _sweep_worker(tasks, write_fd):
+    """Run ``tasks`` in a forked child, pickle the results to ``write_fd``
+    and leave by ``os._exit``: the child must not flush the parent's
+    buffered output or run its exit hooks."""
+    status = 1
+    try:
+        results = [_sweep_point(*task) for task in tasks]
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(results, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _worker_results(data, status, tasks):
+    """The results a worker sent, or an ``error`` result for each of its
+    points when it died or sent too little."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        try:
+            return pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):
+            message = "sweep worker exited with status 0, result cut short"
+    elif code < 0:
+        message = f"sweep worker killed by signal {-code}"
+    else:
+        message = f"sweep worker exited with status {code}"
+    failed = []
+    for _, keys, combo, index, _ in tasks:
+        entry = _point_entry(keys, combo, index)
+        entry.update(status="error", message=message)
+        failed.append((entry, None))
+    return failed
+
+
+def _forked_results(tasks, workers):
+    """Run ``tasks[w::workers]`` in forked worker ``w``; return every
+    result in task order."""
+    results = [None] * len(tasks)
+    running = []  # (worker, pid, read end) of each worker not yet reaped
+    try:
+        for worker in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _sweep_worker(tasks[worker::workers], write_fd)
+            # closed before the next fork, or that worker would hold this
+            # write end open and the read below would never see EOF
+            os.close(write_fd)
+            running.append((worker, pid, open(read_fd, "rb")))
+        while running:
+            worker, pid, pipe = running[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            running.pop(0)
+            results[worker::workers] = _worker_results(
+                data, status, tasks[worker::workers])
+    finally:
+        # reached with workers left only when the parent itself raised
+        for _, pid, pipe in running:
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
 def _sweep_artifacts(run_config, axes, jobs, out_dir):
     keys = [key for key, _ in axes]
     points = list(itertools.product(*[values for _, values in axes]))
     if not points:
         points = [()]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_sweep_point, run_config, keys, combo, index,
-                               out_dir)
-                   for index, combo in enumerate(points)]
-        results = [future.result() for future in futures]
+    tasks = [(run_config, keys, combo, index, out_dir)
+             for index, combo in enumerate(points)]
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1 and hasattr(os, "fork"):
+        results = _forked_results(tasks, workers)
+    else:
+        results = [_sweep_point(*task) for task in tasks]
     entries = [entry for entry, _ in results]
     traces = [trace for _, trace in results]
     index_payload = _summary_base(run_config)
@@ -275,7 +362,9 @@ def build_parser():
                        help=f"sweep axis over one of {', '.join(SWEEP_AXES)} "
                             "(repeatable; product grid)")
     sweep.add_argument("--jobs", type=_positive_int, default=1,
-                       help="concurrent sweep points (default 1)")
+                       help="worker processes for the sweep points, at "
+                            "most one per core and per point; points run "
+                            "inline where os.fork is missing (default 1)")
     subparsers.add_parser("check", parents=[common],
                           help="run the superoperator invariant suite")
     return parser

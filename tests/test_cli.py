@@ -6,6 +6,8 @@ import json
 import math
 import os
 import pathlib
+import pickle
+import signal
 import subprocess
 import sys
 import tempfile
@@ -449,6 +451,18 @@ class TestCheckCommand:
 
 
 class TestSweepCommand:
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail a sweep whose workers or pipes hang, rather than hang."""
+        def expire(signum, frame):
+            raise TimeoutError("sweep still running after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
     def test_grid_artifacts_and_index(self, tmp_path):
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out), "--jobs", "2",
@@ -535,6 +549,113 @@ class TestSweepCommand:
         assert (out / "point_002" / "stage1.csv").exists()
         err = capsys.readouterr().err
         assert "point_001" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("die, message", [
+        (lambda: os._exit(7), "sweep worker exited with status 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+         "sweep worker killed by signal 9"),
+    ], ids=["exit-status", "signal"])
+    def test_dead_worker_maps_to_error_and_exits_3(
+            self, tmp_path, capsys, monkeypatch, die, message):
+        import spinheat.cli as cli_module
+        real = cli_module._stage1_artifacts
+
+        def dying(run_config, out_dir):
+            # runs in the second of two forked workers, never in pytest
+            if run_config.values["temperature_K"] == 150.0:
+                die()
+            return real(run_config, out_dir)
+
+        monkeypatch.setattr(cli_module, "_stage1_artifacts", dying)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--jobs", "2",
+                     "--axis", "temperature_K=60,150,90"] + TINY) == 3
+        index = json.loads((out / "sweep_index.json").read_text())
+        assert [p["status"] for p in index["points"]] == ["ok", "error", "ok"]
+        assert index["points"][1]["message"] == message
+        assert (out / "point_002" / "stage1.csv").exists()
+        err = capsys.readouterr().err
+        assert f"point_001: {message}" in err and "Traceback" not in err
+
+    def test_short_worker_result_maps_to_error(self, tmp_path, monkeypatch):
+        def cut_short(obj, handle, protocol=None):
+            handle.write(pickle.dumps(obj, protocol)[:20])
+
+        monkeypatch.setattr(pickle, "dump", cut_short)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--jobs", "2",
+                     "--axis", "temperature_K=60,150"] + TINY) == 3
+        index = json.loads((out / "sweep_index.json").read_text())
+        assert [p["message"] for p in index["points"]] == [
+            "sweep worker exited with status 0, result cut short"] * 2
+
+    def test_parent_failure_kills_and_reaps_workers(self, tmp_path,
+                                                    monkeypatch):
+        def fail(data):
+            raise RuntimeError("parent failed")
+
+        monkeypatch.setattr(pickle, "loads", fail)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(RuntimeError, match="parent failed"):
+            main(["sweep", "--out", str(tmp_path), "--jobs", "2",
+                  "--axis", "temperature_K=60,150"] + TINY)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("temperatures, cores", [
+        ("60,90,150", None), ("60", None), ("60,90,150", 1)])
+    def test_workers_capped_by_points_and_cores(self, tmp_path, monkeypatch,
+                                                temperatures, cores):
+        if cores is not None:
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        forks = []
+        real_fork = os.fork
+
+        def spy():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", spy)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--jobs", "100000",
+                     "--axis", f"temperature_K={temperatures}"] + TINY) == 0
+        workers = min(len(temperatures.split(",")), os.cpu_count())
+        assert len(forks) == (workers if workers > 1 else 0)
+
+    def test_points_run_inline_without_fork(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--jobs", "2",
+                     "--axis", "temperature_K=60,150"] + TINY) == 0
+        index = json.loads((out / "sweep_index.json").read_text())
+        assert [p["status"] for p in index["points"]] == ["ok", "ok"]
+
+    def test_jobs_do_not_change_dense_taylor_or_failing_points(
+            self, tmp_path):
+        # n_levels=3 and (5, 1 meV) step densely, (5, 0.001 meV) by Taylor
+        # steps, and 1e300 meV fails with numerical-error
+        grid = ["--axis", "n_levels=3,5",
+                "--axis", "gamma_ph_meV=0.001,1,1e300",
+                "--set", "stage1_duration_ps=2"]
+        trees = []
+        for run, jobs in enumerate(("1", "2", "3", "2")):
+            out = tmp_path / f"run{run}"
+            assert main(["sweep", "--out", str(out), "--jobs", jobs]
+                        + grid) == 0
+            trees.append({path.relative_to(out): path.read_bytes()
+                          for path in sorted(out.rglob("*"))
+                          if path.is_file()})
+        assert all(tree == trees[0] for tree in trees[1:])
+        index = json.loads(trees[0][pathlib.Path("sweep_index.json")])
+        assert [p["status"] for p in index["points"]] == [
+            "ok", "ok", "numerical-error"] * 2
+        dense = [json.loads(trees[0][pathlib.Path(f"point_{i:03d}",
+                                                  "stage1_summary.json")])
+                 ["trajectory"]["used_dense_propagation"]
+                 for i in (0, 1, 3, 4)]
+        assert dense == [True, True, False, True]
 
     def test_unrepresentable_point_recorded_and_index_written(self, tmp_path):
         out = tmp_path / "sweep"
@@ -637,7 +758,8 @@ def test_cli_main_imports_nothing(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(spinheat.__file__)))
     runs = [["erasure", "--set", "lattice_jitter_nm=0.2"],
-            ["cycle", *TINY]]
+            ["cycle", *TINY],
+            ["sweep", "--jobs", "2", "--axis", "temperature_K=60,90", *TINY]]
     script = (
         "import sys, spinheat.cli as cli\n"
         f"for argv in {runs!r}:\n"
@@ -652,8 +774,24 @@ def test_cli_main_imports_nothing(tmp_path):
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
-    assert [line for line in lines if line.startswith(("erasure ", "cycle "))
-            ] == ["erasure 0 []", "cycle 0 []"]
+    assert [line for line in lines
+            if line.startswith(("erasure ", "cycle ", "sweep "))
+            ] == ["erasure 0 []", "cycle 0 []", "sweep 0 []"]
+
+
+def test_cli_import_leaves_out_process_pools():
+    # a sweep forks its workers with os.fork; these modules would add their
+    # import time to every run kind's start-up
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(spinheat.__file__)))
+    script = (
+        "import sys, spinheat.cli\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0]\n"
+        "             in ('concurrent', 'multiprocessing', 'subprocess')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _refuse_constant(constant):
