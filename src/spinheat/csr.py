@@ -1,11 +1,12 @@
 """Compressed sparse row (CSR) matrices on scipy's compiled kernels.
 
-The generators are stored and multiplied in CSR form by the C++ kernels of
-scipy's ``sparse/_sparsetools`` extension. ``import scipy.sparse`` would
-also run ``scipy/__init__`` and ``scipy/sparse/__init__``, about 0.25 s of
-imports (``numpy.f2py`` and ``numpy.testing`` among them) that nothing here
-uses, so the extension is loaded from its file alone and registered under
-its own module name, where a later ``import scipy.sparse`` finds and shares
+The generators are stored in CSR form and multiplied into vectors by the
+C++ kernels of scipy's ``sparse/_sparsetools`` extension; no two records
+are ever multiplied together. ``import scipy.sparse`` would also run
+``scipy/__init__`` and ``scipy/sparse/__init__``, about 0.25 s of imports
+(``numpy.f2py`` and ``numpy.testing`` among them) that nothing here uses,
+so the extension is loaded from its file alone and registered under its
+own module name, where a later ``import scipy.sparse`` finds and shares
 it. :class:`CSR` holds only the operations the package runs, each the
 kernel sequence that the same ``scipy.sparse.csr_array`` operation runs, so
 both give the same bits. Indices are 32-bit, as scipy picks them at these
@@ -107,24 +108,6 @@ class CSR:
         _kernels.csr_eliminate_zeros(*self.shape, *arrays)
         return CSR(*arrays, self.shape)
 
-    def __matmul__(self, other):
-        """The product with a dense vector, or with a CSR record (its
-        indices unsorted, as csr_matmat leaves them)."""
-        rows, inner = self.shape
-        if not isinstance(other, CSR):
-            result = np.zeros(rows, np.result_type(self.data, other))
-            csr_matvec(rows, inner, self.indptr, self.indices, self.data,
-                       _vector(other, inner), result)
-            return result
-        if other.shape[0] != inner:
-            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
-        shape = rows, other.shape[1]
-        a, b = (self.indptr, self.indices), (other.indptr, other.indices)
-        out = _output(rows, _kernels.csr_matmat_maxnnz(*shape, *a, *b),
-                      np.result_type(self.data, other.data))
-        _kernels.csr_matmat(*shape, *a, self.data, *b, other.data, *out)
-        return CSR(*out, shape)
-
     def __rmatmul__(self, x):
         """x @ self for a dense vector x: the CSC kernel on the same
         arrays, which hold the transpose in CSC form."""
@@ -132,11 +115,6 @@ class CSR:
         _kernels.csc_matvec(*self.shape[::-1], self.indptr, self.indices,
                             self.data, _vector(x, self.shape[0]), result)
         return result
-
-    def real(self):
-        """The canonical real part."""
-        return _canonical(self.indptr.copy(), self.indices.copy(),
-                          self.data.real.copy(), self.shape)
 
     def trace(self):
         diagonal = np.empty(min(self.shape), self.data.dtype)

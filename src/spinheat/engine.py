@@ -18,10 +18,10 @@ resonantly and lasts one pi pulse, locally refined because the phonon
 dressing detunes the bare pi time slightly.
 
 Each stage generator is prepared once, where it is built
-(``propagator.prepare``: its Hermitian basis, the shifted form of its real
-generator and its invariant blocks), and every propagation with it reuses
-that record: the pi-pulse candidates and the work pulse share the stage-2
-one, and the invariant checks hand the same record to the eigenmode oracle
+(``propagator.prepare``: the shifted form of its real generator in the
+Hermitian basis and its invariant blocks), and every propagation with it
+reuses that record: the pi-pulse candidates and the work pulse share the
+stage-2 one, and the invariant checks hand the same record to the eigenmode oracle
 and to ``evolve``. Stage 1 starts in the block of {up, X} x {up, X} and
 (dn, dn) and never leaves it; the switch state also holds up-X coherences,
 so stage 2 steps the coherence block too. ``evolve`` returns exactly

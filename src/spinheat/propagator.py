@@ -1,10 +1,11 @@
 """Propagation of the vectorized master equation dvec(rho)/dt = V vec(rho).
 
 A master equation maps Hermitian states to Hermitian states, so in a basis
-of Hermitian matrices (:func:`_hermitian_basis`, T vec(rho) real for
-Hermitian rho) its generator W = T V T^-1 is real. Every propagation here
-runs in that basis, in real arithmetic: :func:`_real_form` builds W once
-per generator and refuses one that does not preserve Hermiticity.
+of Hermitian matrices (:func:`_hermitian_layout`, T vec(rho) real for
+Hermitian rho; Havel, J. Math. Phys. 44, 534, 2003) its generator
+W = T V T^-1 is real. Every propagation here runs in that basis, in real
+arithmetic: :func:`_real_form` forms W once per generator, in one scatter
+over V's entries, and refuses one that does not preserve Hermiticity.
 
 The electronic selection rules split every stage generator exactly into
 invariant blocks, and :func:`prepare` finds them as the connected
@@ -13,8 +14,8 @@ coordinates, and the o x {g, X} coherences with their conjugates (g the
 driven ground level, o the other). Entries between invariant blocks are
 zero by construction, so each is propagated and diagonalized on its own.
 :func:`prepare` is the one entry point: its :class:`Prepared` record holds
-T, the shifted form of the whole W and the invariant blocks; it is built
-once per generator and serves both paths below.
+the shifted form of the whole W and the invariant blocks; it is built once
+per generator and serves both paths below.
 
 :func:`evolve` is the one production path: it samples the state on an
 output grid by applying exp(W h) over each run of equal steps h to the
@@ -56,9 +57,10 @@ second thread's wall time: stage1 at n_levels=15, gamma_ph 10 meV, takes
 :func:`diagonalize` and :func:`propagate` sum eigenmodes instead: each
 invariant block's eigenvectors R and duals R^-1, kept in the Hermitian
 basis. They share nothing with :func:`evolve` but the superoperator, the
-Hermitian basis, the invariant blocks (exact similarities) and the gather
-:func:`_from_hermitian` back to states, and serve as the oracle that the
-invariant checks compare it with.
+Hermitian basis, the invariant blocks (exact similarities) and the
+gathers :func:`_to_hermitian` and :func:`_from_hermitian` between states
+and coordinates, and serve as the oracle that the invariant checks compare
+it with.
 """
 
 import math
@@ -136,8 +138,8 @@ MAX_DENSE_DIMENSION = 2500
 # Rows that _from_hermitian gathers at a time: each of its working copies
 # holds 0.5 MB at n_levels=15.
 GATHER_ROWS = 16
-# Largest max |Im W| / max |W| that _real_form drops from W = T V T^-1 as
-# rounding; assembling a Liouvillian leaves about 1e-16.
+# Largest max |Im W| / max |Re W| that _real_form drops from its scatter of
+# T V T^-1 as rounding; the assembled stage generators leave about 1e-16.
 HERMITICITY_TOLERANCE = 1e-12
 
 
@@ -152,10 +154,9 @@ class BlockModes(NamedTuple):
 
 
 class EigenPropagator(NamedTuple):
-    """Eigensystem of one generator: T, the eigenvalues of all blocks, the
+    """Eigensystem of one generator: the eigenvalues of all blocks, the
     :class:`BlockModes` of each and the largest biorthonormality residual."""
 
-    t: CSR
     eigenvalues: np.ndarray
     blocks: tuple
     biorthonormality_residual: float
@@ -184,7 +185,7 @@ def diagonalize(prepared):
         residual = max(residual, float(np.max(np.abs(
             inverse @ vectors - np.eye(values.size)))))
     eigenvalues = np.concatenate([block.eigenvalues for block in blocks])
-    return EigenPropagator(prepared.t, eigenvalues, tuple(blocks), residual)
+    return EigenPropagator(eigenvalues, tuple(blocks), residual)
 
 
 def propagate(rho0, ep, times):
@@ -195,7 +196,7 @@ def propagate(rho0, ep, times):
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError(f"propagation times must be nonnegative, got {times}")
-    y = ep.t @ rho0.reshape(-1, order="F").astype(complex)
+    y = _to_hermitian(rho0)
     vecs = np.zeros((times.size, y.size), dtype=complex)
     for block in ep.blocks:
         c = block.inverse @ y[block.index]
@@ -225,19 +226,50 @@ def _dense(m):
     return m.toarray()
 
 
+def _hermitian_layout(n):
+    """The Hermitian basis of column-stacked matrices of n entries. T
+    vec(rho) holds rho's diagonal, Re rho_ij at (i, j) and Im rho_ij at
+    (j, i) for i < j, so T V T^-1 is real for any generator V that maps
+    Hermitian matrices to Hermitian matrices. T and T^-1 pair each
+    coordinate k only with its transpose partner p(k) (p(k) = k on the
+    diagonal, where the partner factors are 0). Returns, each of shape
+    (2, n), the pairs (k, p(k)), T's column k as (T[k, k], T[p(k), k]) and
+    T^-1's row k as (T^-1[k, k], T^-1[k, p(k)])."""
+    dim = math.isqrt(n)
+    # 32-bit indices, as the assembled generator has: W and W - mu keep
+    # them, which halves the index traffic of the Taylor steps' products
+    own = np.arange(n, dtype=np.int32)
+    col, row = np.divmod(own, dim)
+    # the factors of k below, on and above the diagonal
+    side = np.sign(col - row) + 1
+    t = np.array([[0.5j, 1.0, 0.5], [0.5, 0.0, -0.5j]])[:, side]
+    t_inv = np.array([[-1j, 1.0, 1.0], [1.0, 0.0, 1j]])[:, side]
+    return np.array([own, row * dim + col]), t, t_inv
+
+
 def _real_form(v):
-    """The real W = T V T^-1 of a CSR generator V, and T, refused when V's
+    """The real W = T V T^-1 of a CSR generator V, refused when V's
     entries are not finite or when it does not preserve Hermiticity beyond
-    rounding. W is canonical: sorted indices and no duplicates."""
+    rounding. W is canonical (sorted, no duplicates) and stores no zeros.
+    One scatter over V's entries forms it: V[r, c] adds
+    T[r', r] V[r, c] T^-1[c, c'] at r' in (r, p(r)) and c' in (c, p(c)).
+    """
     if not np.all(np.isfinite(v.data)):
         raise NumericalError("superoperator entries are not finite")
-    t, t_inv = _hermitian_basis(math.isqrt(v.shape[0]))
-    w = t @ v @ t_inv
+    pairs, t, t_inv = _hermitian_layout(v.shape[0])
+    rows = np.repeat(pairs[0], np.diff(v.indptr))
+    cols = v.indices
+    # np.take gathers these columns several times faster than indexing
+    data = ((np.take(t, rows, axis=1) * v.data)[:, None]
+            * np.take(t_inv, cols, axis=1))
+    targets = np.broadcast_arrays(np.take(pairs, rows, axis=1)[:, None],
+                                  np.take(pairs, cols, axis=1))
+    w = from_coo(data.ravel(), *(m.ravel() for m in targets), v.shape)
     imag = np.abs(w.data.imag).max(initial=0.0)
     real = np.abs(w.data.real).max(initial=0.0)
     if not imag <= HERMITICITY_TOLERANCE * real:
         raise NumericalError("the generator does not preserve Hermiticity")
-    return w.real(), t
+    return CSR(w.indptr, w.indices, w.data.real, w.shape).eliminate_zeros()
 
 
 class Shifted(NamedTuple):
@@ -270,11 +302,10 @@ class Block(NamedTuple):
 
 class Prepared(NamedTuple):
     """A generator made ready for :func:`evolve` and :func:`diagonalize`:
-    the Hermitian basis T, the :class:`Shifted` form of the whole W, which
-    picks the stepper, and the invariant blocks of W (each a
-    :class:`Block`), in the order of their first coordinate."""
+    the :class:`Shifted` form of the whole real W, which picks the stepper,
+    and the invariant blocks of W (each a :class:`Block`), in the order of
+    their first coordinate."""
 
-    t: CSR
     shifted: Shifted
     blocks: tuple
 
@@ -285,9 +316,8 @@ def _components(w):
     round of label propagation lowers every node's label to the smallest
     label of its edges, then jumps each label to its own label."""
     dim = w.shape[0]
-    nonzero = w.data != 0
-    rows = np.repeat(np.arange(dim), np.diff(w.indptr))[nonzero]
-    cols = w.indices[nonzero]
+    rows = np.repeat(np.arange(dim), np.diff(w.indptr))
+    cols = w.indices
     labels = np.arange(dim)
     while True:
         lowest = np.minimum(labels[rows], labels[cols])
@@ -305,12 +335,12 @@ def _components(w):
 def prepare(v):
     """The :class:`Prepared` record of a CSR generator. A generator refused
     by :func:`_real_form` raises :class:`NumericalError`."""
-    w, t = _real_form(v)
+    w = _real_form(v)
     blocks = []
     for index in _components(w):
         w_block = w.submatrix(index)
         blocks.append(Block(index, w_block, _shift(w_block)))
-    return Prepared(t, _shift(w), tuple(blocks))
+    return Prepared(_shift(w), tuple(blocks))
 
 
 def _equal_step_runs(times):
@@ -465,26 +495,11 @@ def expm(m):
     return r
 
 
-def _hermitian_basis(dim):
-    """Sparse T and T^-1 for column-stacked dim x dim matrices. T vec(rho)
-    holds rho's diagonal, Re rho_ij at (i, j) and Im rho_ij at (j, i) for
-    i < j, so it is real for Hermitian rho, and T V T^-1 is real for any
-    generator V that maps Hermitian matrices to Hermitian matrices."""
-    # 32-bit indices, as the assembled generator has: W and W - mu keep
-    # them, which halves the index traffic of the Taylor steps' products
-    own = np.arange(dim * dim, dtype=np.int32)
-    col, row = np.divmod(own, dim)
-    side = [row < col, row > col]
-    coordinates = (np.concatenate((own, own)),
-                   np.concatenate((own, row * dim + col)))
-
-    def own_plus_partner(own_factor, partner_factor):
-        factors = np.concatenate((np.select(side, own_factor, 1.0),
-                                  np.select(side, partner_factor, 0.0)))
-        return from_coo(factors, *coordinates, (own.size,) * 2)
-
-    return (own_plus_partner([0.5, 0.5j], [0.5, -0.5j]),
-            own_plus_partner([1.0, -1j], [1j, 1.0]))
+def _to_hermitian(rho):
+    """T vec(rho) of a square matrix: a gather over transpose partners."""
+    pairs, t, _ = _hermitian_layout(rho.size)
+    y = t * rho.reshape(-1, order="F")
+    return y[0] + y[1, pairs[1]]
 
 
 def _from_hermitian(vecs):
@@ -492,19 +507,11 @@ def _from_hermitian(vecs):
     matrix T^-1 y, GATHER_ROWS rows at a time: for i < j, rho_ij and rho_ji
     are y at (i, j) plus and minus i times y at (j, i), and rho_ii is y at
     (i, i)."""
-    n = vecs.shape[-1]
-    dim = math.isqrt(n)
-    own = np.arange(n)
-    col, row = np.divmod(own, dim)
-    partner = row * dim + col
-    lower = row > col
-    real_at = np.where(lower, partner, own)
-    imag_at = np.where(lower, own, partner)
-    phase = 1j * np.sign(col - row)
+    pairs, _, t_inv = _hermitian_layout(vecs.shape[-1])
     for start in range(0, len(vecs), GATHER_ROWS):
         rows = vecs[start:start + GATHER_ROWS]
         y = rows.copy()
-        rows[...] = y[:, real_at] + phase * y[:, imag_at]
+        rows[...] = t_inv[0] * y + t_inv[1] * y[:, pairs[1]]
     return vecs
 
 
@@ -550,15 +557,15 @@ def evolve(rho0, prepared, times):
         raise ValueError("evolve needs a nonempty nondecreasing grid from t >= 0")
     if not math.isfinite(prepared.shifted.norm):
         raise NumericalError("the superoperator's 1-norm is not finite")
-    y = prepared.t @ rho0.reshape(-1, order="F").astype(complex)
-    if np.any(y.imag):
+    if not np.array_equal(rho0, rho0.conj().T):
         raise ValueError("evolve propagates exactly Hermitian states only")
+    y = _to_hermitian(rho0).real
     # the steppers' rows go into the real parts of the stack that then
     # holds the states
     vecs = np.zeros((times.size, y.size), dtype=complex)
     used_dense = is_stiff(prepared.shifted, times[-1])
     for block in prepared.blocks:
-        x0 = y.real[block.index]
+        x0 = y[block.index]
         if not np.any(x0):
             continue  # an invariant block that starts at 0 stays at 0
         rows = np.empty((times.size, x0.size))

@@ -8,11 +8,14 @@ term from sparse Kronecker products (``hamiltonian_superoperator``,
 ``liouvillian``; ``min_eigenvalue`` is the per-state positivity monitor
 that the engine's batched sampling replaces; ``taylor_terms`` is the Taylor
 term loop through ``a @ x`` that reads the partial-sum norm at every term,
-which the production loop must match bit for bit; ``basis_index`` spells
-out the composite-basis ordering in closed form, and ``spinlabor_bound`` is
-the analytic erasure cost that criterion 11 anchors the ledger against.
-``csr_record`` and ``scipy_csr`` convert between scipy's sparse arrays and
-the package's :class:`~spinheat.csr.CSR` records.
+which the production loop must match bit for bit; ``hermitian_basis``
+writes T and T^-1 out entry by entry, the reference of the real generator
+W = T V T^-1 and of the gathers between states and coordinates;
+``basis_index`` spells out the composite-basis ordering in closed form, and
+``spinlabor_bound`` is the analytic erasure cost that criterion 11 anchors
+the ledger against. ``csr_record`` and ``scipy_csr`` convert between
+scipy's sparse arrays and the package's :class:`~spinheat.csr.CSR` records;
+every product of a record with a vector here goes through ``scipy_csr``.
 """
 
 import numpy as np
@@ -39,6 +42,28 @@ def scipy_csr(m):
                         copy=True)
 
 
+def hermitian_basis(dim):
+    """T and T^-1 for column-stacked dim x dim matrices, as scipy CSR
+    arrays built entry by entry: T vec(rho) holds rho_ii at (i, i), and
+    Re rho_ij at (i, j) and Im rho_ij at (j, i) for i < j."""
+    t, t_inv = {}, {}
+    for j in range(dim):
+        for i in range(dim):
+            k, k_partner = j * dim + i, i * dim + j  # rho_ij, rho_ji
+            if i == j:
+                t[k, k] = t_inv[k, k] = 1.0
+            elif i < j:
+                # Re rho_ij = (rho_ij + rho_ji) / 2 and
+                # Im rho_ij = (rho_ij - rho_ji) / 2i, at (i, j) and (j, i)
+                t[k, k] = t[k, k_partner] = 0.5
+                t[k_partner, k], t[k_partner, k_partner] = -0.5j, 0.5j
+                # rho_ij = Re + i Im and rho_ji = Re - i Im
+                t_inv[k, k], t_inv[k, k_partner] = 1.0, 1j
+                t_inv[k_partner, k], t_inv[k_partner, k_partner] = 1.0, -1j
+    return tuple(sp.csr_array((list(m.values()), tuple(zip(*m))),
+                              shape=(dim * dim,) * 2) for m in (t, t_inv))
+
+
 def basis_index(x, n):
     """Flat product-space index of electronic level ``x``, oscillator level ``n``."""
     return N_ELECTRONIC * n + x
@@ -62,6 +87,7 @@ def taylor_terms(a, z, span, terms):
     series of exp(span A) z passes the stopping test of Al-Mohy & Higham
     (two consecutive terms below u ||partial sum||_inf) or ``terms`` is
     full; return the rows filled."""
+    a = scipy_csr(a)
     terms[0] = z
     total = z.copy()
     previous = np.abs(z).max()
@@ -79,11 +105,13 @@ def integrate_direct(rho0, v, t_end, tol=1e-9, grid_dt=0.05):
     """Adaptive direct integration of dvec(rho)/dt = V vec(rho).
 
     Returns (times, states) sampled on a uniform grid of spacing grid_dt.
-    ``v`` may be dense or sparse; the right-hand side is one matrix-vector
-    product.
+    ``v`` may be dense, a scipy sparse array or a CSR record; the
+    right-hand side is one matrix-vector product.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if isinstance(v, CSR):
+        v = scipy_csr(v)
     dim = rho0.shape[0]
     times = np.arange(0.0, t_end + grid_dt / 2, grid_dt)
     if times[-1] > t_end:

@@ -158,7 +158,7 @@ def test_superoperator_matches_dense_oracle():
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         rho = m @ m.conj().T
         rho /= np.trace(rho)
-        lhs = (v @ rho.reshape(-1, order="F")).reshape(dim, dim, order="F")
+        lhs = (scipy_csr(v) @ rho.reshape(-1, order="F")).reshape(dim, dim, order="F")
         rhs = dense_rhs(rho, h, d, ops.q1, ops.p1, ops.lower_up, ops.lower_dn)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -195,7 +195,7 @@ def test_superoperator_preserves_hermiticity():
     h = build_hamiltonian(STAGE1, ops)
     v = build_superoperator(h, dissipation(), ops)
     rho = embed(level_projector(IDX_UP), thermal_state(OMEGA1, 60.0, n_c))
-    out = (v @ rho.reshape(-1, order="F")).reshape(3 * n_c, 3 * n_c, order="F")
+    out = (scipy_csr(v) @ rho.reshape(-1, order="F")).reshape(3 * n_c, 3 * n_c, order="F")
     assert np.allclose(out, out.conj().T, atol=1e-10)
 
 

@@ -19,8 +19,8 @@ from scipy.linalg import expm as reference_expm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
-    csr_record, hamiltonian_superoperator, integrate_direct, scipy_csr,
-    taylor_terms,
+    csr_record, hamiltonian_superoperator, hermitian_basis, integrate_direct,
+    scipy_csr, taylor_terms,
 )
 
 from spinheat.config import parse_config, to_engine_config
@@ -40,10 +40,9 @@ from spinheat.liouvillian import (
 )
 from spinheat.propagator import (
     GATHER_ROWS, MAX_LOG2_STEP_NORM, TAYLOR_THETA, THETA13, _dense_steps,
-    _from_hermitian, _hermitian_basis, _one_norm, _real_form,
-    _scaling_exponent, _shift, _taylor_parameters, _taylor_steps,
-    _taylor_terms, csr_matvec, diagonalize, evolve, expm, is_stiff,
-    prepare, propagate,
+    _from_hermitian, _one_norm, _real_form, _scaling_exponent, _shift,
+    _taylor_parameters, _taylor_steps, _taylor_terms, _to_hermitian,
+    csr_matvec, diagonalize, evolve, expm, is_stiff, prepare, propagate,
 )
 from spinheat.spectral import thermal_energy
 
@@ -70,7 +69,7 @@ def initial_state(n_c, temperature=60.0):
 def mode_vectors(ep):
     """The oracle's right eigenvectors mapped back by T^-1: one
     column-stacked matrix per row, in the order of ``ep.eigenvalues``."""
-    dim = ep.t.shape[0]
+    dim = ep.eigenvalues.size
     modes = np.zeros((dim, dim), dtype=complex)
     start = 0
     for block in ep.blocks:
@@ -161,7 +160,7 @@ def test_completeness_reconstructs_random_state():
     m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     rho = m @ m.conj().T
     rho /= np.trace(rho)
-    y = ep.t @ column_stacked(rho)
+    y = _to_hermitian(rho)
     coordinates = np.zeros((1, y.size), dtype=complex)
     for block in ep.blocks:
         coordinates[0, block.index] = block.right @ (
@@ -249,10 +248,9 @@ def column_stacked(rho):
 def real_stepping(v, rho0):
     """The real generator W of ``v`` and the Hermitian-basis coordinates of
     a Hermitian ``rho0``, as the steppers take them."""
-    w, t = _real_form(v)
-    y = t @ column_stacked(rho0)
+    y = _to_hermitian(rho0)
     assert not np.any(y.imag)
-    return w, y.real
+    return _real_form(v), y.real
 
 
 def rows_for(times, y):
@@ -330,7 +328,7 @@ def assert_steps_match_the_reference_loop(monkeypatch, prepared, rho0, times):
     bit, those of the reference term loop, block by block in the same
     number of terms."""
     import spinheat.propagator as propagator_module
-    y = prepared.t @ column_stacked(rho0)
+    y = _to_hermitian(rho0)
     stepped = 0
     for block in prepared.blocks:
         x = y.real[block.index]
@@ -444,30 +442,55 @@ def test_scaling_exponent_brings_the_norm_within_theta13(norm):
 
 
 def test_hermitian_basis_makes_states_and_liouvillians_real():
-    t, t_inv = _hermitian_basis(9)
+    t, t_inv = hermitian_basis(9)
     assert np.array_equal((t @ t_inv).toarray(), np.eye(81))
     rng = np.random.default_rng(5)
     m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     y = t @ column_stacked(m + m.conj().T)
     assert np.max(np.abs(y.imag)) == 0.0
+    assert np.array_equal(_to_hermitian(m + m.conj().T), y)
     # the gather back is T^-1, on real and on complex coordinates, over
     # more rows than it gathers at a time
     assert np.array_equal(vectors(y.real[None])[0], t_inv @ y.real)
     shape = (2 * GATHER_ROWS + 3, 81)
     stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert np.array_equal(_from_hermitian(stack.copy()),
-                          (scipy_csr(t_inv) @ stack.T).T)
+    assert np.array_equal(_from_hermitian(stack.copy()), (t_inv @ stack.T).T)
     v, _ = stage1_superoperator(3, gamma_ph_mev=0.1)
-    w = (t @ v @ t_inv).toarray()
+    w = (t @ scipy_csr(v) @ t_inv).toarray()
     assert np.max(np.abs(w.imag)) <= 1e-15 * np.max(np.abs(w.real))
     # the gather that evolve and the oracle share, at the check sizes
     # (n_levels 6 and 8)
     for dim in (18, 24):
-        _, t_inv = _hermitian_basis(dim)
+        _, t_inv = hermitian_basis(dim)
         shape = (3, dim * dim)
         stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert np.array_equal(_from_hermitian(stack.copy()),
-                              (scipy_csr(t_inv) @ stack.T).T)
+                              (t_inv @ stack.T).T)
+
+
+def test_to_hermitian_is_t_on_any_state():
+    # T vec(rho) of a state that is not Hermitian has an imaginary part;
+    # the gather is T on it all the same
+    rho = random_matrix(12, 17)
+    t, _ = hermitian_basis(12)
+    y = _to_hermitian(rho)
+    assert np.any(y.imag)
+    assert np.array_equal(y, t @ column_stacked(rho))
+
+
+@pytest.mark.parametrize("n_levels", [3, 4, 5, 6, 7, 8, 15])
+@pytest.mark.parametrize("stage_id", ["heat_extraction", "work_output"])
+def test_real_form_is_t_v_t_inverse(stage_id, n_levels):
+    # the scatter over V's entries against T V T^-1 multiplied out by
+    # scipy from the entry-by-entry T and T^-1
+    v, _ = stage_generator(stage_id, n_levels)
+    w = _real_form(v)
+    t, t_inv = hermitian_basis(3 * n_levels)
+    reference = t @ scipy_csr(v) @ t_inv
+    scale = np.max(np.abs(w.data))
+    assert np.max(np.abs(reference.imag)) <= 1e-15 * scale
+    assert np.max(np.abs(scipy_csr(w) - reference.real)) <= 1e-15 * scale
+    assert np.all(w.data != 0)
 
 
 def one_ulp_off_hermitian(n_c):
@@ -617,7 +640,7 @@ def test_blocks_are_the_selection_rule_sets(stage_id, n_levels):
     assert np.array_equal(coherence, np.flatnonzero(coherences))
     assert (population.size, coherence.size) == (5 * n_levels**2,
                                                  4 * n_levels**2)
-    w = scipy_csr(_real_form(v)[0])
+    w = scipy_csr(_real_form(v))
     assert not np.any(w[population][:, coherence].data)
     assert not np.any(w[coherence][:, population].data)
 
@@ -635,7 +658,7 @@ def test_stage1_stays_in_its_block(monkeypatch, dense):
     assert np.all(states[:, outside] == 0.0)
     # the oracle's coefficients of the coherence block are exactly 0 too
     ep = diagonalize(prepared)
-    y = ep.t @ column_stacked(rho0)
+    y = _to_hermitian(rho0)
     population, coherence = (block.inverse @ y[block.index]
                              for block in ep.blocks)
     assert np.all(coherence == 0.0)
