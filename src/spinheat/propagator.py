@@ -8,11 +8,14 @@ arithmetic: :func:`_real_form` forms W once per generator, in one scatter
 over V's entries, and refuses one that does not preserve Hermiticity.
 
 The electronic selection rules split every stage generator exactly into
-invariant blocks, and :func:`prepare` finds them as the connected
-components of W's sparsity graph: the {g, X} x {g, X} and (o, o)
-coordinates, and the o x {g, X} coherences with their conjugates (g the
-driven ground level, o the other). Entries between invariant blocks are
-zero by construction, so each is propagated and diagonalized on its own.
+invariant blocks: the {g, X} x {g, X} and (o, o) coordinates, and the
+o x {g, X} coherences C with their conjugates C^dagger (g the driven
+ground level, o the other). :func:`prepare` finds them from the connected
+components of V's sparsity graph, joining each component K with its
+transpose partners p(K): P is its own partner set, and C and C^dagger
+are two components that nothing in V couples, joined into one
+conjugate-pair block. Entries between invariant blocks are zero by
+construction, so each is propagated and diagonalized on its own.
 :func:`prepare` is the one entry point: its :class:`Prepared` record holds
 the shifted form of the whole W and the invariant blocks; it is built once
 per generator and serves both paths below.
@@ -56,7 +59,10 @@ second thread's wall time: stage1 at n_levels=15, gamma_ph 10 meV, takes
 
 :func:`diagonalize` and :func:`propagate` sum eigenmodes instead: each
 invariant block's eigenvectors R and duals R^-1, kept in the Hermitian
-basis. They share nothing with :func:`evolve` but the superoperator, the
+basis. A conjugate-pair block is decomposed on its complex half, V on C,
+of half the block's dimension: its modes and their conjugates are the
+block's, and its biorthonormality residual is measured on that half.
+They share nothing with :func:`evolve` but the superoperator, the
 Hermitian basis, the invariant blocks (exact similarities) and the
 gathers :func:`_to_hermitian` and :func:`_from_hermitian` between states
 and coordinates, and serve as the oracle that the invariant checks compare
@@ -145,7 +151,11 @@ HERMITICITY_TOLERANCE = 1e-12
 
 class BlockModes(NamedTuple):
     """Eigensystem of one invariant block of W: its Hermitian-basis
-    coordinates, its eigenvalues, the right eigenvector matrix R and R^-1."""
+    coordinates, its eigenvalues, the right eigenvector matrix R and R^-1,
+    both in the Hermitian basis. A conjugate-pair block lists the
+    eigenvalues of its complex half first, then their conjugates, and the
+    columns of R and rows of R^-1 of the conjugates are the exact
+    conjugates of the first half's."""
 
     index: np.ndarray
     eigenvalues: np.ndarray
@@ -155,7 +165,8 @@ class BlockModes(NamedTuple):
 
 class EigenPropagator(NamedTuple):
     """Eigensystem of one generator: the eigenvalues of all blocks, the
-    :class:`BlockModes` of each and the largest biorthonormality residual."""
+    :class:`BlockModes` of each and the largest biorthonormality residual
+    (each conjugate-pair block's measured on its complex half)."""
 
     eigenvalues: np.ndarray
     blocks: tuple
@@ -164,28 +175,73 @@ class EigenPropagator(NamedTuple):
 
 def diagonalize(prepared):
     """Eigendecompose each invariant block of a :class:`Prepared` generator
-    on its own, in the Hermitian basis.
+    on its own; the modes are kept in the Hermitian basis.
 
-    Duals come from inverting each block's right-eigenvector matrix, which
-    enforces biorthonormality directly; the largest residual over the
-    blocks measures how far from defective the generator is. A failed
+    A self-conjugate block is decomposed as its real W, a conjugate-pair
+    block on its complex half (:func:`_pair_modes`). Duals come from
+    inverting the eigenvector matrix, which enforces biorthonormality
+    directly; its residual max |R^-1 R - I|, taken as max |U^-1 U - I| on
+    the complex half of a pair block, measures how far from defective the
+    generator is, and the largest over the blocks is kept. A failed
     decomposition, a singular eigenvector matrix or a block larger than
-    MAX_DENSE_DIMENSION raises :class:`NumericalError`.
+    MAX_DENSE_DIMENSION (a pair block's whole dimension) raises
+    :class:`NumericalError`.
     """
+    layout = _hermitian_layout(prepared.shifted.a.shape[0])
     blocks = []
     residual = 0.0
     for block in prepared.blocks:
+        w = _dense(block.w)
         try:
-            values, vectors = np.linalg.eig(_dense(block.w))
-            inverse = np.linalg.inv(vectors)
+            if block.half is None:
+                values, vectors = np.linalg.eig(w)
+                inverse = np.linalg.inv(vectors)
+                gram = inverse @ vectors
+            else:
+                values, vectors, inverse, gram = _pair_modes(block, w,
+                                                             layout)
         except np.linalg.LinAlgError as err:
             raise NumericalError(
                 f"superoperator eigendecomposition failed: {err}") from err
         blocks.append(BlockModes(block.index, values, vectors, inverse))
         residual = max(residual, float(np.max(np.abs(
-            inverse @ vectors - np.eye(values.size)))))
+            gram - np.eye(gram.shape[0])))))
     eigenvalues = np.concatenate([block.eigenvalues for block in blocks])
     return EigenPropagator(eigenvalues, tuple(blocks), residual)
+
+
+def _pair_modes(block, w, layout):
+    """Eigenvalues, R, R^-1 and the complex half's U^-1 U of a
+    conjugate-pair :class:`Block` K u p(K) whose real W is the dense ``w``:
+    the eigenvalues lambda and eigenvectors U of V on K, then conj lambda.
+
+    T and T^-1 pair each k in K only with p(k), so V on K is the sum of
+    T^-1[r, r'] W[r', c'] T[c', c] over r' in (r, p(r)) and c' in (c, p(c)):
+    four gathers of ``w``. Its eigenvector u, taken as 0 on p(K), is the
+    column of R with T[k, k] u_k at k and T[p(k), k] u_k at p(k); row k of
+    U^-1 times T^-1 is the row of R^-1 with T^-1[k, k] and T^-1[k, p(k)]
+    times its entry k at k and p(k). W is real, so conj lambda takes the
+    conjugate column and row.
+    """
+    pairs, t, t_inv = layout
+    half = block.half
+    at = (np.searchsorted(block.index, half),
+          np.searchsorted(block.index, pairs[1, half]))
+    t, t_inv = t[:, half], t_inv[:, half]
+    v = sum(t_inv[a][:, None] * w[np.ix_(at[a], at[b])] * t[b]
+            for a in range(2) for b in range(2))
+    values, vectors = np.linalg.eig(v)
+    inverse = np.linalg.inv(vectors)
+    m = half.size
+    right = np.empty((2 * m, 2 * m), dtype=complex)
+    dual = np.empty_like(right)
+    for a in range(2):
+        right[at[a], :m] = t[a][:, None] * vectors
+        dual[:m, at[a]] = inverse * t_inv[a]
+    right[:, m:] = right[:, :m].conj()
+    dual[m:] = dual[:m].conj()
+    return (np.concatenate([values, values.conj()]), right, dual,
+            inverse @ vectors)
 
 
 def propagate(rho0, ep, times):
@@ -293,11 +349,15 @@ def _shift(w):
 
 class Block(NamedTuple):
     """One invariant block of W: its Hermitian-basis coordinates (sorted),
-    W restricted to them, and the :class:`Shifted` form of that."""
+    W restricted to them, the :class:`Shifted` form of that, and ``half``:
+    for a conjugate-pair block K u p(K), the sorted coordinates K of its
+    complex half (the one holding the block's first coordinate), and None
+    for a self-conjugate block."""
 
     index: np.ndarray
     w: CSR
     shifted: Shifted
+    half: np.ndarray | None
 
 
 class Prepared(NamedTuple):
@@ -310,14 +370,14 @@ class Prepared(NamedTuple):
     blocks: tuple
 
 
-def _components(w):
-    """Connected components of the sparsity graph |W| + |W|^T of a CSR
+def _components(m):
+    """Connected components of the sparsity graph |M| + |M|^T of a CSR
     matrix, as sorted index arrays in the order of their first index. Each
     round of label propagation lowers every node's label to the smallest
     label of its edges, then jumps each label to its own label."""
-    dim = w.shape[0]
-    rows = np.repeat(np.arange(dim), np.diff(w.indptr))
-    cols = w.indices
+    dim = m.shape[0]
+    rows = np.repeat(np.arange(dim), np.diff(m.indptr))
+    cols = m.indices
     labels = np.arange(dim)
     while True:
         lowest = np.minimum(labels[rows], labels[cols])
@@ -332,14 +392,46 @@ def _components(w):
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
+def _invariant_sets(v, w):
+    """The invariant blocks of a generator as (index, half) pairs, in the
+    order of their first coordinate: each connected component K of V's
+    sparsity graph joined with its transpose-partner set p(K), with
+    half = K when p(K) is another component and None when p(K) = K.
+    V maps Hermitian matrices to Hermitian ones, so its graph is symmetric
+    under p and p(K) is always a component; where rounding breaks that
+    symmetry in V's stored entries, the blocks are the components of W's
+    sparsity graph instead, none of them split into halves."""
+    halves = _components(v)
+    label = np.empty(v.shape[0], dtype=np.intp)
+    for number, half in enumerate(halves):
+        label[half] = number
+    # the component that holds p(k), for each coordinate k and for the
+    # first coordinate of each component
+    partner = label[_hermitian_layout(v.shape[0])[0][1]]
+    partner_of = partner[[half[0] for half in halves]]
+    if not np.array_equal(partner_of[label], partner):
+        return [(index, None) for index in _components(w)]
+    sets = []
+    for number, half in enumerate(halves):
+        other = partner_of[number]
+        if other == number:
+            sets.append((half, None))
+        elif other > number:
+            # sorted without np.sort, whose first call adds 0.4 MB of
+            # numpy's sorting code to the resident set
+            index = np.flatnonzero((label == number) | (label == other))
+            sets.append((index, half))
+    return sets
+
+
 def prepare(v):
     """The :class:`Prepared` record of a CSR generator. A generator refused
     by :func:`_real_form` raises :class:`NumericalError`."""
     w = _real_form(v)
     blocks = []
-    for index in _components(w):
+    for index, half in _invariant_sets(v, w):
         w_block = w.submatrix(index)
-        blocks.append(Block(index, w_block, _shift(w_block)))
+        blocks.append(Block(index, w_block, _shift(w_block), half))
     return Prepared(_shift(w), tuple(blocks))
 
 

@@ -12,7 +12,7 @@ from reference import min_eigenvalue, spinlabor_bound
 from spinheat.constants import HBAR
 from spinheat.engine import (
     EIGVALSH_ROWS, _min_eigenvalues, _sample, _stage_grid, stage_machinery,
-    CycleLedger, EngineConfig, StageConfig, Trajectory, find_switch_time,
+    EngineConfig, StageConfig, Trajectory, find_switch_time,
     heat_extraction_stage, initial_state, invariant_checks, make_ledger,
     run_cycle, run_stage, stage_hamiltonian_spec,
     truncation_convergence, work_output_stage,

@@ -24,7 +24,7 @@ from spinheat.engine import (
 )
 from spinheat.quantum_core import (
     IDX_DN, IDX_UP, IDX_X, embed, fock_operators,
-    level_projector, product_operators, thermal_state, transition_operator,
+    level_projector, product_operators, thermal_state,
 )
 from spinheat.liouvillian import (
     DissipationSpec, StageHamiltonianSpec, build_hamiltonian,

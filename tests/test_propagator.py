@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm as reference_expm
+from scipy.optimize import linear_sum_assignment
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
@@ -39,9 +40,9 @@ from spinheat.liouvillian import (
     build_superoperator,
 )
 from spinheat.propagator import (
-    GATHER_ROWS, MAX_LOG2_STEP_NORM, TAYLOR_THETA, THETA13, _dense_steps,
-    _from_hermitian, _one_norm, _real_form, _scaling_exponent, _shift,
-    _taylor_parameters, _taylor_steps, _taylor_terms, _to_hermitian,
+    GATHER_ROWS, MAX_LOG2_STEP_NORM, TAYLOR_THETA, THETA13, _components,
+    _dense_steps, _from_hermitian, _one_norm, _real_form, _scaling_exponent,
+    _shift, _taylor_parameters, _taylor_steps, _taylor_terms, _to_hermitian,
     csr_matvec, diagonalize, evolve, expm, is_stiff, prepare, propagate,
 )
 from spinheat.spectral import thermal_energy
@@ -699,3 +700,82 @@ def test_switch_state_propagates_both_blocks():
     assert np.all(np.any(states[1:, coherences] != 0.0, axis=1))
     oracle = propagate(rho_switch, diagonalize(prepared), times)
     assert np.max(np.abs(states - oracle)) <= 1e-10
+
+
+# both stage generators at n_levels 3-8 and the stage-1 generator at the
+# default size
+ORACLE_CASES = [(stage_id, n_levels) for n_levels in range(3, 9)
+                for stage_id in ("heat_extraction", "work_output")]
+ORACLE_CASES.append(("heat_extraction", 15))
+
+
+def random_hermitian_state(dim, seed):
+    """A random density matrix that equals its conjugate transpose bit for
+    bit, with every entry nonzero, so that it occupies every block."""
+    m = random_matrix(dim, seed)
+    rho = m @ m.conj().T
+    rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+    assert np.array_equal(rho, rho.conj().T)
+    return rho
+
+
+@pytest.mark.parametrize("stage_id, n_levels", ORACLE_CASES)
+def test_blocks_are_the_components_of_w_joined_from_their_halves(
+        stage_id, n_levels):
+    v, _ = stage_generator(stage_id, n_levels)
+    prepared = prepare(v)
+    assert [block.index.tolist() for block in prepared.blocks] == [
+        index.tolist() for index in _components(_real_form(v))]
+    population, coherence = prepared.blocks
+    assert population.half is None
+    # the coherence block is K and its transpose partners p(K), disjoint
+    dim = 3 * n_levels
+    col, row = np.divmod(coherence.half, dim)
+    partners = np.sort(row * dim + col)
+    assert not np.intersect1d(coherence.half, partners).size
+    assert np.array_equal(np.union1d(coherence.half, partners),
+                          coherence.index)
+
+
+@pytest.mark.parametrize("stage_id, n_levels", ORACLE_CASES)
+def test_oracle_modes_are_eigenmodes_of_each_full_real_block(stage_id,
+                                                             n_levels):
+    v, _ = stage_generator(stage_id, n_levels)
+    prepared = prepare(v)
+    ep = diagonalize(prepared)
+    for block, modes in zip(prepared.blocks, ep.blocks):
+        w = block.w.toarray()
+        right = modes.right
+        assert np.max(np.abs(w @ right - right * modes.eigenvalues)) <= (
+            1e-12 * _one_norm(w))
+        assert np.max(np.abs(modes.inverse @ right
+                             - np.eye(block.index.size))) <= 1e-12
+        if block.half is not None:
+            reference = np.linalg.eigvals(w)
+            rows, cols = linear_sum_assignment(
+                np.abs(reference[:, None] - modes.eigenvalues))
+            assert np.max(np.abs(reference[rows]
+                                 - modes.eigenvalues[cols])) <= 1e-12
+    rho0 = random_hermitian_state(3 * n_levels, n_levels)
+    states, _ = evolve(rho0, prepared, GRIDS[1])
+    assert np.max(np.abs(states - propagate(rho0, ep, GRIDS[1]))) <= 1e-10
+
+
+def test_blocks_are_the_components_of_w_where_v_breaks_the_pair_symmetry():
+    # the diagonal generator of test_diagonal_superoperator_is_its_own_
+    # eigenbasis with a 1e-13 entry feeding rho_10 from rho_00 but none
+    # feeding rho_01: Hermiticity holds to rounding, V's components {0, 1},
+    # {2}, {3} do not pair up under transposition, and W's are the blocks
+    v = np.diag([0.0, -2.0 + 3.0j, -2.0 - 3.0j, -1.0])
+    v[1, 0] = 1e-13
+    prepared = prepare(csr_record(v))
+    assert [block.index.tolist() for block in prepared.blocks] == [
+        [0, 1, 2], [3]]
+    assert all(block.half is None for block in prepared.blocks)
+    rho0 = np.array([[0.5, 0.25 - 0.5j], [0.25 + 0.5j, 0.5]])
+    states, _ = evolve(rho0, prepared, GRIDS[1])
+    oracle = propagate(rho0, diagonalize(prepared), GRIDS[1])
+    assert np.max(np.abs(states - oracle)) <= 1e-12
+    assert np.max(np.abs(states[-1, 0, 1]
+                         - rho0[0, 1] * np.exp((-2.0 - 3.0j) * 1.23))) \
+        <= 1e-12

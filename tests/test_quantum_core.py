@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from reference import basis_index, min_eigenvalue
 
-from spinheat.constants import HBAR, KB
+from spinheat.constants import HBAR
 from spinheat.quantum_core import (
-    IDX_UP, IDX_DN, IDX_X,
+    IDX_UP, IDX_X,
     embed, expectation, fock_operators,
     level_projector, thermal_state, transition_operator,
 )
