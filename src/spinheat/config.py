@@ -247,7 +247,15 @@ def parse_config(kind, config_path=None, overrides=()):
     return RunConfig(kind=kind, values=values, provenance=provenance)
 
 
-def _check_grid(name, points, n_levels, remedy):
+def _check_grid(name, duration, grid_dt, extra, n_levels, remedy):
+    """Refuse a grid over ``duration`` ps in steps of ``grid_dt``, plus
+    ``extra`` states, whose end overflows or whose states would exceed
+    MAX_GRID_BYTES."""
+    if not math.isfinite(duration + grid_dt / 2):
+        raise ConfigError(
+            f"the {name} grid of {duration:.3g} ps in steps of {grid_dt:.3g} "
+            "ps ends beyond the largest float")
+    points = duration / grid_dt + 2 + extra
     grid_bytes = points * 16 * (3 * n_levels)**2
     if not grid_bytes <= MAX_GRID_BYTES:
         raise ConfigError(
@@ -258,10 +266,10 @@ def _check_grid(name, points, n_levels, remedy):
 def to_engine_config(run_config):
     """Engine parameters of a dot-dynamics run. A stage-1 grid, or for a
     cycle a stage-2 window with its pi-pulse candidates, whose states would
-    exceed MAX_GRID_BYTES is a configuration error, and so is a cycle whose
-    pi time is not finite."""
+    exceed MAX_GRID_BYTES, or whose end overflows, is a configuration
+    error, and so is a cycle whose pi time is not finite."""
     v = run_config.values
-    _check_grid("stage-1", v["stage1_duration_ps"] / v["grid_dt_ps"] + 2,
+    _check_grid("stage-1", v["stage1_duration_ps"], v["grid_dt_ps"], 0,
                 v["n_levels"], "raise grid_dt_ps or shorten stage1_duration_ps")
     if run_config.kind == "cycle":
         pi_time = np.pi * HBAR / v["hbar_omega2_meV"]
@@ -269,8 +277,8 @@ def to_engine_config(run_config):
             raise ConfigError(
                 f"hbar_omega2_meV = {v['hbar_omega2_meV']:g} gives a pi time "
                 "that is not finite")
-        _check_grid("stage-2", PI_WINDOW[1] * pi_time / v["grid_dt_ps"] + 2
-                    + PI_CANDIDATES, v["n_levels"],
+        _check_grid("stage-2", PI_WINDOW[1] * pi_time, v["grid_dt_ps"],
+                    PI_CANDIDATES, v["n_levels"],
                     "raise hbar_omega2_meV or grid_dt_ps")
     return EngineConfig(
         temperature=v["temperature_K"],

@@ -18,11 +18,11 @@ resonantly and lasts one pi pulse, locally refined because the phonon
 dressing detunes the bare pi time slightly.
 
 Each stage generator is prepared once, where it is built
-(``propagator.prepare``: the shifted form of its real generator in the
-Hermitian basis and its invariant blocks), and every propagation with it
-reuses that record: the pi-pulse candidates and the work pulse share the
-stage-2 one, and the invariant checks hand the same record to the eigenmode oracle
-and to ``evolve``. Stage 1 starts in the block of {up, X} x {up, X} and
+(``propagator.prepare``: the invariant blocks of its real generator in the
+Hermitian basis), and every propagation with it reuses those blocks: the
+pi-pulse candidates and the work pulse share the stage-2 ones, and the
+invariant checks hand the same blocks to the eigenmode oracle and to
+``evolve``. Stage 1 starts in the block of {up, X} x {up, X} and
 (dn, dn) and never leaves it; the switch state also holds up-X coherences,
 so stage 2 steps the coherence block too. ``evolve`` returns exactly
 Hermitian states, so the observables are sampled from them as they are.
@@ -253,12 +253,12 @@ def _sample(states, times, ops, occupation_ref, abort_threshold, used_dense):
                       used_dense_propagation=used_dense)
 
 
-def _evolve_stage(rho0, stage, cfg, ops, prepared, occupation_ref=None):
+def _evolve_stage(rho0, stage, cfg, ops, blocks, occupation_ref=None):
     """Trajectory of one stage and its states on the output grid, for the
-    stage generator's prepared record; dN1 is measured from
+    stage generator's invariant blocks; dN1 is measured from
     ``occupation_ref``, by default from the first sample."""
     times = _stage_grid(stage.duration, cfg.grid_dt)
-    states, used_dense = evolve(rho0, prepared, times)
+    states, used_dense = evolve(rho0, blocks, times)
     traj = _sample(states, times, ops, occupation_ref, cfg.positivity_abort,
                    used_dense)
     return traj, states
@@ -388,11 +388,11 @@ def invariant_checks(cfg):
         _, v = stage_machinery(heat_extraction_stage(point), point)
         vec_identity = np.eye(3 * point.n_levels).reshape(-1, order="F")
         trace_residual = float(np.max(np.abs(vec_identity @ v)))
-        prepared = prepare(v)
-        ep = diagonalize(prepared)
+        blocks = prepare(v)
+        ep = diagonalize(blocks)
         rho0 = initial_state(point)
         times = _stage_grid(point.stage1_duration, point.grid_dt)
-        states, _ = evolve(rho0, prepared, times)
+        states, _ = evolve(rho0, blocks, times)
         # np.max, unlike max(), lets a NaN state fail the check
         agreement = float(np.max(np.abs(states - propagate(rho0, ep, times))))
         checks = (

@@ -10,27 +10,27 @@ over V's entries, and refuses one that does not preserve Hermiticity.
 The electronic selection rules split every stage generator exactly into
 invariant blocks: the {g, X} x {g, X} and (o, o) coordinates, and the
 o x {g, X} coherences C with their conjugates C^dagger (g the driven
-ground level, o the other). :func:`prepare` finds them from the connected
-components of V's sparsity graph, joining each component K with its
-transpose partners p(K): P is its own partner set, and C and C^dagger
-are two components that nothing in V couples, joined into one
-conjugate-pair block. Entries between invariant blocks are zero by
+ground level, o the other). :func:`prepare` finds them in one search of
+V's sparsity graph and joins its connected components with those of their
+transpose partners p: P is its own partner set, and C and C^dagger are
+two components that nothing in V couples and that p swaps, joined into
+one conjugate-pair block. Entries between invariant blocks are zero by
 construction, so each is propagated and diagonalized on its own.
-:func:`prepare` is the one entry point: its :class:`Prepared` record holds
-the shifted form of the whole W and the invariant blocks; it is built once
-per generator and serves both paths below.
+:func:`prepare` is the one entry point: the tuple of blocks it returns,
+each with its restriction of W and the shifted form of that, is built
+once per generator and serves both paths below.
 
 :func:`evolve` is the one production path: it samples the state on an
 output grid by applying exp(W h) over each run of equal steps h to the
 vector T vec(rho0), real as rho0 must be exactly Hermitian, and gathers the
 states back. It steps only the invariant blocks where T vec(rho0) is
-nonzero; the other coordinates stay exactly 0. The stepped blocks take one
-of two schemes, picked once per call by :func:`is_stiff` from the whole W
-(STIFF_RATIO says why not per block). Generators whose ||W - mu||_1 t is
-small against dim^3 take the truncated Taylor scheme of Al-Mohy & Higham
-(SIAM J. Sci. Comput. 33, 488, 2011, Alg. 5.2), restated here: with
-A = W - mu on a block (mu = tr W / dim, W and dim the block's) it needs
-only sparse matrix-vector products and costs in proportion to ||A||_1 t.
+nonzero; the other coordinates stay exactly 0. Each stepped block takes
+one of two schemes, picked for it by :func:`is_stiff`. With W, mu and dim
+the block's, blocks whose ||W - mu||_1 t is small against dim^3 take the
+truncated Taylor scheme of Al-Mohy & Higham (SIAM J. Sci. Comput. 33,
+488, 2011, Alg. 5.2), restated here: with A = W - mu (mu = tr W / dim)
+it needs only sparse matrix-vector products and costs in proportion to
+||A||_1 t.
 Its Taylor degree and block count come from the exact 1-norm alone, which
 bounds ||A^p||^(1/p) from above for every p, so no norm estimate (and none
 of its random probes) is ever needed and repeated runs give the same bits.
@@ -41,10 +41,10 @@ norm of the partial sum only when it can pass against twice the running
 sum of the term norms, which bounds that norm up to rounding far below the
 factor 2, so the series is truncated at the term where a test that reads
 the norm at every term would truncate it.
-The other generators form exp(W h) of each block once per run with
-:func:`expm`, a Pade [13/13] approximant with scaling and squaring (Higham,
-SIAM J. Matrix Anal. Appl. 26, 1179, 2005) written in numpy, and step with
-dense matrix-vector products, a cost fixed by the dimension. Its scaling
+The other blocks form exp(W h) once per run with :func:`expm`, a Pade
+[13/13] approximant with scaling and squaring (Higham, SIAM J. Matrix
+Anal. Appl. 26, 1179, 2005) written in numpy, and step with dense
+matrix-vector products, a cost fixed by the dimension. Its scaling
 exponent also comes from the exact 1-norm. Of scipy only the compiled
 CSR kernels are used, through :mod:`spinheat.csr`, which loads them
 without importing ``scipy.sparse``; ``scipy.linalg`` would load scipy's
@@ -101,37 +101,42 @@ PADE13 = (
     16380.0, 182.0, 1.0,
 )
 THETA13 = 5.371920351148152
-# evolve steps densely when ||W - mu||_1 t_span > dim^3 / STIFF_RATIO, W,
-# mu and dim those of the whole generator: dense steps cost O(dim^3); the
-# sparse products of Taylor steps follow ||W - mu||_1 t_span. Stage-1
-# stepping time of the real steppers on the whole generator (20 ps, 401
-# points; 2 cores, one OpenBLAS 0.3.31 thread, CPU time within 2 % of
-# wall time), Taylor/dense in s, by n_levels and gamma_ph in meV, with
-# y = ||W - mu||_1 t_span / dim^3:
-#   4: 0.001 (y=1.1e-4) 0.010/0.007; 5: 0.001 (3.4e-5) 0.013/0.012, 0.1
-#   (4.3e-5) 0.009/0.011; 6: 0.001 (1.3e-5) 0.014/0.022, 0.1 (1.8e-5)
-#   0.012/0.024, 0.3 (4.0e-5) 0.030/0.025; 7: 0.001 (6.1e-6) 0.017/0.053,
-#   0.1 (8.7e-6) 0.016/0.048, 0.3 (2.0e-5) 0.034/0.047; 8: 0.001 (3.1e-6)
-#   0.022/0.115, 0.3 (1.1e-5) 0.096/0.115, 1 (3.4e-5) 0.16/0.12; 10: 0.3
-#   (4.0e-6) 0.10/0.36, 0.6 (7.6e-6) 0.24/0.37; 12: 1 (5.3e-6) 0.62/1.31,
-#   3 (1.6e-5) 1.68/1.26; 15: 0.3 (5.7e-7) 0.36/3.37, 1 (1.8e-6) 1.17/4.09,
-#   3 (5.4e-6) 2.95/4.15, 10 (1.8e-5) 9.0/4.4.
-# Break-even y falls with size: about 3e-5 at n_levels 6 and 7, 1.5e-5 to
-# 2e-5 at 8, 1.1e-5 at 12 and 8e-6 at 15. The threshold, y = 9.1e-6,
-# steps densely where Taylor steps win by 1.2-2x at n_levels 5 (y 4.3e-5),
-# 6 (1.3e-5 and 1.8e-5), 7 (2.0e-5) and 8 (1.1e-5), and picks the faster
-# stepper at 10, 12 and 15.
-# The same threshold on the stage-1 block alone (5 n_levels^2
-# coordinates, y about 5.8 times larger) would step it densely at
-# n_levels 7 and 8, where the block's Taylor and dense steps take about
-# the same time (n_levels=8: 0.017 s against 0.018 s). On one thread a
-# dense step costs no CPU time beyond its wall time, so what kept that
-# choice out, a second thread spinning on after dense steps, is gone; the
-# choice stays with the whole generator, where the table was measured,
-# until a cost model per block replaces this threshold.
-STIFF_RATIO = 1.1e5
+# evolve steps a block densely when ||A||_1 t_span > dim^3 / STIFF_RATIO,
+# A = W - mu, W, mu and dim the block's: dense steps cost O(dim^3) per run,
+# the sparse products of Taylor steps follow ||A||_1 t_span. Stepping time
+# of the stage-1 block (5 n_levels^2 coordinates; 20 ps, 401 points; one
+# OpenBLAS 0.3.31 thread, CPU time at most wall time; best of 3 or 5),
+# Taylor/dense wall time in s, by n_levels and gamma_ph in meV, with
+# y = ||A||_1 t_span / dim^3:
+#   4: 0.001 (y=6.1e-4) 0.014/0.0024, 0.1 (7.4e-4) 0.012/0.0023, 0.3
+#   (1.4e-3) 0.018/0.0024, 1 (4.0e-3) 0.081/0.0024, 3 (1.1e-2) 0.17/0.0024;
+#   5: 0.001 (2.0e-4) 0.017/0.0047, 0.1 (2.5e-4) 0.014/0.0049, 0.3
+#   (5.3e-4) 0.030/0.0049, 1 (1.5e-3) 0.094/0.0050; 6: 0.001 (7.8e-5)
+#   0.022/0.0093, 0.1 (1.1e-4) 0.019/0.0092, 0.3 (2.3e-4) 0.047/0.0089;
+#   7: 0.001 (3.6e-5) 0.026/0.018, 0.1 (5.1e-5) 0.023/0.017, 0.3 (1.2e-4)
+#   0.051/0.017; 8: 0.001 (1.8e-5) 0.019/0.026, 0.1 (2.7e-5) 0.028/0.030,
+#   0.3 (6.5e-5) 0.060/0.026, 1 (2.0e-4) 0.16/0.035; 9: 0.001 (1.0e-5)
+#   0.022/0.047, 0.1 (1.5e-5) 0.023/0.043, 0.3 (3.8e-5) 0.076/0.045;
+#   10: 0.001 (5.9e-6) 0.024/0.079, 0.1 (9.2e-6) 0.026/0.078, 0.3 (2.3e-5)
+#   0.083/0.072, 0.6 (4.4e-5) 0.18/0.077, 1 (7.2e-5) 0.23/0.093; 11: 0.1
+#   (5.8e-6) 0.049/0.16, 0.3 (1.5e-5) 0.15/0.18, 1 (4.6e-5) 0.42/0.20;
+#   12: 0.001 (2.4e-6) 0.052/0.25, 0.3 (9.8e-6) 0.16/0.27, 1 (3.1e-5)
+#   0.49/0.30, 3 (9.1e-5) 1.48/0.36; 13: 0.3 (6.7e-6) 0.24/0.39, 1 (2.1e-5)
+#   0.60/0.47, 3 (6.2e-5) 1.77/0.50; 14: 1 (1.5e-5) 0.74/0.64, 3 (4.4e-5)
+#   2.20/0.78; 15: 0.001 (7.6e-7) 0.084/0.78, 1 (1.1e-5) 0.84/0.93, 3
+#   (3.2e-5) 2.49/1.03, 10 (1.1e-4) 8.3/1.17.
+# Break-even y falls with size: it lies between 2.7e-5 and 3.6e-5 at
+# n_levels 7 and 8, near 2e-5 at 10 to 12 and near 1.2e-5 at 15. The
+# threshold, y = 3.0e-5, sits between the n_levels 7 and 8 points, where
+# the faster stepper takes 0.7-0.93 of the slower one's time. It picks the
+# faster stepper, or one within 15 % of it, at every point above but
+# three, where Taylor steps are taken and dense steps are faster: 10, 0.3
+# meV (1.15x), 13, 1 meV (1.28x) and 14, 1 meV (1.15x). A threshold that
+# follows the size needs a cost model per block.
+STIFF_RATIO = 3.3e4
 # Largest log2 ||W h||_1 of a dense step: expm squares about that many
-# times, each a dense dim^3 product (0.2 s at n_levels=15 on 2 cores).
+# times, each a dense dim^3 product (0.06 s for the 1125-coordinate
+# stage-1 block at n_levels=15 on one OpenBLAS thread).
 MAX_LOG2_STEP_NORM = 40.0
 # Largest invariant block made dense, for an expm step or an eig. Peak RSS
 # of whole runs (2 cores, OpenBLAS 0.3.31) by n_levels, with the stage-1
@@ -173,24 +178,26 @@ class EigenPropagator(NamedTuple):
     biorthonormality_residual: float
 
 
-def diagonalize(prepared):
-    """Eigendecompose each invariant block of a :class:`Prepared` generator
-    on its own; the modes are kept in the Hermitian basis.
+def diagonalize(blocks):
+    """Eigendecompose each invariant :class:`Block` of a generator, as
+    :func:`prepare` returns them, on its own; the modes are kept in the
+    Hermitian basis.
 
-    A self-conjugate block is decomposed as its real W, a conjugate-pair
-    block on its complex half (:func:`_pair_modes`). Duals come from
-    inverting the eigenvector matrix, which enforces biorthonormality
-    directly; its residual max |R^-1 R - I|, taken as max |U^-1 U - I| on
-    the complex half of a pair block, measures how far from defective the
-    generator is, and the largest over the blocks is kept. A failed
+    A block without a ``half`` is decomposed as its real W, a
+    conjugate-pair block on its complex half (:func:`_pair_modes`). Duals
+    come from inverting the eigenvector matrix, which enforces
+    biorthonormality directly; its residual max |R^-1 R - I|, taken as
+    max |U^-1 U - I| on the complex half of a pair block, measures how far
+    from defective the generator is, and the largest over the blocks is
+    kept. A failed
     decomposition, a singular eigenvector matrix or a block larger than
     MAX_DENSE_DIMENSION (a pair block's whole dimension) raises
     :class:`NumericalError`.
     """
-    layout = _hermitian_layout(prepared.shifted.a.shape[0])
-    blocks = []
+    layout = _hermitian_layout(sum(block.index.size for block in blocks))
+    modes = []
     residual = 0.0
-    for block in prepared.blocks:
+    for block in blocks:
         w = _dense(block.w)
         try:
             if block.half is None:
@@ -203,11 +210,11 @@ def diagonalize(prepared):
         except np.linalg.LinAlgError as err:
             raise NumericalError(
                 f"superoperator eigendecomposition failed: {err}") from err
-        blocks.append(BlockModes(block.index, values, vectors, inverse))
+        modes.append(BlockModes(block.index, values, vectors, inverse))
         residual = max(residual, float(np.max(np.abs(
             gram - np.eye(gram.shape[0])))))
-    eigenvalues = np.concatenate([block.eigenvalues for block in blocks])
-    return EigenPropagator(eigenvalues, tuple(blocks), residual)
+    eigenvalues = np.concatenate([block.eigenvalues for block in modes])
+    return EigenPropagator(eigenvalues, tuple(modes), residual)
 
 
 def _pair_modes(block, w, layout):
@@ -352,7 +359,7 @@ class Block(NamedTuple):
     W restricted to them, the :class:`Shifted` form of that, and ``half``:
     for a conjugate-pair block K u p(K), the sorted coordinates K of its
     complex half (the one holding the block's first coordinate), and None
-    for a self-conjugate block."""
+    for any other block."""
 
     index: np.ndarray
     w: CSR
@@ -360,25 +367,12 @@ class Block(NamedTuple):
     half: np.ndarray | None
 
 
-class Prepared(NamedTuple):
-    """A generator made ready for :func:`evolve` and :func:`diagonalize`:
-    the :class:`Shifted` form of the whole real W, which picks the stepper,
-    and the invariant blocks of W (each a :class:`Block`), in the order of
-    their first coordinate."""
-
-    shifted: Shifted
-    blocks: tuple
-
-
-def _components(m):
-    """Connected components of the sparsity graph |M| + |M|^T of a CSR
-    matrix, as sorted index arrays in the order of their first index. Each
+def _component_labels(rows, cols, count):
+    """For each node of the graph on 0..count-1 with the undirected edges
+    (rows[i], cols[i]), the smallest node of its connected component. Each
     round of label propagation lowers every node's label to the smallest
     label of its edges, then jumps each label to its own label."""
-    dim = m.shape[0]
-    rows = np.repeat(np.arange(dim), np.diff(m.indptr))
-    cols = m.indices
-    labels = np.arange(dim)
+    labels = np.arange(count)
     while True:
         lowest = np.minimum(labels[rows], labels[cols])
         lowered = labels.copy()
@@ -386,53 +380,39 @@ def _components(m):
         np.minimum.at(lowered, cols, lowest)
         lowered = lowered[lowered]
         if np.array_equal(lowered, labels):
-            break
+            return labels
         labels = lowered
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-
-
-def _invariant_sets(v, w):
-    """The invariant blocks of a generator as (index, half) pairs, in the
-    order of their first coordinate: each connected component K of V's
-    sparsity graph joined with its transpose-partner set p(K), with
-    half = K when p(K) is another component and None when p(K) = K.
-    V maps Hermitian matrices to Hermitian ones, so its graph is symmetric
-    under p and p(K) is always a component; where rounding breaks that
-    symmetry in V's stored entries, the blocks are the components of W's
-    sparsity graph instead, none of them split into halves."""
-    halves = _components(v)
-    label = np.empty(v.shape[0], dtype=np.intp)
-    for number, half in enumerate(halves):
-        label[half] = number
-    # the component that holds p(k), for each coordinate k and for the
-    # first coordinate of each component
-    partner = label[_hermitian_layout(v.shape[0])[0][1]]
-    partner_of = partner[[half[0] for half in halves]]
-    if not np.array_equal(partner_of[label], partner):
-        return [(index, None) for index in _components(w)]
-    sets = []
-    for number, half in enumerate(halves):
-        other = partner_of[number]
-        if other == number:
-            sets.append((half, None))
-        elif other > number:
-            # sorted without np.sort, whose first call adds 0.4 MB of
-            # numpy's sorting code to the resident set
-            index = np.flatnonzero((label == number) | (label == other))
-            sets.append((index, half))
-    return sets
 
 
 def prepare(v):
-    """The :class:`Prepared` record of a CSR generator. A generator refused
-    by :func:`_real_form` raises :class:`NumericalError`."""
+    """The invariant blocks of a CSR generator's real W, a tuple of
+    :class:`Block` in the order of their first coordinate. A generator
+    refused by :func:`_real_form` raises :class:`NumericalError`.
+
+    Each connected component of V's sparsity graph is labelled by its
+    smallest coordinate; the components joined by the edges
+    (label[k], label[p(k)]), p the transpose partner, form one block,
+    which T and T^-1 then leave invariant. A block is a conjugate pair,
+    with ``half`` the component that holds its first coordinate, when it
+    is exactly two components that p swaps.
+    """
     w = _real_form(v)
+    dim = v.shape[0]
+    label = _component_labels(np.repeat(np.arange(dim), np.diff(v.indptr)),
+                              v.indices, dim)
+    partner = label[_hermitian_layout(dim)[0][1]]
+    group = _component_labels(label, partner, dim)[label]
+    # one stable sort leaves each block's coordinates sorted
+    order = np.argsort(group, kind="stable")
     blocks = []
-    for index, half in _invariant_sets(v, w):
+    for index in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+        own = label[index]
+        pair = (np.count_nonzero(own == index) == 2
+                and not np.any(own == partner[index]))
         w_block = w.submatrix(index)
-        blocks.append(Block(index, w_block, _shift(w_block), half))
-    return Prepared(_shift(w), tuple(blocks))
+        blocks.append(Block(index, w_block, _shift(w_block),
+                            index[own == index[0]] if pair else None))
+    return tuple(blocks)
 
 
 def _equal_step_runs(times):
@@ -447,8 +427,9 @@ def _equal_step_runs(times):
 
 
 def is_stiff(shifted, t_span):
-    """Whether stepping the generator densely over ``t_span`` ps is cheaper
-    than Taylor steps, judged from its :class:`Shifted` form."""
+    """Whether stepping an invariant block densely over ``t_span`` ps is
+    cheaper than Taylor steps, judged from the block's :class:`Shifted`
+    form against STIFF_RATIO."""
     return bool(shifted.norm * t_span > shifted.a.shape[0]**3 / STIFF_RATIO)
 
 
@@ -633,35 +614,38 @@ def _dense_steps(w, x, times, out):
     return out
 
 
-def evolve(rho0, prepared, times):
+def evolve(rho0, blocks, times):
     """States exp(V t) rho0 at each of ``times`` (ps, nondecreasing, >= 0),
-    for the :class:`Prepared` record of a generator V.
+    for the invariant blocks of a generator V, as :func:`prepare` returns
+    them.
 
     Returns ``(states, used_dense)``: exactly Hermitian states of shape
-    (len(times), d, d), and whether the propagated invariant blocks took
+    (len(times), d, d), and whether some propagated invariant block took
     dense steps. Uniform grids with a shorter last step, grids starting
     after 0 and single times all work; each run of equal steps is advanced
-    together. A rho0 that is not exactly Hermitian raises ValueError;
-    non-finite generators or states raise :class:`NumericalError`.
+    together. A rho0 that is not exactly Hermitian raises ValueError; an
+    occupied block with a non-finite 1-norm, and states that are not
+    finite, raise :class:`NumericalError`.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("evolve needs a nonempty nondecreasing grid from t >= 0")
-    if not math.isfinite(prepared.shifted.norm):
-        raise NumericalError("the superoperator's 1-norm is not finite")
     if not np.array_equal(rho0, rho0.conj().T):
         raise ValueError("evolve propagates exactly Hermitian states only")
     y = _to_hermitian(rho0).real
     # the steppers' rows go into the real parts of the stack that then
     # holds the states
     vecs = np.zeros((times.size, y.size), dtype=complex)
-    used_dense = is_stiff(prepared.shifted, times[-1])
-    for block in prepared.blocks:
+    used_dense = False
+    for block in blocks:
         x0 = y[block.index]
         if not np.any(x0):
             continue  # an invariant block that starts at 0 stays at 0
+        if not math.isfinite(block.shifted.norm):
+            raise NumericalError("the superoperator's 1-norm is not finite")
         rows = np.empty((times.size, x0.size))
-        if used_dense:
+        if is_stiff(block.shifted, times[-1]):
+            used_dense = True
             _dense_steps(block.w, x0, times, rows)
         else:
             _taylor_steps(block.shifted, x0, times, rows)

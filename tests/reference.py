@@ -11,6 +11,8 @@ term loop through ``a @ x`` that reads the partial-sum norm at every term,
 which the production loop must match bit for bit; ``hermitian_basis``
 writes T and T^-1 out entry by entry, the reference of the real generator
 W = T V T^-1 and of the gathers between states and coordinates;
+``graph_components`` takes scipy's connected components of |W| + |W|^T,
+the reference of the invariant blocks that ``propagator.prepare`` finds;
 ``basis_index`` spells out the composite-basis ordering in closed form, and
 ``spinlabor_bound`` is the analytic erasure cost that criterion 11 anchors
 the ledger against. ``csr_record`` and ``scipy_csr`` convert between
@@ -21,6 +23,7 @@ every product of a record with a vector here goes through ``scipy_csr``.
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.sparse.csgraph import connected_components
 
 from spinheat.constants import HBAR
 from spinheat.csr import CSR
@@ -40,6 +43,18 @@ def scipy_csr(m):
     """A copy of a CSR record as a ``scipy.sparse.csr_array``."""
     return sp.csr_array((m.data, m.indices, m.indptr), shape=m.shape,
                         copy=True)
+
+
+def graph_components(m):
+    """Connected components of the sparsity graph |M| + |M|^T of a CSR
+    record, by ``scipy.sparse.csgraph``, as sorted index arrays in the
+    order of their first index."""
+    graph = abs(scipy_csr(m))
+    _, labels = connected_components(graph + graph.T, directed=False)
+    components = {}
+    for index, label in enumerate(labels.tolist()):
+        components.setdefault(label, []).append(index)
+    return [np.array(index) for index in sorted(components.values())]
 
 
 def hermitian_basis(dim):

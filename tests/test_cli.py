@@ -227,6 +227,32 @@ class TestStage1Command:
         assert err.startswith("numerical failure:")
         assert "80 coordinates" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("n_levels", [23, 24])
+    def test_strong_friction_on_an_oversized_block_refused_before_dense_work(
+            self, tmp_path, capsys, monkeypatch, n_levels):
+        # at gamma_ph = 30 meV the stage-1 block of 5 n_levels^2 > 2500
+        # coordinates is stiff enough for dense steps, so the run is
+        # refused before any expm or eig instead of taking Taylor steps
+        import spinheat.propagator as propagator_module
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(propagator_module, "expm",
+                            spy("expm", propagator_module.expm))
+        monkeypatch.setattr(np.linalg, "eig", spy("eig", np.linalg.eig))
+        assert main(["stage1", "--out", str(tmp_path),
+                     "--set", f"n_levels={n_levels}",
+                     "--set", "gamma_ph_meV=30"]) == 3
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert f"{5 * n_levels**2} coordinates" in err
+
     @pytest.mark.parametrize("override", ["grid_dt_ps=1e-300",
                                           "stage1_duration_ps=1e300"])
     def test_oversized_grid_exits_2(self, tmp_path, capsys, override):
@@ -838,6 +864,13 @@ def _extreme_runs():
                           ("pulse_gradient_T_per_nm", 1e300))))
 @example(run=("erasure", (("pulse_gradient_T_per_nm", 1e-320),
                           ("pulse_duration_ns", 1.7e308))))
+# the stage-1 grid's end, duration + grid_dt / 2, overflows
+@example(run=("stage1", (("stage1_duration_ps", 1.7e308),
+                         ("grid_dt_ps", 1.7e308))))
+@example(run=("cycle", (("stage1_duration_ps", 1.7e308),
+                        ("grid_dt_ps", 1.7e308))))
+@example(run=("check", (("stage1_duration_ps", 1.7e308),
+                        ("grid_dt_ps", 1.7e308))))
 def test_extreme_values_map_to_an_exit_code(run):
     """Any value of one or two keys exits 0, 2, 3 or 4, never with a
     traceback, and an exit 0 leaves a strict-JSON summary, or for check a

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from reference import hermitian_basis, scipy_csr
+from reference import graph_components, hermitian_basis, scipy_csr
 
 import spinheat
 import spinheat.liouvillian as liouvillian_module
@@ -26,7 +26,7 @@ from spinheat.config import parse_config, to_engine_config
 from spinheat.csr import KERNELS, from_coo
 from spinheat.engine import (heat_extraction_stage, stage_machinery,
                              work_output_stage)
-from spinheat.propagator import _components, _real_form
+from spinheat.propagator import _real_form
 
 SRC = os.path.dirname(os.path.dirname(spinheat.__file__))
 
@@ -103,7 +103,7 @@ def check_operations(v):
     reference_w = scipy_csr(w)
     blocks = [(w, reference_w)] + [
         (w.submatrix(index), reference_w[index][:, index])
-        for index in _components(w)]
+        for index in graph_components(w)]
     for block, reference_block in blocks[1:]:
         assert_same(block, reference_block)
     for block, reference_block in blocks:

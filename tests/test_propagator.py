@@ -20,8 +20,8 @@ from scipy.optimize import linear_sum_assignment
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
-    csr_record, hamiltonian_superoperator, hermitian_basis, integrate_direct,
-    scipy_csr, taylor_terms,
+    csr_record, graph_components, hamiltonian_superoperator, hermitian_basis,
+    integrate_direct, scipy_csr, taylor_terms,
 )
 
 from spinheat.config import parse_config, to_engine_config
@@ -40,9 +40,9 @@ from spinheat.liouvillian import (
     build_superoperator,
 )
 from spinheat.propagator import (
-    GATHER_ROWS, MAX_LOG2_STEP_NORM, TAYLOR_THETA, THETA13, _components,
-    _dense_steps, _from_hermitian, _one_norm, _real_form, _scaling_exponent,
-    _shift, _taylor_parameters, _taylor_steps, _taylor_terms, _to_hermitian,
+    GATHER_ROWS, MAX_LOG2_STEP_NORM, TAYLOR_THETA, THETA13, _dense_steps,
+    _from_hermitian, _one_norm, _real_form, _scaling_exponent, _shift,
+    _taylor_parameters, _taylor_steps, _taylor_terms, _to_hermitian,
     csr_matvec, diagonalize, evolve, expm, is_stiff, prepare, propagate,
 )
 from spinheat.spectral import thermal_energy
@@ -324,14 +324,14 @@ def counting(loop, counts):
     return counted
 
 
-def assert_steps_match_the_reference_loop(monkeypatch, prepared, rho0, times):
+def assert_steps_match_the_reference_loop(monkeypatch, blocks, rho0, times):
     """Taylor steps of every block that ``rho0`` occupies equal, bit for
     bit, those of the reference term loop, block by block in the same
     number of terms."""
     import spinheat.propagator as propagator_module
     y = _to_hermitian(rho0)
     stepped = 0
-    for block in prepared.blocks:
+    for block in blocks:
         x = y.real[block.index]
         if not np.any(x):
             continue
@@ -356,16 +356,16 @@ def test_taylor_steps_match_the_reference_loop(monkeypatch, stage_id,
     cfg = to_engine_config(parse_config(
         "stage1", overrides=[f"n_levels={n_levels}"]))
     stage1 = heat_extraction_stage(cfg)
-    prepared = prepare(stage_machinery(stage1, cfg)[1])
+    blocks = prepare(stage_machinery(stage1, cfg)[1])
     rho0 = stage1_start(cfg)
     times = _stage_grid(stage1.duration, cfg.grid_dt)
     if stage_id == "work_output":
         # from a switch state, which occupies both blocks of stage 2
-        rho0 = evolve(rho0, prepared, np.array([0.0, 9.75]))[0][-1]
+        rho0 = evolve(rho0, blocks, np.array([0.0, 9.75]))[0][-1]
         stage2 = work_output_stage(cfg)
-        prepared = prepare(stage_machinery(stage2, cfg)[1])
+        blocks = prepare(stage_machinery(stage2, cfg)[1])
         times = _stage_grid(stage2.duration, cfg.grid_dt)
-    assert_steps_match_the_reference_loop(monkeypatch, prepared, rho0, times)
+    assert_steps_match_the_reference_loop(monkeypatch, blocks, rho0, times)
 
 
 @pytest.mark.parametrize("temperature, gamma_ph", CHECK_GRID)
@@ -374,9 +374,9 @@ def test_taylor_steps_match_the_reference_loop_on_the_check_grid(
     cfg = replace(to_engine_config(parse_config("check")),
                   temperature=temperature, gamma_ph_energy=gamma_ph)
     stage = heat_extraction_stage(cfg)
-    prepared = prepare(stage_machinery(stage, cfg)[1])
+    blocks = prepare(stage_machinery(stage, cfg)[1])
     assert_steps_match_the_reference_loop(
-        monkeypatch, prepared, stage1_start(cfg),
+        monkeypatch, blocks, stage1_start(cfg),
         _stage_grid(stage.duration, cfg.grid_dt))
 
 
@@ -565,7 +565,8 @@ def test_evolve_stiff_branch_matches_eigenmode_propagation():
     v, _ = stage1_superoperator(4, gamma_ph_mev=30.0)
     rho0 = initial_state(4)
     times = np.arange(0.0, 2.0 + 0.025, 0.05)
-    assert is_stiff(prepare(v).shifted, times[-1])
+    population = prepare(v)[0]
+    assert is_stiff(population.shifted, times[-1])
     states, used_dense = evolve(rho0, prepare(v), times)
     assert used_dense
     ep = diagonalize(prepare(v))
@@ -577,7 +578,8 @@ def test_default_stage_branch(gamma_ph, stiff):
     cfg = to_engine_config(parse_config(
         "stage1", overrides=[f"gamma_ph_meV={gamma_ph}"]))
     _, v = stage_machinery(heat_extraction_stage(cfg), cfg)
-    assert is_stiff(prepare(v).shifted, cfg.stage1_duration) is stiff
+    population = prepare(v)[0]
+    assert is_stiff(population.shifted, cfg.stage1_duration) is stiff
 
 
 def test_evolve_rejects_non_finite_generator():
@@ -635,8 +637,7 @@ def coherence_block(stage, n_levels):
 def test_blocks_are_the_selection_rule_sets(stage_id, n_levels):
     v, stage = stage_generator(stage_id, n_levels)
     coherences = coherence_block(stage, n_levels)
-    prepared = prepare(v)
-    population, coherence = (block.index for block in prepared.blocks)
+    population, coherence = (block.index for block in prepare(v))
     assert np.array_equal(population, np.flatnonzero(~coherences))
     assert np.array_equal(coherence, np.flatnonzero(coherences))
     assert (population.size, coherence.size) == (5 * n_levels**2,
@@ -653,12 +654,12 @@ def test_stage1_stays_in_its_block(monkeypatch, dense):
                         lambda shifted, t_span: dense)
     v, stage = stage_generator("heat_extraction", 6)
     rho0 = initial_state(6)
-    prepared = prepare(v)
-    states, _ = evolve(rho0, prepared, GRIDS[0])
+    blocks = prepare(v)
+    states, _ = evolve(rho0, blocks, GRIDS[0])
     outside = coherence_block(stage, 6).reshape(18, 18, order="F")
     assert np.all(states[:, outside] == 0.0)
     # the oracle's coefficients of the coherence block are exactly 0 too
-    ep = diagonalize(prepared)
+    ep = diagonalize(blocks)
     y = _to_hermitian(rho0)
     population, coherence = (block.inverse @ y[block.index]
                              for block in ep.blocks)
@@ -692,13 +693,13 @@ def test_switch_state_propagates_both_blocks():
     rho0 = initial_state(5)
     rho_switch = evolve(rho0, prepare(v1), np.array([0.0, 9.75]))[0][-1]
     v2, stage2 = stage_generator("work_output", 5)
-    prepared = prepare(v2)
+    blocks = prepare(v2)
     coherences = coherence_block(stage2, 5).reshape(15, 15, order="F")
     assert np.any(rho_switch[coherences] != 0.0)
     times = GRIDS[2]
-    states, _ = evolve(rho_switch, prepared, times)
+    states, _ = evolve(rho_switch, blocks, times)
     assert np.all(np.any(states[1:, coherences] != 0.0, axis=1))
-    oracle = propagate(rho_switch, diagonalize(prepared), times)
+    oracle = propagate(rho_switch, diagonalize(blocks), times)
     assert np.max(np.abs(states - oracle)) <= 1e-10
 
 
@@ -723,10 +724,10 @@ def random_hermitian_state(dim, seed):
 def test_blocks_are_the_components_of_w_joined_from_their_halves(
         stage_id, n_levels):
     v, _ = stage_generator(stage_id, n_levels)
-    prepared = prepare(v)
-    assert [block.index.tolist() for block in prepared.blocks] == [
-        index.tolist() for index in _components(_real_form(v))]
-    population, coherence = prepared.blocks
+    blocks = prepare(v)
+    assert [block.index.tolist() for block in blocks] == [
+        index.tolist() for index in graph_components(_real_form(v))]
+    population, coherence = blocks
     assert population.half is None
     # the coherence block is K and its transpose partners p(K), disjoint
     dim = 3 * n_levels
@@ -741,9 +742,9 @@ def test_blocks_are_the_components_of_w_joined_from_their_halves(
 def test_oracle_modes_are_eigenmodes_of_each_full_real_block(stage_id,
                                                              n_levels):
     v, _ = stage_generator(stage_id, n_levels)
-    prepared = prepare(v)
-    ep = diagonalize(prepared)
-    for block, modes in zip(prepared.blocks, ep.blocks):
+    blocks = prepare(v)
+    ep = diagonalize(blocks)
+    for block, modes in zip(blocks, ep.blocks):
         w = block.w.toarray()
         right = modes.right
         assert np.max(np.abs(w @ right - right * modes.eigenvalues)) <= (
@@ -757,8 +758,35 @@ def test_oracle_modes_are_eigenmodes_of_each_full_real_block(stage_id,
             assert np.max(np.abs(reference[rows]
                                  - modes.eigenvalues[cols])) <= 1e-12
     rho0 = random_hermitian_state(3 * n_levels, n_levels)
-    states, _ = evolve(rho0, prepared, GRIDS[1])
+    states, _ = evolve(rho0, blocks, GRIDS[1])
     assert np.max(np.abs(states - propagate(rho0, ep, GRIDS[1]))) <= 1e-10
+
+
+def test_each_block_takes_its_own_stepper(monkeypatch):
+    # over the 20 ps stage at n_levels=8, ||A||_1 t / dim^3 of the
+    # population block (320 coordinates) lies below the threshold and that
+    # of the coherence block (256) above it: a state that occupies both
+    # steps the first by Taylor steps and the second densely
+    import spinheat.propagator as propagator_module
+    v, _ = stage1_superoperator(8)
+    blocks = prepare(v)
+    population, coherence = blocks
+    times = GRIDS[0]
+    assert not is_stiff(population.shifted, times[-1])
+    assert is_stiff(coherence.shifted, times[-1])
+    stepped = []
+    for name in ("_taylor_steps", "_dense_steps"):
+        def spy(generator, x, times, out, name=name,
+                real=getattr(propagator_module, name)):
+            stepped.append((name, x.size))
+            return real(generator, x, times, out)
+        monkeypatch.setattr(propagator_module, name, spy)
+    rho0 = random_hermitian_state(24, 8)
+    states, used_dense = evolve(rho0, blocks, times)
+    assert stepped == [("_taylor_steps", 320), ("_dense_steps", 256)]
+    assert used_dense
+    oracle = propagate(rho0, diagonalize(blocks), times)
+    assert np.max(np.abs(states - oracle)) <= 1e-10
 
 
 def test_blocks_are_the_components_of_w_where_v_breaks_the_pair_symmetry():
@@ -768,13 +796,13 @@ def test_blocks_are_the_components_of_w_where_v_breaks_the_pair_symmetry():
     # {2}, {3} do not pair up under transposition, and W's are the blocks
     v = np.diag([0.0, -2.0 + 3.0j, -2.0 - 3.0j, -1.0])
     v[1, 0] = 1e-13
-    prepared = prepare(csr_record(v))
-    assert [block.index.tolist() for block in prepared.blocks] == [
+    blocks = prepare(csr_record(v))
+    assert [block.index.tolist() for block in blocks] == [
         [0, 1, 2], [3]]
-    assert all(block.half is None for block in prepared.blocks)
+    assert all(block.half is None for block in blocks)
     rho0 = np.array([[0.5, 0.25 - 0.5j], [0.25 + 0.5j, 0.5]])
-    states, _ = evolve(rho0, prepared, GRIDS[1])
-    oracle = propagate(rho0, diagonalize(prepared), GRIDS[1])
+    states, _ = evolve(rho0, blocks, GRIDS[1])
+    oracle = propagate(rho0, diagonalize(blocks), GRIDS[1])
     assert np.max(np.abs(states - oracle)) <= 1e-12
     assert np.max(np.abs(states[-1, 0, 1]
                          - rho0[0, 1] * np.exp((-2.0 - 3.0j) * 1.23))) \
