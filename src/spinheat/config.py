@@ -137,9 +137,12 @@ _ERASURE_SPECS = (
 )
 
 # Largest grid in bytes, for the stage-1 grid and for a cycle's stage-2
-# window with its pi-pulse candidates: evolve keeps every state,
-# (3 n_levels)^2 complex numbers; 13 MB at the defaults, 0.65 GB with
-# grid_dt_ps=1e-3.
+# window with its pi-pulse candidates, at 16 B per grid point for each of
+# the (3 n_levels)^2 coordinates of a state: evolve keeps every point's
+# real coordinates (8 B each) beside the rows of the block it steps (8 B
+# for each of the stage-1 block's 5 n_levels^2), and sampling gathers
+# states a few rows at a time; a default stage-1 run peaks at 0.94 of that
+# price. 13 MB at the defaults, 0.65 GB with grid_dt_ps=1e-3.
 MAX_GRID_BYTES = 2**30
 
 DOT_KINDS = ("stage1", "cycle", "sweep", "check")
@@ -249,7 +252,7 @@ def parse_config(kind, config_path=None, overrides=()):
 
 def _check_grid(name, duration, grid_dt, extra, n_levels, remedy):
     """Refuse a grid over ``duration`` ps in steps of ``grid_dt``, plus
-    ``extra`` states, whose end overflows or whose states would exceed
+    ``extra`` points, whose end overflows or whose price would exceed
     MAX_GRID_BYTES."""
     if not math.isfinite(duration + grid_dt / 2):
         raise ConfigError(
@@ -265,7 +268,7 @@ def _check_grid(name, duration, grid_dt, extra, n_levels, remedy):
 
 def to_engine_config(run_config):
     """Engine parameters of a dot-dynamics run. A stage-1 grid, or for a
-    cycle a stage-2 window with its pi-pulse candidates, whose states would
+    cycle a stage-2 window with its pi-pulse candidates, whose price would
     exceed MAX_GRID_BYTES, or whose end overflows, is a configuration
     error, and so is a cycle whose pi time is not finite."""
     v = run_config.values

@@ -24,8 +24,11 @@ pi-pulse candidates and the work pulse share the stage-2 ones, and the
 invariant checks hand the same blocks to the eigenmode oracle and to
 ``evolve``. Stage 1 starts in the block of {up, X} x {up, X} and
 (dn, dn) and never leaves it; the switch state also holds up-X coherences,
-so stage 2 steps the coherence block too. ``evolve`` returns exactly
-Hermitian states, so the observables are sampled from them as they are.
+so stage 2 steps the coherence block too. ``evolve`` returns the real
+Hermitian-basis coordinates of the grid states; the observables are linear
+functionals of them (``propagator.functional``), read in one product per
+stage, and states are gathered only for the positivity monitor,
+``EIGVALSH_ROWS`` at a time, and for the cycle's hand-off.
 
 The invariant checks of the stage-1 generator and the truncation-convergence
 report of an n_levels sweep verify the dot dynamics.
@@ -39,13 +42,16 @@ import numpy as np
 from .constants import HBAR
 from .errors import ConfigError, PositivityError
 from .quantum_core import (
-    IDX_DN, IDX_UP, IDX_X, N_ELECTRONIC, embed, expectation, level_projector,
+    IDX_DN, IDX_UP, IDX_X, N_ELECTRONIC, embed, level_projector,
     product_operators, thermal_state,
 )
 from .liouvillian import (
     DissipationSpec, StageHamiltonianSpec, build_hamiltonian, build_superoperator,
 )
-from .propagator import diagonalize, evolve, prepare, propagate
+from .propagator import (
+    diagonalize, evolve, from_hermitian, functional, prepare, propagate,
+    to_hermitian,
+)
 from .spectral import reorganization_energy, thermal_energy
 
 
@@ -204,43 +210,54 @@ def _stage_grid(duration, grid_dt):
     return times
 
 
-# States whose {up, X} x bath blocks _min_eigenvalues copies at a time
-EIGVALSH_ROWS = 64
+# States that _min_eigenvalues gathers from their coordinates at a time:
+# 1 MB of complex states at n_levels=15; with the gather's temporaries,
+# sampling stays within the grid price of config.MAX_GRID_BYTES
+EIGVALSH_ROWS = 32
 
 
-def _min_eigenvalues(states):
-    """Smallest eigenvalue of each state of an exactly Hermitian stack.
-    When no state holds a dn-{up, X} coherence, as in every stage-1 stack
-    (evolve leaves that invariant block at exactly 0), each state is block
-    diagonal, and the smaller of the smallest eigenvalues of its
-    {up, X} x bath and dn x bath blocks is its own; otherwise each whole
+def _min_eigenvalues(coords):
+    """Smallest eigenvalue of each state of a stack of Hermitian-basis
+    coordinates, as evolve returns them, gathered into states EIGVALSH_ROWS
+    at a time. When no state holds a dn-{up, X} coherence, as in every
+    stage-1 stack (evolve leaves that invariant block at exactly 0), each
+    state is block diagonal, and the smaller of the smallest eigenvalues of
+    its {up, X} x bath and dn x bath blocks is its own; otherwise each whole
     state is diagonalized. Product-space index m holds electronic level
     m % N_ELECTRONIC."""
-    count, dim = states.shape[:2]
-    split = states.reshape(count, dim // N_ELECTRONIC, N_ELECTRONIC,
-                           dim // N_ELECTRONIC, N_ELECTRONIC)
+    count = len(coords)
+    bath = math.isqrt(coords.shape[1]) // N_ELECTRONIC
     rest = [IDX_UP, IDX_X]
-    if any(np.any(split[:, :, IDX_DN, :, x]) or np.any(split[:, :, x, :, IDX_DN])
-           for x in rest):
-        return np.linalg.eigvalsh(states)[:, 0]
-    lowest = np.linalg.eigvalsh(split[:, :, IDX_DN, :, IDX_DN])[:, 0]
-    size = len(rest) * dim // N_ELECTRONIC
+    size = len(rest) * bath
+    # [state, bath, level, bath, level], over the coordinates' (column,
+    # row) and the states' (row, column)
+    split = coords.reshape(count, bath, N_ELECTRONIC, bath, N_ELECTRONIC)
+    whole = any(np.any(split[:, :, IDX_DN, :, x])
+                or np.any(split[:, :, x, :, IDX_DN]) for x in rest)
+    lowest = np.empty(count)
     for start in range(0, count, EIGVALSH_ROWS):
-        rows = split[start:start + EIGVALSH_ROWS, :, rest][..., rest]
-        np.minimum(lowest[start:start + EIGVALSH_ROWS],
-                   np.linalg.eigvalsh(rows.reshape(-1, size, size))[:, 0],
-                   out=lowest[start:start + EIGVALSH_ROWS])
+        rows = slice(start, start + EIGVALSH_ROWS)
+        states = from_hermitian(coords[rows])
+        if whole:
+            lowest[rows] = np.linalg.eigvalsh(states)[:, 0]
+            continue
+        blocks = states.reshape(-1, bath, N_ELECTRONIC, bath, N_ELECTRONIC)
+        np.minimum(
+            np.linalg.eigvalsh(blocks[:, :, IDX_DN, :, IDX_DN])[:, 0],
+            np.linalg.eigvalsh(blocks[:, :, rest][..., rest].reshape(
+                -1, size, size))[:, 0], out=lowest[rows])
     return lowest
 
 
-def _sample(states, times, ops, occupation_ref, abort_threshold, used_dense):
-    """Trajectory of a stack of exactly Hermitian states, as ``evolve``
-    returns them (eigvalsh reads one triangle of each); a smallest
-    eigenvalue below ``abort_threshold`` raises :class:`PositivityError`."""
-    rho_up, rho_dn, rho_xx, nbar, q1bar = (
-        expectation(states, op).real
-        for op in (ops.proj_up, ops.proj_dn, ops.proj_x, ops.number, ops.q1))
-    min_eig = _min_eigenvalues(states)
+def _sample(coords, times, ops, occupation_ref, abort_threshold, used_dense):
+    """Trajectory of a stack of Hermitian-basis coordinates, as ``evolve``
+    returns them: the five observables in one product with their
+    functionals; a smallest eigenvalue below ``abort_threshold`` raises
+    :class:`PositivityError`."""
+    observables = np.stack([functional(op) for op in (
+        ops.proj_up, ops.proj_dn, ops.proj_x, ops.number, ops.q1)], axis=1)
+    rho_up, rho_dn, rho_xx, nbar, q1bar = (coords @ observables).T
+    min_eig = _min_eigenvalues(coords)
     below = np.flatnonzero(min_eig < abort_threshold)
     if below.size:
         k = below[0]
@@ -254,14 +271,14 @@ def _sample(states, times, ops, occupation_ref, abort_threshold, used_dense):
 
 
 def _evolve_stage(rho0, stage, cfg, ops, blocks, occupation_ref=None):
-    """Trajectory of one stage and its states on the output grid, for the
-    stage generator's invariant blocks; dN1 is measured from
+    """Trajectory of one stage and its coordinates on the output grid, for
+    the stage generator's invariant blocks; dN1 is measured from
     ``occupation_ref``, by default from the first sample."""
     times = _stage_grid(stage.duration, cfg.grid_dt)
-    states, used_dense = evolve(rho0, blocks, times)
-    traj = _sample(states, times, ops, occupation_ref, cfg.positivity_abort,
+    coords, used_dense = evolve(rho0, blocks, times)
+    traj = _sample(coords, times, ops, occupation_ref, cfg.positivity_abort,
                    used_dense)
-    return traj, states
+    return traj, coords
 
 
 def run_stage(rho0, stage, cfg):
@@ -331,20 +348,20 @@ def run_cycle(cfg):
     rho0 = initial_state(cfg)
     stage1 = heat_extraction_stage(cfg)
     ops, v1 = stage_machinery(stage1, cfg)
-    traj1, states1 = _evolve_stage(rho0, stage1, cfg, ops, prepare(v1))
+    traj1, coords1 = _evolve_stage(rho0, stage1, cfg, ops, prepare(v1))
     switch = find_switch_time(traj1)
     k_switch = int(np.searchsorted(traj1.times, switch.time))
-    rho_switch = states1[k_switch].copy()
+    rho_switch = from_hermitian(coords1[k_switch])
 
     stage2 = work_output_stage(cfg)
     v2 = prepare(stage_machinery(stage2, cfg)[1])
     candidates = np.linspace(PI_WINDOW[0] * stage2.duration,
                              PI_WINDOW[1] * stage2.duration, PI_CANDIDATES)
-    states, _ = evolve(rho_switch, v2, candidates)
-    down = expectation(states, ops.proj_dn).real
+    coords, _ = evolve(rho_switch, v2, candidates)
+    down = coords @ functional(ops.proj_dn)
     stage2_duration = float(candidates[int(np.argmax(down))])
 
-    nbar0 = expectation(rho0, ops.number).real
+    nbar0 = functional(ops.number) @ to_hermitian(rho0).real
     traj2, _ = _evolve_stage(
         rho_switch, work_output_stage(cfg, duration=stage2_duration), cfg,
         ops, v2, nbar0)
@@ -392,9 +409,9 @@ def invariant_checks(cfg):
         ep = diagonalize(blocks)
         rho0 = initial_state(point)
         times = _stage_grid(point.stage1_duration, point.grid_dt)
-        states, _ = evolve(rho0, blocks, times)
-        # np.max, unlike max(), lets a NaN state fail the check
-        agreement = float(np.max(np.abs(states - propagate(rho0, ep, times))))
+        coords, _ = evolve(rho0, blocks, times)
+        # np.max, unlike max(), lets a NaN coordinate fail the check
+        agreement = float(np.max(np.abs(coords - propagate(rho0, ep, times))))
         checks = (
             ("trace_annihilation", trace_residual, 1e-10),
             ("max_real_eigenvalue", float(np.max(ep.eigenvalues.real)), 1e-8),

@@ -20,13 +20,16 @@ construction, so each is propagated and diagonalized on its own.
 each with its restriction of W and the shifted form of that, is built
 once per generator and serves both paths below.
 
-:func:`evolve` is the one production path: it samples the state on an
-output grid by applying exp(W h) over each run of equal steps h to the
-vector T vec(rho0), real as rho0 must be exactly Hermitian, and gathers the
-states back. It steps only the invariant blocks where T vec(rho0) is
-nonzero; the other coordinates stay exactly 0. Each stepped block takes
-one of two schemes, picked for it by :func:`is_stiff`. With W, mu and dim
-the block's, blocks whose ||W - mu||_1 t is small against dim^3 take the
+:func:`evolve` is the one production path: it samples the trajectory on
+an output grid by applying exp(W h) over each run of equal steps h to the
+vector T vec(rho0), real as rho0 must be exactly Hermitian, and returns
+the real coordinates it steps, one row per time. It steps only the
+invariant blocks where T vec(rho0) is nonzero; the other coordinates stay
+exactly 0. An observable is read off the coordinates as a linear
+functional (:func:`functional`), and :func:`from_hermitian` gathers states
+back where whole states are needed. Each stepped block takes one of two
+schemes, picked for it by :func:`is_stiff`. With W, mu and dim the
+block's, blocks whose ||W - mu||_1 t is small against dim^3 take the
 truncated Taylor scheme of Al-Mohy & Higham (SIAM J. Sci. Comput. 33,
 488, 2011, Alg. 5.2), restated here: with A = W - mu (mu = tr W / dim)
 it needs only sparse matrix-vector products and costs in proportion to
@@ -63,10 +66,9 @@ basis. A conjugate-pair block is decomposed on its complex half, V on C,
 of half the block's dimension: its modes and their conjugates are the
 block's, and its biorthonormality residual is measured on that half.
 They share nothing with :func:`evolve` but the superoperator, the
-Hermitian basis, the invariant blocks (exact similarities) and the
-gathers :func:`_to_hermitian` and :func:`_from_hermitian` between states
-and coordinates, and serve as the oracle that the invariant checks compare
-it with.
+Hermitian basis, the invariant blocks (exact similarities) and the gather
+:func:`to_hermitian` of the start state, and serve as the oracle that the
+invariant checks compare it with, coordinate by coordinate.
 """
 
 import math
@@ -146,9 +148,6 @@ MAX_LOG2_STEP_NORM = 40.0
 # 10^6 of the block's squared dimension, to about 900 MiB at this bound,
 # so both stay within the 1 GiB that MAX_GRID_BYTES allows the state grid.
 MAX_DENSE_DIMENSION = 2500
-# Rows that _from_hermitian gathers at a time: each of its working copies
-# holds 0.5 MB at n_levels=15.
-GATHER_ROWS = 16
 # Largest max |Im W| / max |Re W| that _real_form drops from its scatter of
 # T V T^-1 as rounding; the assembled stage generators leave about 1e-16.
 HERMITICITY_TOLERANCE = 1e-12
@@ -252,22 +251,21 @@ def _pair_modes(block, w, layout):
 
 
 def propagate(rho0, ep, times):
-    """rho0 evolved to ``times`` (ps) as a sum over eigenmodes: one state for
-    a scalar time, a stack of states for an array of times. Only the blocks
-    where R^-1 T vec(rho0) is nonzero are summed, and the coordinates are
-    gathered back as :func:`evolve` gathers them."""
+    """Hermitian-basis coordinates of rho0 evolved to ``times`` (ps) as a
+    sum over eigenmodes, complex: one row of d^2 for a scalar time, one row
+    per time for an array of times. Only the blocks where R^-1 T vec(rho0)
+    is nonzero are summed; the other coordinates are 0."""
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError(f"propagation times must be nonnegative, got {times}")
-    y = _to_hermitian(rho0)
-    vecs = np.zeros((times.size, y.size), dtype=complex)
+    y = to_hermitian(rho0)
+    coords = np.zeros((times.size, y.size), dtype=complex)
     for block in ep.blocks:
         c = block.inverse @ y[block.index]
         if np.any(c):
-            vecs[:, block.index] = (block.right @ (c[:, None] * np.exp(
+            coords[:, block.index] = (block.right @ (c[:, None] * np.exp(
                 np.outer(block.eigenvalues, times)))).T
-    _from_hermitian(vecs)
-    return vecs.reshape(times.shape + rho0.shape).swapaxes(-1, -2)
+    return coords.reshape(times.shape + y.shape)
 
 
 def _one_norm(m):
@@ -568,24 +566,33 @@ def expm(m):
     return r
 
 
-def _to_hermitian(rho):
+def to_hermitian(rho):
     """T vec(rho) of a square matrix: a gather over transpose partners."""
     pairs, t, _ = _hermitian_layout(rho.size)
     y = t * rho.reshape(-1, order="F")
     return y[0] + y[1, pairs[1]]
 
 
-def _from_hermitian(vecs):
-    """Replace each row y of the complex stack ``vecs`` by the column-stacked
-    matrix T^-1 y, GATHER_ROWS rows at a time: for i < j, rho_ij and rho_ji
-    are y at (i, j) plus and minus i times y at (j, i), and rho_ii is y at
-    (i, i)."""
-    pairs, _, t_inv = _hermitian_layout(vecs.shape[-1])
-    for start in range(0, len(vecs), GATHER_ROWS):
-        rows = vecs[start:start + GATHER_ROWS]
-        y = rows.copy()
-        rows[...] = t_inv[0] * y + t_inv[1] * y[:, pairs[1]]
-    return vecs
+def from_hermitian(y):
+    """The matrices T^-1 y of Hermitian-basis coordinates, (..., d^2) ->
+    (..., d, d): for i < j, rho_ij and rho_ji are y at (i, j) plus and
+    minus i times y at (j, i), and rho_ii is y at (i, i)."""
+    pairs, _, t_inv = _hermitian_layout(y.shape[-1])
+    vecs = t_inv[1] * y[..., pairs[1]]
+    vecs += t_inv[0] * y  # in place: one complex temporary less
+    dim = math.isqrt(y.shape[-1])
+    return vecs.reshape(y.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
+
+
+def functional(op):
+    """The real vector f with f @ y = Tr(op rho) for a Hermitian ``op`` and
+    the coordinates y of any Hermitian rho. The basis is orthogonal, with
+    norm 1 on the diagonal and 1/2 off it: y at (i, j) and (j, i), i < j,
+    weigh E_ij + E_ji and i (E_ij - E_ji), whose traces against op are
+    2 Re op_ij and 2 Im op_ij, so f is T vec(op) weighted 1 on the diagonal
+    and 2 off it."""
+    pairs = _hermitian_layout(op.size)[0]
+    return to_hermitian(op).real * np.where(pairs[0] == pairs[1], 1.0, 2.0)
 
 
 def _dense_steps(w, x, times, out):
@@ -615,27 +622,25 @@ def _dense_steps(w, x, times, out):
 
 
 def evolve(rho0, blocks, times):
-    """States exp(V t) rho0 at each of ``times`` (ps, nondecreasing, >= 0),
-    for the invariant blocks of a generator V, as :func:`prepare` returns
-    them.
+    """Hermitian-basis coordinates of exp(V t) rho0 at each of ``times``
+    (ps, nondecreasing, >= 0), for the invariant blocks of a generator V,
+    as :func:`prepare` returns them.
 
-    Returns ``(states, used_dense)``: exactly Hermitian states of shape
-    (len(times), d, d), and whether some propagated invariant block took
-    dense steps. Uniform grids with a shorter last step, grids starting
-    after 0 and single times all work; each run of equal steps is advanced
-    together. A rho0 that is not exactly Hermitian raises ValueError; an
-    occupied block with a non-finite 1-norm, and states that are not
-    finite, raise :class:`NumericalError`.
+    Returns ``(coords, used_dense)``: a real array of shape
+    (len(times), d^2), exactly 0 outside the stepped blocks, and whether
+    some stepped block took dense steps. Uniform grids with a shorter last
+    step, grids starting after 0 and single times all work; each run of
+    equal steps is advanced together. A rho0 that is not exactly Hermitian
+    raises ValueError; an occupied block with a non-finite 1-norm, and
+    coordinates that are not finite, raise :class:`NumericalError`.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("evolve needs a nonempty nondecreasing grid from t >= 0")
     if not np.array_equal(rho0, rho0.conj().T):
         raise ValueError("evolve propagates exactly Hermitian states only")
-    y = _to_hermitian(rho0).real
-    # the steppers' rows go into the real parts of the stack that then
-    # holds the states
-    vecs = np.zeros((times.size, y.size), dtype=complex)
+    y = to_hermitian(rho0).real
+    coords = np.zeros((times.size, y.size))
     used_dense = False
     for block in blocks:
         x0 = y[block.index]
@@ -649,9 +654,8 @@ def evolve(rho0, blocks, times):
             _dense_steps(block.w, x0, times, rows)
         else:
             _taylor_steps(block.shifted, x0, times, rows)
-        vecs.real[:, block.index] = rows
-    _from_hermitian(vecs)
-    if not np.all(np.isfinite(vecs)):
+        coords[:, block.index] = rows
+        del rows  # freed before the next block's rows are allocated
+    if not np.all(np.isfinite(coords)):
         raise NumericalError("propagated states are not finite")
-    states = vecs.reshape(times.size, *rho0.shape).transpose(0, 2, 1)
-    return states, used_dense
+    return coords, used_dense

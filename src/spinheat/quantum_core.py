@@ -95,19 +95,6 @@ def thermal_state(omega1, temperature, n_c):
     return np.diag(pops).astype(complex)
 
 
-def expectation(rho, op):
-    """Tr(op rho) of one state, or of each state of a stack (..., d, d).
-
-    Complex; callers take .real for Hermitian ops, which is also the value
-    on the Hermitian part of rho.
-    """
-    rho = np.asarray(rho)
-    op = np.asarray(op)
-    if rho.shape[-2:] != op.shape:
-        raise ValueError(f"dimension mismatch: rho {rho.shape} vs op {op.shape}")
-    return np.einsum("ij,...ji->...", op, rho)
-
-
 @dataclass(frozen=True)
 class ProductOperators:
     """Frequently used operators embedded on the 3 N_c product space."""

@@ -5,8 +5,9 @@ nothing with ``propagator`` but the superoperator, so it cross-checks the
 eigenmode oracle; ``superoperator`` assembles the master equation term by
 term from sparse Kronecker products (``hamiltonian_superoperator``,
 ``lindblad_dissipator``), the reference of the one-pass assembly in
-``liouvillian``; ``min_eigenvalue`` is the per-state positivity monitor
-that the engine's batched sampling replaces; ``taylor_terms`` is the Taylor
+``liouvillian``; ``expectation`` and ``min_eigenvalue`` read Tr(op rho)
+and the smallest eigenvalue off whole states, the per-state references of
+the engine's sampling from coordinates; ``taylor_terms`` is the Taylor
 term loop through ``a @ x`` that reads the partial-sum norm at every term,
 which the production loop must match bit for bit; ``hermitian_basis``
 writes T and T^-1 out entry by entry, the reference of the real generator
@@ -89,6 +90,19 @@ def spinlabor_bound(gamma_spin):
     if gamma_spin == 0:
         raise ValueError("unpolarized reservoir: erasure cost is unbounded")
     return float(np.log(2.0) / gamma_spin)
+
+
+def expectation(rho, op):
+    """Tr(op rho) of one state, or of each state of a stack (..., d, d).
+
+    Complex; callers take .real for Hermitian ops, which is also the value
+    on the Hermitian part of rho.
+    """
+    rho = np.asarray(rho)
+    op = np.asarray(op)
+    if rho.shape[-2:] != op.shape:
+        raise ValueError(f"dimension mismatch: rho {rho.shape} vs op {op.shape}")
+    return np.einsum("ij,...ji->...", op, rho)
 
 
 def min_eigenvalue(rho):

@@ -23,7 +23,9 @@ from spinheat.hyperfine import (ELECTRON_DN, ELECTRON_UP, CouplingProfile,
                                 initial_collective_state, pulse_feasibility,
                                 sector_oracle, state_from_terms,
                                 verified_erasure_step)
-from spinheat.propagator import diagonalize, prepare, propagate
+from spinheat.propagator import (
+    diagonalize, from_hermitian, prepare, propagate,
+)
 
 SIGMA_NM = 5.0
 
@@ -95,8 +97,9 @@ def reduced_sets():
             rho0 = initial_state(cfg)
             times, direct = integrate_direct(rho0, v, cfg.stage1_duration,
                                              grid_dt=cfg.grid_dt)
-            gap = max(float(np.max(np.abs(propagate(rho0, ep, t) - state)))
-                      for t, state in zip(times, direct))
+            gap = max(float(np.max(np.abs(
+                from_hermitian(propagate(rho0, ep, t)) - state)))
+                for t, state in zip(times, direct))
             elapsed = time.perf_counter() - start
             dim = 3 * cfg.n_levels
             trace_residual = float(np.max(np.abs(

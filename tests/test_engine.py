@@ -5,10 +5,13 @@ policies (switch selection, ledger identities, convention mapping) and the
 fast invariants at reduced truncation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from reference import min_eigenvalue, spinlabor_bound
+from reference import expectation, min_eigenvalue, spinlabor_bound
 
+from spinheat.config import parse_config, to_engine_config
 from spinheat.constants import HBAR
 from spinheat.engine import (
     EIGVALSH_ROWS, _min_eigenvalues, _sample, _stage_grid, stage_machinery,
@@ -18,9 +21,9 @@ from spinheat.engine import (
     truncation_convergence, work_output_stage,
 )
 from spinheat.errors import PositivityError
-from spinheat.propagator import evolve, prepare
+from spinheat.propagator import evolve, from_hermitian, prepare
 from spinheat.quantum_core import (
-    IDX_DN, IDX_UP, IDX_X, embed, expectation, level_projector, thermal_state,
+    IDX_DN, IDX_UP, IDX_X, embed, level_projector, thermal_state,
 )
 
 
@@ -202,8 +205,8 @@ def test_truncation_convergence_pairs_neighbours_sharing_other_axes():
 
 def _nan_evolve(real):
     def evolve(rho0, v, times):
-        states, used_dense = real(rho0, v, times)
-        return states * np.nan, used_dense
+        coords, used_dense = real(rho0, v, times)
+        return coords * np.nan, used_dense
     return evolve
 
 
@@ -242,32 +245,31 @@ def test_spinlabor_bound_rejects_unpolarized():
 
 
 def stage1_stack(n_levels=4, duration=2.0):
-    """Stage-1 states on the output grid, their times and the operators."""
+    """Stage-1 coordinates on the output grid, their times and the
+    operators."""
     cfg = engine_config(n_levels=n_levels, stage1_duration=duration)
     ops, v = stage_machinery(heat_extraction_stage(cfg), cfg)
     times = _stage_grid(cfg.stage1_duration, cfg.grid_dt)
-    states, _ = evolve(initial_state(cfg), prepare(v), times)
-    return states, times, ops
+    coords, _ = evolve(initial_state(cfg), prepare(v), times)
+    return coords, times, ops
 
 
 def test_vectorized_sampling_matches_per_state_reference():
-    states, times, ops = stage1_stack()
-    # a Hermitian perturbation well above rounding, as evolve returns only
-    # exactly Hermitian states
+    coords, times, ops = stage1_stack()
+    # a perturbation well above rounding; any real coordinates are those of
+    # a Hermitian state
     rng = np.random.default_rng(5)
-    m = rng.standard_normal(states.shape) + 1j * rng.standard_normal(
-        states.shape)
-    states = states + 1e-6 * (m + m.conj().swapaxes(-1, -2))
-    traj = _sample(states, times, ops, None, -1.0, False)
-    hermitian = [(rho + rho.conj().T) / 2 for rho in states]
-    nbar = np.array([expectation(rho, ops.number).real for rho in hermitian])
+    coords = coords + 1e-6 * rng.standard_normal(coords.shape)
+    traj = _sample(coords, times, ops, None, -1.0, False)
+    states = from_hermitian(coords)
+    nbar = np.array([expectation(rho, ops.number).real for rho in states])
     reference = {
-        "rho_up": [expectation(rho, ops.proj_up).real for rho in hermitian],
-        "rho_dn": [expectation(rho, ops.proj_dn).real for rho in hermitian],
-        "rho_XX": [expectation(rho, ops.proj_x).real for rho in hermitian],
+        "rho_up": [expectation(rho, ops.proj_up).real for rho in states],
+        "rho_dn": [expectation(rho, ops.proj_dn).real for rho in states],
+        "rho_XX": [expectation(rho, ops.proj_x).real for rho in states],
         "dN1": nbar - nbar[0],
-        "Q1bar": [expectation(rho, ops.q1).real for rho in hermitian],
-        "min_eigenvalue": [min_eigenvalue(rho) for rho in hermitian],
+        "Q1bar": [expectation(rho, ops.q1).real for rho in states],
+        "min_eigenvalue": [min_eigenvalue(rho) for rho in states],
     }
     for name, values in reference.items():
         assert np.max(np.abs(getattr(traj, name) - values)) <= 1e-12, name
@@ -276,24 +278,48 @@ def test_vectorized_sampling_matches_per_state_reference():
 def test_positivity_monitor_reads_the_blocks_of_a_stage1_stack():
     # stage 1 leaves every dn-{up, X} coherence at exactly 0, so the monitor
     # diagonalizes the {up, X} x bath and dn x bath blocks, in chunks
-    states, _, _ = stage1_stack(duration=5.0)
-    assert len(states) > EIGVALSH_ROWS
+    coords, _, _ = stage1_stack(duration=5.0)
+    assert len(coords) > EIGVALSH_ROWS
+    states = from_hermitian(coords)
     split = states.reshape(len(states), 4, 3, 4, 3)
     assert not np.any(split[:, :, IDX_DN, :, [IDX_UP, IDX_X]])
     full = np.linalg.eigvalsh(states)[:, 0]
-    assert np.max(np.abs(_min_eigenvalues(states) - full)) <= 1e-15
-    # one coherence anywhere in the stack: every state is diagonalized whole
-    states = states.copy()
-    states[-1, IDX_DN, IDX_UP] = states[-1, IDX_UP, IDX_DN] = 1e-9
-    assert np.array_equal(_min_eigenvalues(states),
+    assert np.max(np.abs(_min_eigenvalues(coords) - full)) <= 1e-15
+    # one coherence anywhere in the stack: every state is diagonalized
+    # whole; coordinate (up, dn) is Re rho_{up,dn} = Re rho_{dn,up}
+    coords = coords.copy()
+    coords[-1, 12 * IDX_DN + IDX_UP] = 1e-9
+    states = from_hermitian(coords)
+    assert states[-1, IDX_DN, IDX_UP] == states[-1, IDX_UP, IDX_DN] == 1e-9
+    assert np.array_equal(_min_eigenvalues(coords),
                           np.linalg.eigvalsh(states)[:, 0])
 
 
 @pytest.mark.parametrize("k", [0, 17, 40])
 def test_sampling_names_the_first_non_positive_state(k):
-    states, times, ops = stage1_stack()
-    states = states.copy()
-    for index in (k, len(states) - 1):  # the last state offends too
-        states[index] -= 0.01 * np.eye(states.shape[-1])
+    coords, times, ops = stage1_stack()
+    coords = coords.copy()
+    for index in (k, len(coords) - 1):  # the last state offends too
+        coords[index, ::13] -= 0.01  # the diagonal of a 12 x 12 state
     with pytest.raises(PositivityError, match=f"at t={times[k]:.3f} ps"):
-        _sample(states, times, ops, None, -1e-3, False)
+        _sample(coords, times, ops, None, -1e-3, False)
+
+
+@pytest.mark.parametrize("n_levels", [8, 15])
+def test_stage1_run_stays_within_the_grid_price(n_levels):
+    # MAX_GRID_BYTES prices a grid at 16 B per coordinate per point, with
+    # points = duration / grid_dt + 2: the real coordinate stack (8 B), the
+    # stepped block's rows (8 B per coordinate of the block) and the
+    # sampling's chunked gather must fit within that on the default grid
+    cfg = to_engine_config(parse_config(
+        "stage1", overrides=[f"n_levels={n_levels}"]))
+    rho0 = initial_state(cfg)
+    stage = heat_extraction_stage(cfg)
+    points = cfg.stage1_duration / cfg.grid_dt + 2
+    tracemalloc.start()
+    try:
+        run_stage(rho0, stage, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= points * 16 * (3 * n_levels)**2

@@ -7,12 +7,12 @@ implementation is tested against arithmetic it does not share.
 
 import numpy as np
 import pytest
-from reference import basis_index, min_eigenvalue
+from reference import basis_index, expectation, min_eigenvalue
 
 from spinheat.constants import HBAR
 from spinheat.quantum_core import (
     IDX_UP, IDX_X,
-    embed, expectation, fock_operators,
+    embed, fock_operators,
     level_projector, thermal_state, transition_operator,
 )
 
