@@ -138,11 +138,13 @@ _ERASURE_SPECS = (
 
 # Largest grid in bytes, for the stage-1 grid and for a cycle's stage-2
 # window with its pi-pulse candidates, at 16 B per grid point for each of
-# the (3 n_levels)^2 coordinates of a state: evolve keeps every point's
-# real coordinates (8 B each) beside the rows of the block it steps (8 B
-# for each of the stage-1 block's 5 n_levels^2), and sampling gathers
-# states a few rows at a time; a default stage-1 run peaks at 0.94 of that
-# price. 13 MB at the defaults, 0.65 GB with grid_dt_ps=1e-3.
+# the (3 n_levels)^2 coordinates of a state: evolve writes every point's
+# real coordinates (8 B each) straight into one stack, and sampling
+# gathers principal blocks a few rows at a time; a default stage-1 run
+# peaks at 0.76 (n_levels=8) and 0.71 (15) of that price. The other 8 B
+# stay priced: with a Taylor block count s = 1 (a short stage on a fine
+# grid) one batch of Taylor steps holds the whole block's grid beside the
+# stack. 13 MB at the defaults, 0.65 GB with grid_dt_ps=1e-3.
 MAX_GRID_BYTES = 2**30
 
 DOT_KINDS = ("stage1", "cycle", "sweep", "check")

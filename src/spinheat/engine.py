@@ -27,8 +27,10 @@ invariant checks hand the same blocks to the eigenmode oracle and to
 so stage 2 steps the coherence block too. ``evolve`` returns the real
 Hermitian-basis coordinates of the grid states; the observables are linear
 functionals of them (``propagator.functional``), read in one product per
-stage, and states are gathered only for the positivity monitor,
-``EIGVALSH_ROWS`` at a time, and for the cycle's hand-off.
+stage. The positivity monitor gathers, ``EIGVALSH_ROWS`` states at a time,
+only the principal blocks it diagonalizes (whole states only when a stack
+holds a dn-{up, X} coherence), and the cycle's hand-off gathers one
+state.
 
 The invariant checks of the stage-1 generator and the truncation-convergence
 report of an n_levels sweep verify the dot dynamics.
@@ -49,8 +51,8 @@ from .liouvillian import (
     DissipationSpec, StageHamiltonianSpec, build_hamiltonian, build_superoperator,
 )
 from .propagator import (
-    diagonalize, evolve, from_hermitian, functional, prepare, propagate,
-    to_hermitian,
+    diagonalize, evolve, from_hermitian, functional, prepare,
+    principal_positions, propagate, to_hermitian,
 )
 from .spectral import reorganization_energy, thermal_energy
 
@@ -218,34 +220,32 @@ EIGVALSH_ROWS = 32
 
 def _min_eigenvalues(coords):
     """Smallest eigenvalue of each state of a stack of Hermitian-basis
-    coordinates, as evolve returns them, gathered into states EIGVALSH_ROWS
-    at a time. When no state holds a dn-{up, X} coherence, as in every
-    stage-1 stack (evolve leaves that invariant block at exactly 0), each
-    state is block diagonal, and the smaller of the smallest eigenvalues of
-    its {up, X} x bath and dn x bath blocks is its own; otherwise each whole
-    state is diagonalized. Product-space index m holds electronic level
-    m % N_ELECTRONIC."""
-    count = len(coords)
-    bath = math.isqrt(coords.shape[1]) // N_ELECTRONIC
-    rest = [IDX_UP, IDX_X]
-    size = len(rest) * bath
+    coordinates, as evolve returns them, EIGVALSH_ROWS states at a time.
+    When no state holds a dn-{up, X} coherence, as in every stage-1 stack
+    (evolve leaves that invariant block at exactly 0), each state is block
+    diagonal: only its dn x bath and {up, X} x bath principal blocks are
+    gathered from the coordinates, and the smaller of their smallest
+    eigenvalues is the state's. Otherwise each whole state is gathered.
+    Product-space index m holds electronic level m % N_ELECTRONIC."""
+    count, size = coords.shape
+    dim = math.isqrt(size)
+    bath = dim // N_ELECTRONIC
     # [state, bath, level, bath, level], over the coordinates' (column,
-    # row) and the states' (row, column)
+    # row): views, so the test copies nothing
     split = coords.reshape(count, bath, N_ELECTRONIC, bath, N_ELECTRONIC)
     whole = any(np.any(split[:, :, IDX_DN, :, x])
-                or np.any(split[:, :, x, :, IDX_DN]) for x in rest)
+                or np.any(split[:, :, x, :, IDX_DN]) for x in (IDX_UP, IDX_X))
+    level = np.arange(dim) % N_ELECTRONIC
+    subsets = ([np.arange(dim)] if whole
+               else [np.flatnonzero(level == IDX_DN),
+                     np.flatnonzero(level != IDX_DN)])
+    blocks = [principal_positions(subset, dim) for subset in subsets]
     lowest = np.empty(count)
     for start in range(0, count, EIGVALSH_ROWS):
         rows = slice(start, start + EIGVALSH_ROWS)
-        states = from_hermitian(coords[rows])
-        if whole:
-            lowest[rows] = np.linalg.eigvalsh(states)[:, 0]
-            continue
-        blocks = states.reshape(-1, bath, N_ELECTRONIC, bath, N_ELECTRONIC)
-        np.minimum(
-            np.linalg.eigvalsh(blocks[:, :, IDX_DN, :, IDX_DN])[:, 0],
-            np.linalg.eigvalsh(blocks[:, :, rest][..., rest].reshape(
-                -1, size, size))[:, 0], out=lowest[rows])
+        lowest[rows] = np.min([
+            np.linalg.eigvalsh(from_hermitian(coords[rows, at]))[:, 0]
+            for at in blocks], axis=0)
     return lowest
 
 

@@ -17,17 +17,19 @@ two components that nothing in V couples and that p swaps, joined into
 one conjugate-pair block. Entries between invariant blocks are zero by
 construction, so each is propagated and diagonalized on its own.
 :func:`prepare` is the one entry point: the tuple of blocks it returns,
-each with its restriction of W and the shifted form of that, is built
-once per generator and serves both paths below.
+each with its restriction of W, is built once per generator and serves
+both paths below.
 
 :func:`evolve` is the one production path: it samples the trajectory on
 an output grid by applying exp(W h) over each run of equal steps h to the
 vector T vec(rho0), real as rho0 must be exactly Hermitian, and returns
-the real coordinates it steps, one row per time. It steps only the
-invariant blocks where T vec(rho0) is nonzero; the other coordinates stay
-exactly 0. An observable is read off the coordinates as a linear
-functional (:func:`functional`), and :func:`from_hermitian` gathers states
-back where whole states are needed. Each stepped block takes one of two
+the real coordinates it steps, one row per time, written by the steppers
+straight into one preallocated stack. It steps only the invariant blocks
+where T vec(rho0) is nonzero; the other coordinates stay exactly 0. An
+observable is read off the coordinates as a linear functional
+(:func:`functional`), and :func:`from_hermitian` gathers states back, or
+principal blocks of them (:func:`principal_positions`), where matrices
+are needed. Each stepped block takes one of two
 schemes, picked for it by :func:`is_stiff`. With W, mu and dim the
 block's, blocks whose ||W - mu||_1 t is small against dim^3 take the
 truncated Taylor scheme of Al-Mohy & Higham (SIAM J. Sci. Comput. 33,
@@ -354,14 +356,14 @@ def _shift(w):
 
 class Block(NamedTuple):
     """One invariant block of W: its Hermitian-basis coordinates (sorted),
-    W restricted to them, the :class:`Shifted` form of that, and ``half``:
-    for a conjugate-pair block K u p(K), the sorted coordinates K of its
-    complex half (the one holding the block's first coordinate), and None
-    for any other block."""
+    W restricted to them, and ``half``: for a conjugate-pair block
+    K u p(K), the sorted coordinates K of its complex half (the one holding
+    the block's first coordinate), and None for any other block. Only
+    :func:`evolve` forms the :class:`Shifted` W, and only for the blocks it
+    steps."""
 
     index: np.ndarray
     w: CSR
-    shifted: Shifted
     half: np.ndarray | None
 
 
@@ -384,8 +386,9 @@ def _component_labels(rows, cols, count):
 
 def prepare(v):
     """The invariant blocks of a CSR generator's real W, a tuple of
-    :class:`Block` in the order of their first coordinate. A generator
-    refused by :func:`_real_form` raises :class:`NumericalError`.
+    :class:`Block` in the order of their first coordinate, each with its
+    restriction of W and nothing formed for stepping. A generator refused
+    by :func:`_real_form` raises :class:`NumericalError`.
 
     Each connected component of V's sparsity graph is labelled by its
     smallest coordinate; the components joined by the edges
@@ -407,8 +410,7 @@ def prepare(v):
         own = label[index]
         pair = (np.count_nonzero(own == index) == 2
                 and not np.any(own == partner[index]))
-        w_block = w.submatrix(index)
-        blocks.append(Block(index, w_block, _shift(w_block),
+        blocks.append(Block(index, w.submatrix(index),
                             index[own == index[0]] if pair else None))
     return tuple(blocks)
 
@@ -480,11 +482,11 @@ def _taylor_terms(a, z, span, terms):
     return terms[:p + 1]
 
 
-def _taylor_steps(shifted, x, times, out):
-    """Fill ``out`` with the Hermitian-basis coordinates at ``times``, one
-    row per time, by truncated Taylor series of the :class:`Shifted`
-    generator (Al-Mohy & Higham 2011, Alg. 5.2) applied to the real vector
-    ``x``, and return it.
+def _taylor_steps(shifted, x, times, out, index):
+    """Write the Hermitian-basis coordinates at ``times`` into columns
+    ``index`` of ``out``, one row per time, by truncated Taylor series of
+    the :class:`Shifted` generator (Al-Mohy & Higham 2011, Alg. 5.2)
+    applied to the real vector ``x``.
 
     Each run of ``count`` equal steps h takes one (m*, s) for its span
     count h. Output steps are cut into ceil(s / count) sub-steps when
@@ -499,7 +501,7 @@ def _taylor_steps(shifted, x, times, out):
     i = 0
     for h, count in _equal_step_runs(times):
         if h == 0:
-            out[i:i + count] = x
+            out[i:i + count, index] = x
             i += count
             continue
         m_star, s = _taylor_parameters(count * h * norm)
@@ -519,9 +521,8 @@ def _taylor_steps(shifted, x, times, out):
             # blocks hold whole output steps (sub = 1) or, as q < 2 s then,
             # one sub-step each, kept when it ends an output step
             if (start + d) % sub == 0:
-                out[i:i + d] = ys
+                out[i:i + d, index] = ys
                 i += d
-    return out
 
 
 def _scaling_exponent(norm):
@@ -584,6 +585,14 @@ def from_hermitian(y):
     return vecs.reshape(y.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
 
 
+def principal_positions(subset, dim):
+    """Positions, in the Hermitian-basis coordinates of dim x dim matrices,
+    of the principal block rho[subset][:, subset], columns outer. Sorted
+    ``subset`` keeps each pair's order, so from_hermitian of the gathered
+    coordinates is that block of the gathered state, bit for bit."""
+    return (subset[:, None] * dim + subset).ravel()
+
+
 def functional(op):
     """The real vector f with f @ y = Tr(op rho) for a Hermitian ``op`` and
     the coordinates y of any Hermitian rho. The basis is orthogonal, with
@@ -595,12 +604,14 @@ def functional(op):
     return to_hermitian(op).real * np.where(pairs[0] == pairs[1], 1.0, 2.0)
 
 
-def _dense_steps(w, x, times, out):
-    """Fill ``out`` with the Hermitian-basis coordinates at ``times``, one
-    row per time, and return it: one real exp(W h) per run of equal steps
-    h, applied by dense matrix-vector products to the real vector ``x``. A
-    step with log2 ||W h||_1 above MAX_LOG2_STEP_NORM, or a W larger than
-    MAX_DENSE_DIMENSION, is refused before any dense work."""
+def _dense_steps(w, x, times, out, index):
+    """Write the Hermitian-basis coordinates at ``times`` into columns
+    ``index`` of ``out``, one row per time: one real exp(W h) per run of
+    equal steps h, applied by dense matrix-vector products to the real
+    vector ``x``. A step with log2 ||W h||_1 above MAX_LOG2_STEP_NORM, or a
+    W larger than MAX_DENSE_DIMENSION, is refused before any dense work.
+    W is made dense anew for each run, so that no dense copy of it is held
+    while expm works."""
     runs = _equal_step_runs(times)
     step_norm = _one_norm(w) * max(h for h, _ in runs)
     if not step_norm <= 2.0**MAX_LOG2_STEP_NORM:
@@ -610,15 +621,16 @@ def _dense_steps(w, x, times, out):
     i = 0
     for h, count in runs:
         if h == 0:
-            out[i:i + count] = x
+            out[i:i + count, index] = x
             i += count
             continue
         step = expm(_dense(w) * h)
         for _ in range(count):
             x = step @ x
-            out[i] = x
+            # a 1-D scatter into the row view; out[i, index] = x takes
+            # twice as long
+            out[i][index] = x
             i += 1
-    return out
 
 
 def evolve(rho0, blocks, times):
@@ -628,11 +640,15 @@ def evolve(rho0, blocks, times):
 
     Returns ``(coords, used_dense)``: a real array of shape
     (len(times), d^2), exactly 0 outside the stepped blocks, and whether
-    some stepped block took dense steps. Uniform grids with a shorter last
-    step, grids starting after 0 and single times all work; each run of
-    equal steps is advanced together. A rho0 that is not exactly Hermitian
-    raises ValueError; an occupied block with a non-finite 1-norm, and
-    coordinates that are not finite, raise :class:`NumericalError`.
+    some stepped block took dense steps. The array is allocated once and
+    each stepped block's stepper writes its states straight into the
+    block's columns. Each stepped block's :class:`Shifted` W is formed
+    here, and picks its stepper (:func:`is_stiff`). Uniform grids with a
+    shorter last step, grids starting after 0 and single times all work;
+    each run of equal steps is advanced together. A rho0 that is not
+    exactly Hermitian raises ValueError; an occupied block with a
+    non-finite 1-norm, and coordinates that are not finite, raise
+    :class:`NumericalError`.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0):
@@ -646,16 +662,14 @@ def evolve(rho0, blocks, times):
         x0 = y[block.index]
         if not np.any(x0):
             continue  # an invariant block that starts at 0 stays at 0
-        if not math.isfinite(block.shifted.norm):
+        shifted = _shift(block.w)
+        if not math.isfinite(shifted.norm):
             raise NumericalError("the superoperator's 1-norm is not finite")
-        rows = np.empty((times.size, x0.size))
-        if is_stiff(block.shifted, times[-1]):
+        if is_stiff(shifted, times[-1]):
             used_dense = True
-            _dense_steps(block.w, x0, times, rows)
+            _dense_steps(block.w, x0, times, coords, block.index)
         else:
-            _taylor_steps(block.shifted, x0, times, rows)
-        coords[:, block.index] = rows
-        del rows  # freed before the next block's rows are allocated
+            _taylor_steps(shifted, x0, times, coords, block.index)
     if not np.all(np.isfinite(coords)):
         raise NumericalError("propagated states are not finite")
     return coords, used_dense

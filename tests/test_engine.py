@@ -295,6 +295,24 @@ def test_positivity_monitor_reads_the_blocks_of_a_stage1_stack():
                           np.linalg.eigvalsh(states)[:, 0])
 
 
+def test_positivity_monitor_gathers_no_whole_state_of_a_stage1_stack(
+        monkeypatch):
+    # n_levels=4: 12 x 12 states, whose dn x bath block holds 4 x 4
+    # coordinates and whose {up, X} x bath block 8 x 8
+    import spinheat.engine as engine_module
+    coords, _, _ = stage1_stack(duration=5.0)
+    gathered = []
+
+    def spy(y):
+        gathered.append(y.shape)
+        return from_hermitian(y)
+
+    monkeypatch.setattr(engine_module, "from_hermitian", spy)
+    _min_eigenvalues(coords)
+    assert {shape[1] for shape in gathered} == {16, 64}
+    assert max(shape[0] for shape in gathered) == EIGVALSH_ROWS
+
+
 @pytest.mark.parametrize("k", [0, 17, 40])
 def test_sampling_names_the_first_non_positive_state(k):
     coords, times, ops = stage1_stack()
@@ -323,3 +341,23 @@ def test_stage1_run_stays_within_the_grid_price(n_levels):
     finally:
         tracemalloc.stop()
     assert peak <= points * 16 * (3 * n_levels)**2
+
+
+@pytest.mark.parametrize("n_levels", [8, 15])
+def test_evolve_steps_straight_into_its_stack(n_levels):
+    # the steppers write the stepped block's states into the stack that
+    # evolve returns: beside it, a row buffer of the stage-1 block (5/9 of
+    # the stack) would take the peak to 1.65x
+    cfg = to_engine_config(parse_config(
+        "stage1", overrides=[f"n_levels={n_levels}"]))
+    stage = heat_extraction_stage(cfg)
+    blocks = prepare(stage_machinery(stage, cfg)[1])
+    rho0 = initial_state(cfg)
+    times = _stage_grid(stage.duration, cfg.grid_dt)
+    tracemalloc.start()
+    try:
+        coords, _ = evolve(rho0, blocks, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * coords.nbytes

@@ -43,7 +43,8 @@ from spinheat.propagator import (
     MAX_LOG2_STEP_NORM, TAYLOR_THETA, THETA13, _dense_steps, _one_norm,
     _real_form, _scaling_exponent, _shift, _taylor_parameters,
     _taylor_steps, _taylor_terms, csr_matvec, diagonalize, evolve, expm,
-    from_hermitian, functional, is_stiff, prepare, propagate, to_hermitian,
+    from_hermitian, functional, is_stiff, prepare, principal_positions,
+    propagate, to_hermitian,
 )
 from spinheat.spectral import thermal_energy
 
@@ -270,9 +271,12 @@ def real_stepping(v, rho0):
     return _real_form(v), y.real
 
 
-def rows_for(times, y):
-    """The array a stepper fills: one row of coordinates per time."""
-    return np.empty((times.size,) + y.shape)
+def stepped_rows(stepper, generator, y, times):
+    """The rows that ``stepper`` writes from ``y``: one row of coordinates
+    per time, into a stack of ``y``'s coordinates alone."""
+    rows = np.empty((times.size,) + y.shape)
+    stepper(generator, y, times, rows, np.arange(y.size))
+    return rows
 
 
 @pytest.mark.parametrize("stepper", ["taylor", "dense"])
@@ -282,9 +286,9 @@ def test_steppers_match_eigenmode_propagation(times, stepper):
     rho0 = initial_state(6)
     w, y = real_stepping(v, rho0)
     if stepper == "taylor":
-        ys = _taylor_steps(_shift(w), y, times, rows_for(times, y))
+        ys = stepped_rows(_taylor_steps, _shift(w), y, times)
     else:
-        ys = _dense_steps(w, y, times, rows_for(times, y))
+        ys = stepped_rows(_dense_steps, w, y, times)
     vecs = vectors(ys)
     assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
 
@@ -302,7 +306,7 @@ def test_taylor_steps_match_eigenmode_propagation_off_the_stage_grid(times):
     # the first output step needs several blocks: it is cut into sub-steps
     steps = np.diff(times, prepend=0.0)
     assert _taylor_parameters(steps[steps > 0][0] * shifted.norm)[1] > 1
-    vecs = vectors(_taylor_steps(shifted, y, times, rows_for(times, y)))
+    vecs = vectors(stepped_rows(_taylor_steps, shifted, y, times))
     assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
 
 
@@ -311,8 +315,7 @@ def test_taylor_steps_under_zero_generator_match_eigenmode_propagation():
     v = csr_record(sp.csr_array((81, 81), dtype=complex))
     times = np.array([0.0, 0.5, 2.0])
     w, y = real_stepping(v, rho0)
-    vecs = vectors(_taylor_steps(_shift(w), y, times,
-                                 rows_for(times, y)))
+    vecs = vectors(stepped_rows(_taylor_steps, _shift(w), y, times))
     assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
 
 
@@ -320,9 +323,9 @@ def test_taylor_steps_are_bitwise_repeatable():
     v, _ = stage1_superoperator(6)
     w, y = real_stepping(v, initial_state(6))
     shifted = _shift(w)
-    first = _taylor_steps(shifted, y, GRIDS[0], rows_for(GRIDS[0], y))
+    first = stepped_rows(_taylor_steps, shifted, y, GRIDS[0])
     assert np.array_equal(
-        first, _taylor_steps(shifted, y, GRIDS[0], rows_for(GRIDS[0], y)))
+        first, stepped_rows(_taylor_steps, shifted, y, GRIDS[0]))
 
 
 def counting(loop, counts):
@@ -351,7 +354,7 @@ def assert_steps_match_the_reference_loop(monkeypatch, blocks, rho0, times):
             counts = []
             monkeypatch.setattr(propagator_module, "_taylor_terms",
                                 counting(loop, counts))
-            rows = _taylor_steps(block.shifted, x, times, rows_for(times, x))
+            rows = stepped_rows(_taylor_steps, _shift(block.w), x, times)
             results.append((rows, counts))
         (rows, counts), (reference_rows, reference_counts) = results
         assert counts == reference_counts
@@ -484,6 +487,19 @@ def test_from_hermitian_inverts_to_hermitian_on_a_stack():
     assert np.array_equal(from_hermitian(coords.real), states)
 
 
+@pytest.mark.parametrize("dim", [6, 12, 24])
+def test_principal_positions_gather_the_principal_block_bit_for_bit(dim):
+    # random real coordinates are those of a Hermitian state, and every
+    # subset size from a single level to the whole state is drawn
+    rng = np.random.default_rng(dim)
+    y = rng.standard_normal((5, dim * dim))
+    states = from_hermitian(y)
+    for size in range(1, dim + 1):
+        subset = np.sort(rng.choice(dim, size, replace=False))
+        block = from_hermitian(y[..., principal_positions(subset, dim)])
+        assert np.array_equal(block, states[..., subset, :][..., :, subset])
+
+
 @pytest.mark.parametrize("dim", [3, 12, 18, 24])
 def test_functional_reads_the_trace_of_random_hermitian_matrices(dim):
     op, rho = (random_hermitian_state(dim, seed) for seed in (dim, dim + 1))
@@ -606,7 +622,7 @@ def test_evolve_stiff_branch_matches_eigenmode_propagation():
     rho0 = initial_state(4)
     times = np.arange(0.0, 2.0 + 0.025, 0.05)
     population = prepare(v)[0]
-    assert is_stiff(population.shifted, times[-1])
+    assert is_stiff(_shift(population.w), times[-1])
     coords, used_dense = evolve(rho0, prepare(v), times)
     assert used_dense
     ep = diagonalize(prepare(v))
@@ -619,7 +635,7 @@ def test_default_stage_branch(gamma_ph, stiff):
         "stage1", overrides=[f"gamma_ph_meV={gamma_ph}"]))
     _, v = stage_machinery(heat_extraction_stage(cfg), cfg)
     population = prepare(v)[0]
-    assert is_stiff(population.shifted, cfg.stage1_duration) is stiff
+    assert is_stiff(_shift(population.w), cfg.stage1_duration) is stiff
 
 
 def test_evolve_rejects_non_finite_generator():
@@ -640,7 +656,8 @@ def test_dense_steps_refuse_an_oversized_step_before_expm(monkeypatch):
     w, y = real_stepping(v, initial_state(3))
     h = 2.0**(MAX_LOG2_STEP_NORM + 1) / _one_norm(w)
     with pytest.raises(NumericalError, match="beyond 2"):
-        _dense_steps(w, y, np.array([0.0, h]), np.empty((2, y.size)))
+        _dense_steps(w, y, np.array([0.0, h]), np.empty((2, y.size)),
+                     np.arange(y.size))
 
 
 @pytest.mark.parametrize("stepper", ["_taylor_steps", "_dense_steps"],
@@ -651,7 +668,8 @@ def test_evolve_rejects_non_finite_states(monkeypatch, stepper):
     monkeypatch.setattr(propagator_module, "is_stiff",
                         lambda shifted, t_span: stepper == "_dense_steps")
     monkeypatch.setattr(propagator_module, stepper,
-                        lambda generator, x, times, out: out.fill(np.nan))
+                        lambda generator, x, times, out, index:
+                        out.fill(np.nan))
     v, _ = stage1_superoperator(3)
     with pytest.raises(NumericalError, match="not finite"):
         evolve(initial_state(3), prepare(v), [0.0, 0.1])
@@ -721,7 +739,7 @@ def test_restricted_taylor_steps_match_full_space_steps(monkeypatch,
     rho0 = initial_state(n_levels)
     times = GRIDS[0]
     w, y = real_stepping(v, rho0)
-    full = vectors(_taylor_steps(_shift(w), y, times, rows_for(times, y)))
+    full = vectors(stepped_rows(_taylor_steps, _shift(w), y, times))
     coords, used_dense = evolve(rho0, prepare(v), times)
     assert not used_dense
     restricted = vectors(coords)
@@ -817,14 +835,14 @@ def test_each_block_takes_its_own_stepper(monkeypatch):
     blocks = prepare(v)
     population, coherence = blocks
     times = GRIDS[0]
-    assert not is_stiff(population.shifted, times[-1])
-    assert is_stiff(coherence.shifted, times[-1])
+    assert not is_stiff(_shift(population.w), times[-1])
+    assert is_stiff(_shift(coherence.w), times[-1])
     stepped = []
     for name in ("_taylor_steps", "_dense_steps"):
-        def spy(generator, x, times, out, name=name,
+        def spy(generator, x, times, out, index, name=name,
                 real=getattr(propagator_module, name)):
             stepped.append((name, x.size))
-            return real(generator, x, times, out)
+            real(generator, x, times, out, index)
         monkeypatch.setattr(propagator_module, name, spy)
     rho0 = random_hermitian_state(24, 8)
     coords, used_dense = evolve(rho0, blocks, times)
