@@ -123,7 +123,8 @@ def mismatches(got, expected):
             bound = (BLAS_TOLERANCE if key.rpartition(".")[2] in BLAS_FED
                      else 0.0)
             if type(value) is not type(want) or not (
-                    value == want or abs(value - want) <= bound):
+                    value == want
+                    or isinstance(want, float) and abs(value - want) <= bound):
                 problems.append(f"{artifact} {key}: {value!r} against "
                                 f"{want!r} (tolerance {bound:g})")
     return problems
@@ -159,6 +160,9 @@ def test_mismatches_hold_exact_values_and_bound_blas_fed_ones():
     assert len(mismatches(moved, expected)) == 1
     moved["a.csv"].update({"0.t_ps": 0.5, "rows": 3.0})
     assert len(mismatches(moved, expected)) == 1
+    status = {"i.json": {"points.0.status": "ok"}}
+    assert len(mismatches({"i.json": {"points.0.status": "error"}},
+                          status)) == 1
 
 
 def regenerate():
