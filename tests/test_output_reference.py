@@ -108,6 +108,14 @@ def check_outputs():
             for r in invariant_checks(cfg)}
 
 
+def check_mismatches(got, expected):
+    """Where check records ``got`` differ from the reference ``expected``,
+    both {label name: record}: each record's fields are compared as
+    leaves, so that its value gets BLAS_TOLERANCE and its tolerance and
+    verdict stay exact."""
+    return mismatches({"check": _flatten(got)}, {"check": _flatten(expected)})
+
+
 def mismatches(got, expected):
     """Where ``got`` differs from the reference ``expected``, both
     {artifact: {dotted key: value}}."""
@@ -146,7 +154,7 @@ def test_artifacts_match_the_committed_reference(name, reference, tmp_path,
 def test_check_records_match_the_committed_reference(reference):
     got = check_outputs()
     assert len(got) == 16
-    assert mismatches({"check": got}, {"check": reference["check"]}) == []
+    assert check_mismatches(got, reference["check"]) == []
 
 
 def test_mismatches_hold_exact_values_and_bound_blas_fed_ones():
@@ -163,6 +171,13 @@ def test_mismatches_hold_exact_values_and_bound_blas_fed_ones():
     status = {"i.json": {"points.0.status": "ok"}}
     assert len(mismatches({"i.json": {"points.0.status": "error"}},
                           status)) == 1
+    record = {"check_value": 1.5e-15, "tolerance": 1e-10, "passed": True}
+    records = {"T=60K gamma_ph=0.001meV trace_annihilation": record}
+    moved = {key: dict(value, check_value=value["check_value"] + 1e-14)
+             for key, value in records.items()}
+    assert check_mismatches(moved, records) == []
+    moved = {key: dict(value, passed=False) for key, value in records.items()}
+    assert len(check_mismatches(moved, records)) == 1
 
 
 def regenerate():
