@@ -15,7 +15,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .constants import HBAR
-from .engine import PI_CANDIDATES, PI_WINDOW, EngineConfig
+from .engine import CHECK_GRID, PI_CANDIDATES, PI_WINDOW, EngineConfig
 from .errors import ConfigError
 from .hyperfine import MAX_ORACLE_SPINS, CouplingProfile, PulseSpec
 
@@ -272,8 +272,17 @@ def to_engine_config(run_config):
     """Engine parameters of a dot-dynamics run. A stage-1 grid, or for a
     cycle a stage-2 window with its pi-pulse candidates, whose price would
     exceed MAX_GRID_BYTES, or whose end overflows, is a configuration
-    error, and so is a cycle whose pi time is not finite."""
+    error, and so is a cycle whose pi time is not finite, and a check
+    given a temperature or friction, which its fixed grid sets."""
     v = run_config.values
+    if run_config.kind == "check":
+        fixed = [key for key in ("temperature_K", "gamma_ph_meV")
+                 if run_config.provenance[key] == "user"]
+        if fixed:
+            grid = ", ".join(f"({t:g} K, {g:g} meV)" for t, g in CHECK_GRID)
+            raise ConfigError(
+                f"check runs the fixed (temperature_K, gamma_ph_meV) grid "
+                f"{grid}; {' and '.join(fixed)} cannot be set")
     _check_grid("stage-1", v["stage1_duration_ps"], v["grid_dt_ps"], 0,
                 v["n_levels"], "raise grid_dt_ps or shorten stage1_duration_ps")
     if run_config.kind == "cycle":

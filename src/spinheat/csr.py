@@ -1,15 +1,17 @@
 """Compressed sparse row (CSR) matrices on scipy's compiled kernels.
 
-The generators are stored in CSR form and multiplied into vectors by the
-C++ kernels of scipy's ``sparse/_sparsetools`` extension; no two records
-are ever multiplied together. ``import scipy.sparse`` would also run
-``scipy/__init__`` and ``scipy/sparse/__init__``, about 0.25 s of imports
-(``numpy.f2py`` and ``numpy.testing`` among them) that nothing here uses,
-so the extension is loaded from its file alone and registered under its
-own module name, where a later ``import scipy.sparse`` finds and shares
-it. :class:`CSR` holds only the operations the package runs, each the
-kernel sequence that the same ``scipy.sparse.csr_array`` operation runs, so
-both give the same bits. Indices are 32-bit, as scipy picks them at these
+The generators are stored in CSR form and worked on by the C++ kernels of
+scipy's ``sparse/_sparsetools`` extension. The one product is a record
+times a vector, which the Taylor steps make by calling ``csr_matvec``
+directly; no record is multiplied from the left, nor by another record.
+``import scipy.sparse`` would also run ``scipy/__init__`` and
+``scipy/sparse/__init__``, about 0.25 s of imports (``numpy.f2py`` and
+``numpy.testing`` among them) that nothing here uses, so the extension is
+loaded from its file alone and registered under its own module name,
+where a later ``import scipy.sparse`` finds and shares it. :class:`CSR`
+holds only the operations the package runs, each the kernel sequence that
+the same ``scipy.sparse.csr_array`` operation runs, so both give the same
+bits. Indices are 32-bit, as scipy picks them at these
 sizes: n_levels <= 60 bounds every generator's dimension by 180^2, so its
 entries number below 180^4 < 2^31.
 """
@@ -55,15 +57,6 @@ def _output(rows, size, dtype):
             np.empty(size, dtype))
 
 
-def _vector(x, size):
-    """``x``, refused unless it is a vector of ``size`` entries, as the
-    kernels read that many without a check."""
-    if x.shape != (size,):
-        raise ValueError(f"expected a vector of {size} entries, got shape "
-                         f"{x.shape}")
-    return x
-
-
 def _canonical(indptr, indices, data, shape):
     """The record with sorted indices and summed duplicates, made as
     scipy's ``sum_duplicates`` makes it: the sort runs only when some row
@@ -91,7 +84,6 @@ class CSR:
     place."""
 
     __slots__ = ("indptr", "indices", "data", "shape")
-    __array_ufunc__ = None  # so that x @ self of an ndarray x is __rmatmul__
 
     def __init__(self, indptr, indices, data, shape):
         nnz = indptr[-1]  # kernel outputs may run past nnz
@@ -107,14 +99,6 @@ class CSR:
         arrays = self.indptr.copy(), self.indices.copy(), self.data.copy()
         _kernels.csr_eliminate_zeros(*self.shape, *arrays)
         return CSR(*arrays, self.shape)
-
-    def __rmatmul__(self, x):
-        """x @ self for a dense vector x: the CSC kernel on the same
-        arrays, which hold the transpose in CSC form."""
-        result = np.zeros(self.shape[1], np.result_type(self.data, x))
-        _kernels.csc_matvec(*self.shape[::-1], self.indptr, self.indices,
-                            self.data, _vector(x, self.shape[0]), result)
-        return result
 
     def trace(self):
         diagonal = np.empty(min(self.shape), self.data.dtype)

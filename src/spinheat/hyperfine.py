@@ -51,9 +51,13 @@ class ExcitationApproximationWarning(UserWarning):
 
 class Term(NamedTuple):
     electron: int
-    n: int
     history: tuple
     amplitude: complex
+
+    @property
+    def n(self):
+        """The excitation count: one per entry of ``history``."""
+        return len(self.history)
 
 
 @dataclass(frozen=True)
@@ -67,15 +71,11 @@ class CollectiveNuclearState:
         for term in self.terms:
             if term.electron not in (ELECTRON_UP, ELECTRON_DN):
                 raise ValueError(f"unknown electron label {term.electron!r}")
-            if len(term.history) != term.n:
-                raise ValueError(
-                    f"history {term.history} has {len(term.history)} entries "
-                    f"for excitation count {term.n}")
 
 
 def state_from_terms(entries):
     return CollectiveNuclearState(terms=tuple(
-        Term(electron, len(history), tuple(history), complex(amplitude))
+        Term(electron, tuple(history), complex(amplitude))
         for electron, history, amplitude in entries))
 
 
@@ -90,7 +90,7 @@ def _merged(entries):
         key = (electron, history)
         acc[key] = acc.get(key, 0.0) + amplitude
     return CollectiveNuclearState(terms=tuple(
-        Term(e, len(h), h, a) for (e, h), a in acc.items()
+        Term(e, h, a) for (e, h), a in acc.items()
         if abs(a) > AMPLITUDE_PRUNE))
 
 
@@ -201,7 +201,8 @@ def gamma_tilde(profile, tau):
     else:
         phi = 0.0
     gamma = profile.gamma
-    continuum = gamma * np.exp(-(phi * tau * profile.sigma) ** 2 / 4)
+    with np.errstate(over="ignore"):  # a Gaussian beyond range is 0
+        continuum = gamma * np.exp(-(phi * tau * profile.sigma) ** 2 / 4)
     return GammaTildeResult(discrete=discrete, continuum=complex(continuum),
                             gamma=gamma)
 

@@ -44,7 +44,6 @@ class StageHamiltonianSpec:
     rabi_energy: float
     detuning_energy: float
     coupling_D1: float
-    omega1: float
 
     def __post_init__(self):
         if self.rabi_energy < 0:
@@ -71,10 +70,11 @@ def build_hamiltonian(spec, ops):
 
     H = (rabi/2)(raise + lower on the driven transition)
         + |X><X| (detuning + hbar D1 Q1)
-        + hbar omega1 (a^dag a + 1/2).
+        + hbar omega1 (a^dag a + 1/2),
+
+    the mode frequency, in Q1 and the mode energy, being the one ``ops``
+    was built with.
     """
-    if ops.omega1 != spec.omega1:
-        raise ValueError("operator set and stage spec disagree on the mode frequency")
     lower = ops.lower_up if spec.driven_transition == IDX_UP else ops.lower_dn
     drive = (spec.rabi_energy / 2) * (lower + lower.conj().T)
     exciton = ops.proj_x @ (spec.detuning_energy * ops.identity

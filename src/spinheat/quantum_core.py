@@ -99,7 +99,6 @@ def thermal_state(omega1, temperature, n_c):
 class ProductOperators:
     """Frequently used operators embedded on the 3 N_c product space."""
 
-    omega1: float
     identity: np.ndarray
     q1: np.ndarray
     p1: np.ndarray
@@ -123,7 +122,6 @@ def product_operators(n_c, omega1):
     i_bath = np.eye(n_c, dtype=complex)
     i_sys = np.eye(N_ELECTRONIC, dtype=complex)
     return ProductOperators(
-        omega1=omega1,
         identity=embed(i_sys, i_bath),
         q1=embed(i_sys, q1),
         p1=embed(i_sys, p1),

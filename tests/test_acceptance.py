@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from reference import integrate_direct, spinlabor_bound
+from reference import integrate_direct, scipy_csr, spinlabor_bound
 
 from spinheat.config import parse_config, to_engine_config
 from spinheat.engine import (heat_extraction_stage, initial_state, run_cycle,
@@ -103,7 +103,7 @@ def reduced_sets():
             elapsed = time.perf_counter() - start
             dim = 3 * cfg.n_levels
             trace_residual = float(np.max(np.abs(
-                np.eye(dim).reshape(-1, order="F") @ v)))
+                np.eye(dim).reshape(-1, order="F") @ scipy_csr(v))))
             results.append({
                 "label": f"T={temperature:g} gph={gamma_ph:g}",
                 "agreement": gap,

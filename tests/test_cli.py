@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -446,6 +447,16 @@ class TestErasureCommand:
         assert len(lines) == 1 and lines[0].startswith("config error:")
         assert not (tmp_path / "erasure_summary.json").exists()
 
+    def test_vanishing_continuum_reference_warns_nothing(self, tmp_path):
+        # the continuum Gaussian of phi tau sigma = 1e300 underflows to 0;
+        # squaring its exponent overflows on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["erasure", "--out", str(tmp_path),
+                         "--set", "suppression_phi_tau_sigma=1e300"]) == 0
+        summary = json.loads((tmp_path / "erasure_summary.json").read_text())
+        assert summary["suppression"]["continuum_ratio"] == 0.0
+
     def test_jitter_is_seeded(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -474,6 +485,25 @@ class TestCheckCommand:
         assert lines[-1] == "check: 16/16 passed"
         assert sum(1 for line in lines if line.endswith("PASS")) == 16
         assert not any(line.endswith("FAIL") for line in lines)
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    @pytest.mark.parametrize("key", ["temperature_K", "gamma_ph_meV"])
+    def test_keys_of_the_fixed_grid_exit_2(self, tmp_path, capsys, key,
+                                           source):
+        # CHECK_GRID sets both at every point, so a given value would be
+        # ignored
+        if source == "set":
+            argv = ["--set", f"{key}=5"]
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"{key} = 5\n")
+            argv = ["--config", str(path)]
+        assert main(["check"] + argv + TINY) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert key in lines[0] and "(60 K, 0.001 meV)" in lines[0]
 
 
 class TestSweepCommand:

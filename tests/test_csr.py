@@ -89,10 +89,6 @@ def check_operations(v):
     """Every record operation on a square complex generator ``v`` against
     scipy, through to the shifted real blocks that the Taylor steps read."""
     reference_v = scipy_csr(v)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(v.shape[0]) + 1j * rng.standard_normal(
-        v.shape[0])
-    assert np.array_equal(x @ v, x @ reference_v)
     assert np.array_equal(v.toarray(), reference_v.toarray())
     w = _real_form(v)
     t, t_inv = hermitian_basis(round(v.shape[0]**0.5))
@@ -116,8 +112,6 @@ def check_operations(v):
         assert_same(a, reference_a)
         assert np.array_equal(a.abs_column_sums(),
                               abs(reference_a).sum(axis=0))
-        y = rng.standard_normal(block.shape[0])
-        assert np.array_equal(y @ a, y @ reference_a)
 
 
 @pytest.mark.parametrize("n_levels", [3, 8, 15])
@@ -147,17 +141,7 @@ def test_random_coo_operations_match_scipy(dtype, row_sorted):
     assert_same(record, reference)
     index = np.flatnonzero(np.random.default_rng(13).random(40) < 0.6)
     assert_same(record.submatrix(index), reference[index][:, index])
-    x = np.random.default_rng(14).standard_normal(40)
-    assert np.array_equal(x @ record, x @ reference)
     assert np.array_equal(record.toarray(), reference.toarray())
-
-
-def test_products_refuse_operands_of_the_wrong_shape():
-    # the kernels would read past the end of a short vector
-    record = from_coo(*random_coo(11))
-    for operand in (np.ones(39), np.ones((40, 2))):
-        with pytest.raises(ValueError):
-            operand @ record
 
 
 def test_random_complex_generator_operations_match_scipy():

@@ -5,6 +5,7 @@ policies (switch selection, ledger identities, convention mapping) and the
 fast invariants at reduced truncation.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -67,7 +68,8 @@ def test_detuning_mapping_relaxed_reference():
     assert spec.rabi_energy == pytest.approx(0.75)
     assert spec.driven_transition == IDX_UP
     # effective mode coupling energy, scheme-invariant combination
-    hg = HBAR * spec.coupling_D1 * np.sqrt(HBAR / (2 * spec.omega1))
+    omega1 = cfg.omega1_energy / HBAR
+    hg = HBAR * spec.coupling_D1 * np.sqrt(HBAR / (2 * omega1))
     assert hg == pytest.approx(0.35880340426067636, rel=1e-9)
 
 
@@ -88,9 +90,8 @@ def test_work_stage_resonant_on_down_transition():
 
 def test_undriven_stage_is_stationary_for_populations():
     cfg = engine_config(n_levels=6, stage1_duration=4.0)
-    stage = StageConfig(stage_id="heat_extraction", driven_transition=IDX_UP,
-                        rabi_energy=0.0, detuning_energy=-cfg.energy_gap,
-                        duration=4.0)
+    stage = StageConfig(driven_transition=IDX_UP, rabi_energy=0.0,
+                        detuning_energy=-cfg.energy_gap, duration=4.0)
     rho0 = embed(level_projector(IDX_UP),
                  thermal_state(cfg.omega1_energy / HBAR, cfg.temperature, 6))
     traj = run_stage(rho0, stage, cfg)
@@ -226,6 +227,29 @@ def test_invariant_checks_fail_on_non_finite_propagation(monkeypatch, name,
     assert len(records) == 16
     failed = [(r.label, r.name) for r in records if not r.passed]
     assert [name for _, name in failed] == ["propagation_agreement"] * 4
+
+
+def test_trace_record_reads_the_propagated_generator(monkeypatch):
+    # W, which evolve and the oracle share, leaks trace through one entry
+    # of a diagonal-coordinate row; V, where the trace record once read
+    # it, is left as it is
+    import spinheat.propagator as propagator_module
+    real_form = propagator_module._real_form
+
+    def leaking(v):
+        w = real_form(v)
+        dim = math.isqrt(w.shape[0])
+        row = next(k for k in range(0, w.shape[0], dim + 1)
+                   if w.indptr[k + 1] > w.indptr[k])
+        w.data[w.indptr[row]] += 1e-6
+        return w
+
+    monkeypatch.setattr(propagator_module, "_real_form", leaking)
+    records = invariant_checks(engine_config(n_levels=3, stage1_duration=1.0))
+    trace = [r for r in records if r.name == "trace_annihilation"]
+    assert len(trace) == 4
+    assert not any(r.passed for r in trace)
+    assert all(r.value > 1e-7 for r in trace)
 
 
 def test_truncation_convergence_needs_a_level_axis():

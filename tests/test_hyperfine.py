@@ -23,7 +23,6 @@ from spinheat.errors import ConfigError
 from spinheat.hyperfine import (
     ELECTRON_DN,
     ELECTRON_UP,
-    CollectiveNuclearState,
     CouplingProfile,
     ExcitationApproximationWarning,
     PulseSpec,
@@ -398,9 +397,9 @@ class TestErasureStep:
 
 
 class TestStateBookkeeping:
-    def test_history_length_must_match_count(self):
-        with pytest.raises(ValueError):
-            CollectiveNuclearState(terms=(Term(ELECTRON_UP, 2, (1.0,), 1.0),))
+    def test_excitation_count_is_the_history_length(self):
+        assert Term(ELECTRON_UP, (0.5, 1.0), 1.0).n == 2
+        assert Term(ELECTRON_DN, (), 1.0).n == 0
 
     @given(st.floats(0.05, 3.0), st.floats(0.05, 3.0))
     @settings(max_examples=25, deadline=None)

@@ -53,7 +53,7 @@ D1 = 1.7513886028084389
 
 STAGE1 = StageHamiltonianSpec(
     driven_transition=IDX_UP, rabi_energy=0.75, detuning_energy=2.0,
-    coupling_D1=D1, omega1=OMEGA1)
+    coupling_D1=D1)
 
 
 def stage1_superoperator(n_c, gamma_ph_mev=0.001, temperature=60.0):
