@@ -5,15 +5,18 @@ byte-identical CSV and JSON output. Every file starts with a comment
 header listing the resolved parameters, marking each as a default or a
 user override, so a run is reproducible from its own header.
 
-A sweep runs its points in worker processes made by ``os.fork``, at most
-one per core and per point, and runs them inline where ``os.fork`` does
-not exist or one worker would do. Each worker sends its index entries and
-rho_XX traces back by pickle over a pipe, so the artifacts do not depend
-on ``--jobs``. Forking is safe with the threads ``import spinheat`` leaves
-(the main thread and OpenBLAS's idle worker): OpenBLAS shuts its pool down
-around ``fork`` itself, and a worker runs on the one BLAS thread that the
-package set. Python 3.12 and later may warn on forking a process that has
-threads.
+A sweep runs its points, and ``check`` its four grid points, in one pool
+of worker processes made by ``os.fork``: at most one per task and per CPU
+this process may run on (``--jobs`` caps a sweep's), and the tasks run
+inline where ``os.fork`` does not exist or one worker would do. Each
+worker sends its results back by pickle over a pipe, so the output does
+not depend on the worker count: a sweep's index entries and rho_XX
+traces, and a check point's records or the exception it raised, which
+the parent raises in grid order. Forking is safe with the threads
+``import spinheat`` leaves (the main thread and OpenBLAS's idle worker):
+OpenBLAS shuts its pool down around ``fork`` itself, and a worker runs on
+the one BLAS thread that the package set. Python 3.12 and later may warn
+on forking a process that has threads.
 """
 
 import argparse
@@ -30,8 +33,9 @@ from . import __version__, blas_threads
 from .config import (RunConfig, SWEEP_AXES, convert_value, parameter_table,
                      parse_config, split_assignment, to_engine_config,
                      to_erasure_inputs)
-from .engine import (heat_extraction_stage, initial_state, invariant_checks,
-                     run_cycle, run_stage, truncation_convergence)
+from .engine import (CHECK_GRID, heat_extraction_stage, initial_state,
+                     invariant_checks, run_cycle, run_stage,
+                     truncation_convergence)
 from .errors import ConfigError, NumericalError, PositivityError
 from .hyperfine import pulse_feasibility, verified_erasure_step
 
@@ -226,13 +230,29 @@ def _sweep_point(run_config, keys, combo, index, out_dir):
     return entry, rho_XX
 
 
-def _sweep_worker(tasks, write_fd):
-    """Run ``tasks`` in a forked child, pickle the results to ``write_fd``
-    and leave by ``os._exit``: the child must not flush the parent's
-    buffered output or run its exit hooks."""
+def _lost_point(task, reason):
+    """The ``error`` result of a sweep point whose worker died."""
+    _, keys, combo, index, _ = task
+    entry = _point_entry(keys, combo, index)
+    entry.update(status="error", message=f"sweep worker {reason}")
+    return entry, None
+
+
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_worker(run, tasks, write_fd):
+    """Run ``run`` over ``tasks`` in a forked child, pickle the results to
+    ``write_fd`` and leave by ``os._exit``: the child must not flush the
+    parent's buffered output or run its exit hooks."""
     status = 1
     try:
-        results = [_sweep_point(*task) for task in tasks]
+        results = [run(task) for task in tasks]
         with open(write_fd, "wb") as pipe:
             pickle.dump(results, pipe, protocol=pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -240,30 +260,31 @@ def _sweep_worker(tasks, write_fd):
         os._exit(status)
 
 
-def _worker_results(data, status, tasks):
-    """The results a worker sent, or an ``error`` result for each of its
-    points when it died or sent too little."""
+def _worker_results(data, status, tasks, lost):
+    """The results a worker sent, or ``lost(task, reason)`` for each of its
+    tasks when it died or sent too little."""
     code = os.waitstatus_to_exitcode(status)
     if code == 0:
         try:
             return pickle.loads(data)
         except (EOFError, pickle.UnpicklingError):
-            message = "sweep worker exited with status 0, result cut short"
+            reason = "exited with status 0, result cut short"
     elif code < 0:
-        message = f"sweep worker killed by signal {-code}"
+        reason = f"killed by signal {-code}"
     else:
-        message = f"sweep worker exited with status {code}"
-    failed = []
-    for _, keys, combo, index, _ in tasks:
-        entry = _point_entry(keys, combo, index)
-        entry.update(status="error", message=message)
-        failed.append((entry, None))
-    return failed
+        reason = f"exited with status {code}"
+    return [lost(task, reason) for task in tasks]
 
 
-def _forked_results(tasks, workers):
-    """Run ``tasks[w::workers]`` in forked worker ``w``; return every
-    result in task order."""
+def _pool_results(run, tasks, jobs, lost):
+    """``run(task)`` of every task, in task order. With ``workers`` =
+    min(jobs, tasks, usable CPUs) above one, forked worker ``w`` runs
+    ``tasks[w::workers]`` and ``lost(task, reason)`` stands in for each
+    task of a worker that died; otherwise, or where ``os.fork`` does not
+    exist, the tasks run inline."""
+    workers = min(jobs, len(tasks), _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork"):
+        return [run(task) for task in tasks]
     results = [None] * len(tasks)
     running = []  # (worker, pid, read end) of each worker not yet reaped
     try:
@@ -272,7 +293,7 @@ def _forked_results(tasks, workers):
             pid = os.fork()
             if pid == 0:
                 os.close(read_fd)
-                _sweep_worker(tasks[worker::workers], write_fd)
+                _pool_worker(run, tasks[worker::workers], write_fd)
             # closed before the next fork, or that worker would hold this
             # write end open and the read below would never see EOF
             os.close(write_fd)
@@ -284,7 +305,7 @@ def _forked_results(tasks, workers):
             _, status = os.waitpid(pid, 0)
             running.pop(0)
             results[worker::workers] = _worker_results(
-                data, status, tasks[worker::workers])
+                data, status, tasks[worker::workers], lost)
     finally:
         # reached with workers left only when the parent itself raised
         for _, pid, pipe in running:
@@ -301,11 +322,8 @@ def _sweep_artifacts(run_config, axes, jobs, out_dir):
         points = [()]
     tasks = [(run_config, keys, combo, index, out_dir)
              for index, combo in enumerate(points)]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1 and hasattr(os, "fork"):
-        results = _forked_results(tasks, workers)
-    else:
-        results = [_sweep_point(*task) for task in tasks]
+    results = _pool_results(lambda task: _sweep_point(*task), tasks, jobs,
+                            _lost_point)
     entries = [entry for entry, _ in results]
     traces = [trace for _, trace in results]
     index_payload = _summary_base(run_config)
@@ -317,8 +335,32 @@ def _sweep_artifacts(run_config, axes, jobs, out_dir):
     return index_payload
 
 
+def _check_point(task):
+    """The records of one grid point, or the exception it raised: a forked
+    worker sends it back rather than print a traceback."""
+    cfg, point = task
+    try:
+        return invariant_checks(cfg, grid=(point,))
+    except Exception as err:
+        return err
+
+
+def _lost_check_point(task, reason):
+    """The error that stands in for a check point whose worker died."""
+    return NumericalError(f"check worker {reason}")
+
+
 def _check_report(run_config, stream):
-    records = invariant_checks(to_engine_config(run_config))
+    cfg = to_engine_config(run_config)
+    outcomes = _pool_results(_check_point,
+                             [(cfg, point) for point in CHECK_GRID],
+                             len(CHECK_GRID), _lost_check_point)
+    records = []
+    # the first error in grid order is raised, as an inline run would
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        records.extend(outcome)
     for record in records:
         status = "PASS" if record.passed else "FAIL"
         stream.write(f"{record.label}: {record.name} = {record.value:.3e} "
@@ -363,8 +405,8 @@ def build_parser():
                             "(repeatable; product grid)")
     sweep.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for the sweep points, at "
-                            "most one per core and per point; points run "
-                            "inline where os.fork is missing (default 1)")
+                            "most one per usable CPU and per point; points "
+                            "run inline where os.fork is missing (default 1)")
     subparsers.add_parser("check", parents=[common],
                           help="run the superoperator invariant suite")
     return parser

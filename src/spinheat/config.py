@@ -333,7 +333,10 @@ def to_erasure_inputs(run_config):
         rates = (v["suppression_phi_tau_sigma"]
                  / (v["pulse_duration_ps"] * sigma)) * x
         if v["coupling_envelope"] == "gaussian":
-            couplings = scale * np.exp(-x**2 / (4 * sigma**2))
+            # a sigma whose square underflows divides by 0; the couplings
+            # that leaves, 0 or NaN, CouplingProfile refuses
+            with np.errstate(divide="ignore", invalid="ignore"):
+                couplings = scale * np.exp(-x**2 / (4 * sigma**2))
         else:
             couplings = np.full(count, scale)
         profile = CouplingProfile(x=x, couplings=couplings, sigma=sigma,

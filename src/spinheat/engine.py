@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import HBAR
-from .errors import ConfigError, PositivityError
+from .errors import ConfigError, NumericalError, PositivityError
 from .quantum_core import (
     IDX_DN, IDX_UP, IDX_X, N_ELECTRONIC, embed, level_projector,
     product_operators, thermal_state,
@@ -176,8 +176,22 @@ def stage_hamiltonian_spec(stage, cfg):
         coupling_D1=coupling_d1)
 
 
-def dissipation_spec(cfg):
+def _mode_frequency(cfg):
+    """The effective mode's angular frequency omega1, in rad/ps. A mode
+    quantum whose position scale sqrt(hbar / 2 omega1) or whose energy
+    over the kept levels leaves floating-point range is refused before
+    any state or operator is built from it."""
     omega1 = cfg.omega1_energy / HBAR
+    if not (math.isfinite(cfg.omega1_energy * cfg.n_levels)
+            and math.isfinite(HBAR / (2 * omega1))):
+        raise NumericalError(
+            f"omega1_tilde_meV = {cfg.omega1_energy:g} gives a mode position "
+            "scale or level energy that is not finite")
+    return omega1
+
+
+def dissipation_spec(cfg):
+    omega1 = _mode_frequency(cfg)
     return DissipationSpec(
         gamma_R=cfg.gamma_R_energy / HBAR,
         gamma_ph=cfg.gamma_ph_energy / HBAR,
@@ -186,14 +200,14 @@ def dissipation_spec(cfg):
 
 def initial_state(cfg):
     """Stage-1 start: electron spin-up, mode thermal at the lattice temperature."""
-    omega1 = cfg.omega1_energy / HBAR
+    omega1 = _mode_frequency(cfg)
     return embed(level_projector(IDX_UP),
                  thermal_state(omega1, cfg.temperature, cfg.n_levels))
 
 
 def stage_machinery(stage, cfg):
     """Operator set and assembled superoperator for one stage."""
-    ops = product_operators(cfg.n_levels, cfg.omega1_energy / HBAR)
+    ops = product_operators(cfg.n_levels, _mode_frequency(cfg))
     h = build_hamiltonian(stage_hamiltonian_spec(stage, cfg), ops)
     v = build_superoperator(h, dissipation_spec(cfg), ops)
     return ops, v
@@ -403,18 +417,21 @@ def _trace_residual(blocks):
     return float(np.max(np.abs(np.concatenate(sums))))
 
 
-def invariant_checks(cfg):
-    """Stage-1 generator invariants and oracle agreement over ``CHECK_GRID``:
-    trace annihilation, no growing mode, biorthonormal eigenvectors, and
-    the production propagator matching the eigenmode oracle on the output
-    grid. Every record reads the invariant blocks of the real W that
-    ``evolve`` steps and the oracle decomposes: trace annihilation their
-    rows of diagonal coordinates, and the eigenvalue and biorthonormality
-    records take the largest value over the blocks, each decomposed on
-    its own.
+def invariant_checks(cfg, grid=CHECK_GRID):
+    """Stage-1 generator invariants and oracle agreement at each
+    (temperature K, gamma_ph meV) point of ``grid``, four records per point
+    in grid order: trace annihilation, no growing mode, biorthonormal
+    eigenvectors, and the production propagator matching the eigenmode
+    oracle on the output grid. Every record reads the invariant blocks of
+    the real W that ``evolve`` steps and the oracle decomposes: trace
+    annihilation their rows of diagonal coordinates, and the eigenvalue
+    and biorthonormality records take the largest value over the blocks,
+    each decomposed on its own. A point's records depend on that point
+    alone, so the CLI checks ``CHECK_GRID`` one point per call, in forked
+    workers.
     """
     records = []
-    for temperature, gamma_ph in CHECK_GRID:
+    for temperature, gamma_ph in grid:
         point = replace(cfg, temperature=temperature, gamma_ph_energy=gamma_ph)
         label = f"T={temperature:g}K gamma_ph={gamma_ph:g}meV"
         _, v = stage_machinery(heat_extraction_stage(point), point)

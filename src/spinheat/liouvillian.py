@@ -93,6 +93,9 @@ def _kron_entries(b, a):
             (b[b_rows, b_cols][:, None] * a[a_rows, a_cols]).ravel())
 
 
+# coefficients or products that overflow leave entries that are not
+# finite, and prepare refuses those before any run uses them
+@np.errstate(over="ignore", invalid="ignore")
 def build_superoperator(h, dissipation, ops):
     """Full master-equation generator acting on vec(rho), as a CSR record.
 

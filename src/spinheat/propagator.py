@@ -190,10 +190,9 @@ def diagonalize(blocks):
     biorthonormality directly; its residual max |R^-1 R - I|, taken as
     max |U^-1 U - I| on the complex half of a pair block, measures how far
     from defective the generator is, and the largest over the blocks is
-    kept. A failed
-    decomposition, a singular eigenvector matrix or a block larger than
-    MAX_DENSE_DIMENSION (a pair block's whole dimension) raises
-    :class:`NumericalError`.
+    kept. A failed decomposition, an eigenvector matrix that is singular
+    or whose inverse overflows, or a block larger than MAX_DENSE_DIMENSION
+    (a pair block's whole dimension) raises :class:`NumericalError`.
     """
     layout = _hermitian_layout(sum(block.index.size for block in blocks))
     modes = []
@@ -203,7 +202,7 @@ def diagonalize(blocks):
         try:
             if block.half is None:
                 values, vectors = np.linalg.eig(w)
-                inverse = np.linalg.inv(vectors)
+                inverse = _eigenvector_inverse(vectors)
                 gram = inverse @ vectors
             else:
                 values, vectors, inverse, gram = _pair_modes(block, w,
@@ -216,6 +215,15 @@ def diagonalize(blocks):
             gram - np.eye(gram.shape[0])))))
     eigenvalues = np.concatenate([block.eigenvalues for block in modes])
     return EigenPropagator(eigenvalues, tuple(modes), residual)
+
+
+def _eigenvector_inverse(vectors):
+    """R^-1 of the eigenvectors R; an inverse that overflows fails the
+    decomposition as a singular R does."""
+    inverse = np.linalg.inv(vectors)
+    if not np.all(np.isfinite(inverse)):
+        raise np.linalg.LinAlgError("eigenvector inverse is not finite")
+    return inverse
 
 
 def _pair_modes(block, w, layout):
@@ -239,7 +247,7 @@ def _pair_modes(block, w, layout):
     v = sum(t_inv[a][:, None] * w[np.ix_(at[a], at[b])] * t[b]
             for a in range(2) for b in range(2))
     values, vectors = np.linalg.eig(v)
-    inverse = np.linalg.inv(vectors)
+    inverse = _eigenvector_inverse(vectors)
     m = half.size
     right = np.empty((2 * m, 2 * m), dtype=complex)
     dual = np.empty_like(right)

@@ -90,7 +90,10 @@ def thermal_state(omega1, temperature, n_c):
     if temperature == 0:
         pops[0] = 1.0
     else:
-        pops = np.exp(-HBAR * omega1 * np.arange(n_c) / (KB * temperature))
+        # a tiny temperature overflows the exponents to -inf, and exp then
+        # gives the right limit, 0
+        with np.errstate(over="ignore"):
+            pops = np.exp(-HBAR * omega1 * np.arange(n_c) / (KB * temperature))
         pops /= pops.sum()
     return np.diag(pops).astype(complex)
 

@@ -172,6 +172,16 @@ class TestStage1Command:
         assert err.startswith("numerical failure:")
         assert "Traceback" not in err
 
+    def test_vanishing_temperature_warns_nothing(self, tmp_path):
+        # hbar omega1 / kB T overflows to inf: the mode starts in its
+        # ground state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stage1", "--out", str(tmp_path),
+                         "--set", "temperature_K=1e-307"] + TINY) == 0
+        summary = json.loads((tmp_path / "stage1_summary.json").read_text())
+        assert summary["trajectory"]["final"]["rho_XX"] > 0
+
     @pytest.mark.parametrize("kind", ["stage1", "cycle", "check"])
     def test_unrepresentable_mode_coupling_exits_2(self, tmp_path, capsys,
                                                   kind):
@@ -476,6 +486,48 @@ class TestErasureCommand:
         assert gamma != gamma_c
 
 
+@pytest.fixture
+def deadline():
+    """Fail a run whose forked workers or pipes hang, rather than hang."""
+    def expire(signum, frame):
+        raise TimeoutError("run still going after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of the caller of each os.fork."""
+    calls = []
+    real_fork = os.fork
+
+    def spy():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
+def _failing_points(*failing):
+    """invariant_checks that raises NumericalError, naming the point, at
+    the CHECK_GRID indices in ``failing``."""
+    from spinheat.engine import CHECK_GRID, invariant_checks
+
+    def checks(cfg, grid):
+        for point in grid:
+            if CHECK_GRID.index(point) in failing:
+                raise NumericalError(f"injected at point "
+                                     f"{CHECK_GRID.index(point)}")
+        return invariant_checks(cfg, grid)
+    return checks
+
+
+@pytest.mark.usefixtures("deadline")
 class TestCheckCommand:
     def test_all_invariants_pass(self, capsys):
         code = main(["check", "--set", "n_levels=4",
@@ -505,20 +557,66 @@ class TestCheckCommand:
         assert len(lines) == 1 and lines[0].startswith("config error:")
         assert key in lines[0] and "(60 K, 0.001 meV)" in lines[0]
 
+    @pytest.mark.parametrize("argv, failing, code", [
+        (TINY, (), 0),
+        (["--set", "n_levels=3", "--set", "omega_b_meV=1e300"], (), 2),
+        (TINY, (1, 2), 3),
+    ], ids=["passing", "config-error", "two-failing-points"])
+    def test_forked_points_report_as_inline(self, capsys, monkeypatch, forks,
+                                            argv, failing, code):
+        # with two workers, points 0 and 2 run in one and 1 and 3 in the
+        # other; the first error in grid order is reported
+        import spinheat.cli as cli_module
+        monkeypatch.setattr(cli_module, "invariant_checks",
+                            _failing_points(*failing))
+        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
+        runs = [(main(["check"] + argv), capsys.readouterr())]
+        assert len(forks) == 2
+        monkeypatch.delattr(os, "fork")
+        runs.append((main(["check"] + argv), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code
+        if failing:
+            assert runs[0][1].out == ""
+            assert runs[0][1].err == "numerical failure: injected at point 1\n"
 
+    @pytest.mark.parametrize("die, status", [
+        (lambda: os._exit(7), "exited with status 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ], ids=["exit-status", "signal"])
+    def test_dead_worker_exits_3(self, capsys, monkeypatch, die, status):
+        import spinheat.cli as cli_module
+        from spinheat.engine import CHECK_GRID
+
+        def dying(cfg, grid):
+            # runs in the second of two forked workers, never in pytest
+            if grid[0] == CHECK_GRID[1]:
+                die()
+            return invariant_checks(cfg, grid)
+
+        invariant_checks = cli_module.invariant_checks
+        monkeypatch.setattr(cli_module, "invariant_checks", dying)
+        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
+        assert main(["check"] + TINY) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: check worker {status}\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cores, workers", [(1, 0), (2, 2), (3, 3),
+                                                (8, 4)])
+    def test_workers_capped_by_grid_and_cores(self, capsys, monkeypatch,
+                                              forks, cores, workers):
+        import spinheat.cli as cli_module
+        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cores)
+        assert main(["check"] + TINY) == 0
+        assert len(forks) == workers
+        assert capsys.readouterr().out.endswith("check: 16/16 passed\n")
+
+
+@pytest.mark.usefixtures("deadline")
 class TestSweepCommand:
-    @pytest.fixture(autouse=True)
-    def deadline(self):
-        """Fail a sweep whose workers or pipes hang, rather than hang."""
-        def expire(signum, frame):
-            raise TimeoutError("sweep still running after 60 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
     def test_grid_artifacts_and_index(self, tmp_path):
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out), "--jobs", "2",
@@ -623,7 +721,7 @@ class TestSweepCommand:
             return real(run_config, out_dir)
 
         monkeypatch.setattr(cli_module, "_stage1_artifacts", dying)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out), "--jobs", "2",
                      "--axis", "temperature_K=60,150,90"] + TINY) == 3
@@ -635,11 +733,13 @@ class TestSweepCommand:
         assert f"point_001: {message}" in err and "Traceback" not in err
 
     def test_short_worker_result_maps_to_error(self, tmp_path, monkeypatch):
+        import spinheat.cli as cli_module
+
         def cut_short(obj, handle, protocol=None):
             handle.write(pickle.dumps(obj, protocol)[:20])
 
         monkeypatch.setattr(pickle, "dump", cut_short)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out), "--jobs", "2",
                      "--axis", "temperature_K=60,150"] + TINY) == 3
@@ -649,11 +749,13 @@ class TestSweepCommand:
 
     def test_parent_failure_kills_and_reaps_workers(self, tmp_path,
                                                     monkeypatch):
+        import spinheat.cli as cli_module
+
         def fail(data):
             raise RuntimeError("parent failed")
 
         monkeypatch.setattr(pickle, "loads", fail)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match="parent failed"):
             main(["sweep", "--out", str(tmp_path), "--jobs", "2",
                   "--axis", "temperature_K=60,150"] + TINY)
@@ -663,22 +765,32 @@ class TestSweepCommand:
     @pytest.mark.parametrize("temperatures, cores", [
         ("60,90,150", None), ("60", None), ("60,90,150", 1)])
     def test_workers_capped_by_points_and_cores(self, tmp_path, monkeypatch,
-                                                temperatures, cores):
+                                                forks, temperatures, cores):
+        import spinheat.cli as cli_module
         if cores is not None:
-            monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        forks = []
-        real_fork = os.fork
-
-        def spy():
-            forks.append(os.getpid())
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", spy)
+            monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cores)
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out), "--jobs", "100000",
                      "--axis", f"temperature_K={temperatures}"] + TINY) == 0
-        workers = min(len(temperatures.split(",")), os.cpu_count())
+        workers = min(len(temperatures.split(",")),
+                      cli_module._usable_cpus())
         assert len(forks) == (workers if workers > 1 else 0)
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_workers_capped_by_usable_cpus(self, tmp_path, monkeypatch,
+                                           forks, affinity):
+        # a process pinned to one CPU of two forks no worker; without an
+        # affinity call every CPU of the host counts
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--jobs", "2",
+                     "--axis", "temperature_K=60,150"] + TINY) == 0
+        assert len(forks) == (0 if affinity else 2)
 
     def test_points_run_inline_without_fork(self, tmp_path, monkeypatch):
         monkeypatch.delattr(os, "fork")
@@ -883,7 +995,10 @@ def _extreme_runs():
     return st.sampled_from(tuple(EXTREME_BASE)).flatmap(assignments)
 
 
-@pytest.mark.filterwarnings("ignore")
+# erasure's sudden-approximation warning is intended; any RuntimeWarning
+# is a defect
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(run=_extreme_runs())
 @example(run=("erasure", (("suppression_phi_tau_sigma", 1.7e308),
@@ -926,3 +1041,37 @@ def test_extreme_values_map_to_an_exit_code(run):
     elif code == 0:
         assert len(summaries) == 1
         json.loads(summaries[0], parse_constant=_refuse_constant)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # hbar / 2 omega1 overflows: the position scale is not finite
+    (["stage1", "--set", "omega1_tilde_meV=1e-309"],
+     "numerical failure: omega1_tilde_meV = 1e-309 "),
+    # hbar omega1 (n + 1/2) overflows in the mode energy
+    (["cycle", "--set", "omega1_tilde_meV=1e308"],
+     "numerical failure: omega1_tilde_meV = 1e+308 "),
+    # the diffusion coefficient 2 gamma_ph E_th / hbar^2 overflows
+    (["stage1", "--set", "gamma_ph_meV=6.3e169",
+      "--set", "omega1_tilde_meV=1.5e173"],
+     "numerical failure: superoperator entries are not finite"),
+    # the inverse of the oracle's eigenvectors overflows
+    (["check", "--set", "gamma_R_meV=1e200"],
+     "numerical failure: superoperator eigendecomposition failed: "
+     "eigenvector inverse is not finite"),
+    # sigma^2 underflows to 0 in the Gaussian envelope's exponent
+    (["erasure", "--set", "sigma_nm=6.3e-279",
+      "--set", "lattice_jitter_nm=2e-24"],
+     "config error: no usable nuclear chain"),
+], ids=["position-scale", "mode-energy", "diffusion", "oracle-inverse",
+        "envelope"])
+def test_overflow_is_refused_warning_nothing(tmp_path, capsys, argv,
+                                             message):
+    # a forked check worker inherits the filter and sends the error back
+    for override in EXTREME_BASE[argv[0]]:
+        argv = argv + ["--set", override]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--out", str(tmp_path)])
+    assert code == (2 if message.startswith("config") else 3)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
