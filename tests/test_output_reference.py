@@ -1,11 +1,14 @@
-"""Committed output reference: the artifacts of five dot-dynamics runs,
-regenerated in process and compared with ``tests/output_reference.json``.
+"""Committed output reference: the artifacts of five dot-dynamics runs and
+two erasure runs, regenerated in process and compared with
+``tests/output_reference.json``.
 
 The runs are ``cycle`` at n_levels 8 and 15, a dense-stepped ``stage1``
 (n_levels=8, gamma_ph 3 meV), the benchmark-shaped sweep (n_levels 5 and
-7 x 60 and 150 K, ``--jobs 1``) and the ``check`` records at n_levels=6.
-Every summary value and every 10th CSV row is compared, column by column.
-A value must equal the reference bit for bit, except in the columns and
+7 x 60 and 150 K, ``--jobs 1``), the ``check`` records at n_levels=6, the
+default ``erasure`` and the benchmark-shaped one (9 nuclei, jittered
+lattice, fixed seed). Every summary value and every 10th CSV row is
+compared, column by column. A value must equal the reference bit for bit,
+except in the columns and
 summary values fed by BLAS and LAPACK kernels (BLAS_FED), whose bits may
 depend on the CPU kernel OpenBLAS picks: there it may move by at most
 BLAS_TOLERANCE. Times, row counts, the switch time, the work-pulse
@@ -36,6 +39,10 @@ RUNS = {
                        "--set", "gamma_ph_meV=3"],
     "sweep": ["sweep", "--jobs", "1", "--axis", "n_levels=5,7",
               "--axis", "temperature_K=60,150"],
+    "erasure": ["erasure"],
+    "erasure_jittered_9": ["erasure", "--set", "nucleus_count=9",
+                           "--set", "lattice_jitter_nm=0.2",
+                           "--set", "seed=1234"],
 }
 CHECK_LEVELS = 6
 ROW_STRIDE = 10
@@ -43,12 +50,15 @@ ROW_STRIDE = 10
 # in a matrix product, dense steps in expm and matrix-vector products, the
 # check's oracle in eig) through the functionals' matrix product or
 # eigvalsh: the CSV columns other than t_ps, the summary values made from
-# them (``value`` is peak_rho_XX's) and the check records' values
+# them (``value`` is peak_rho_XX's) and the check records' values; and
+# the erasure values read from the sector oracle's eigh (``oracle`` is the
+# summary's up population)
 BLAS_FED = {
     "rho_up", "rho_dn", "rho_XX", "dN1", "Q1bar", "min_eig", "value",
     "dN1_at_peak", "min_eigenvalue", "heat_meV", "work_meV",
     "spinlabor_hbar", "spintherm_hbar", "transfer_probability", "up", "dn",
-    "exciton", "max_rho_XX_drift", "check_value",
+    "exciton", "max_rho_XX_drift", "check_value", "fidelity",
+    "up_population_oracle", "oracle",
 }
 BLAS_TOLERANCE = 1e-13
 # run inputs and identification, not outputs
@@ -71,6 +81,15 @@ def _flatten(payload, prefix=""):
     return flat
 
 
+def _cell(text):
+    """A CSV cell as a float, or as its text where it holds none (the
+    erasure branch names)."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _csv_values(path):
     """Every ROW_STRIDE-th data row of a CSV artifact as {row.column:
     value}, and its row count."""
@@ -81,7 +100,7 @@ def _csv_values(path):
     values = {"rows": len(rows)}
     for number in range(0, len(rows), ROW_STRIDE):
         for name, cell in zip(names, rows[number].split(",")):
-            values[f"{number}.{name}"] = float(cell)
+            values[f"{number}.{name}"] = _cell(cell)
     return values
 
 
