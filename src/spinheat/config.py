@@ -190,9 +190,9 @@ def split_assignment(text, origin):
 
 def _read_config_file(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
     entries = []
     for number, line in enumerate(lines, start=1):
@@ -250,6 +250,32 @@ def parse_config(kind, config_path=None, overrides=()):
         values[key] = convert_value(spec, raw)
         provenance[key] = "user"
     return RunConfig(kind=kind, values=values, provenance=provenance)
+
+
+def parse_axes(axis_args):
+    """The (key, values) of each sweep ``--axis key=v1,v2,...``, in order."""
+    table = parameter_table("stage1")
+    axes = []
+    for text in axis_args:
+        key, raw = split_assignment(text, "--axis")
+        if key not in SWEEP_AXES:
+            raise ConfigError(
+                f"sweep axis must be one of {', '.join(SWEEP_AXES)}, got {key}")
+        if key in dict(axes):
+            raise ConfigError(f"duplicate sweep axis {key}")
+        items = [item.strip() for item in raw.split(",") if item.strip()]
+        if not items:
+            raise ConfigError(f"--axis {key} lists no values")
+        axes.append((key, [convert_value(table[key], item) for item in items]))
+    return axes
+
+
+def sweep_point_config(run_config, values):
+    """The stage1 config of a sweep point: the sweep's, with the point's
+    axis ``values`` set by the user."""
+    return RunConfig(
+        kind="stage1", values={**run_config.values, **values},
+        provenance={**run_config.provenance, **dict.fromkeys(values, "user")})
 
 
 def _check_grid(name, duration, grid_dt, extra, n_levels, remedy):

@@ -107,6 +107,29 @@ class Trajectory:
     min_eigenvalue: np.ndarray
     used_dense_propagation: bool = False
 
+    columns = ("t_ps", "rho_up", "rho_dn", "rho_XX", "dN1", "Q1bar",
+               "min_eig")
+
+    def rows(self):
+        """The CSV rows, one per grid time, in ``columns`` order."""
+        return zip(self.times, self.rho_up, self.rho_dn, self.rho_XX,
+                   self.dN1, self.Q1bar, self.min_eigenvalue)
+
+    def summary(self):
+        """The run summary's ``trajectory`` entry."""
+        peak = int(np.argmax(self.rho_XX))
+        return {"trajectory": {
+            "rows": int(self.times.size),
+            "peak_rho_XX": {"value": float(self.rho_XX[peak]),
+                            "time_ps": float(self.times[peak])},
+            "dN1_at_peak": float(self.dN1[peak]),
+            "final": {"rho_up": float(self.rho_up[-1]),
+                      "rho_dn": float(self.rho_dn[-1]),
+                      "rho_XX": float(self.rho_XX[-1])},
+            "min_eigenvalue": float(np.min(self.min_eigenvalue)),
+            "used_dense_propagation": bool(self.used_dense_propagation),
+        }}
+
 
 _SERIES = ("rho_up", "rho_dn", "rho_XX", "dN1", "Q1bar", "min_eigenvalue")
 
@@ -134,7 +157,35 @@ class CycleResult:
     ledger: CycleLedger
     switch: SwitchResult
     stage2_duration: float
-    electron_populations: tuple
+
+    columns = Trajectory.columns
+
+    def rows(self):
+        return self.trajectory.rows()
+
+    def summary(self):
+        """The trajectory's summary with the switch, the work pulse, the
+        ledger and the electron populations of the last row."""
+        summary = self.trajectory.summary()
+        final = summary["trajectory"]["final"]
+        ledger = self.ledger
+        summary.update({
+            "switch": {"time_ps": float(self.switch.time),
+                       "from_local_maximum":
+                           bool(self.switch.from_local_maximum)},
+            "stage2_duration_ps": float(self.stage2_duration),
+            "ledger": {
+                "heat_meV": float(ledger.Q_heat),
+                "work_meV": float(ledger.W_work),
+                "spinlabor_hbar": float(ledger.spinlabor),
+                "spintherm_hbar": float(ledger.spintherm),
+                "transfer_probability": float(ledger.transfer_probability),
+            },
+            "final_populations": {"up": final["rho_up"],
+                                  "dn": final["rho_dn"],
+                                  "exciton": final["rho_XX"]},
+        })
+        return summary
 
 
 def heat_extraction_stage(cfg):
@@ -377,12 +428,10 @@ def run_cycle(cfg):
     combined = _stitch([(traj1, slice(0, k_switch + 1), 0.0),
                         (traj2, slice(1, None), switch.time)])
 
-    pops = (combined.rho_up[-1], combined.rho_dn[-1], combined.rho_XX[-1])
     transfer = combined.rho_dn[-1] - combined.rho_dn[0]
     return CycleResult(trajectory=combined,
                        ledger=make_ledger(cfg.energy_gap, transfer),
-                       switch=switch, stage2_duration=stage2_duration,
-                       electron_populations=pops)
+                       switch=switch, stage2_duration=stage2_duration)
 
 
 CHECK_GRID = ((60.0, 0.001), (60.0, 0.1), (150.0, 0.001), (150.0, 0.1))

@@ -22,7 +22,7 @@ and its gradient in T/nm; SI constants enter only there.
 import itertools
 import math
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -183,6 +183,10 @@ class GammaTildeResult:
     @property
     def ratio(self):
         return abs(self.discrete) / self.gamma
+
+    @property
+    def continuum_ratio(self):
+        return abs(self.continuum) / self.gamma
 
 
 def gamma_tilde(profile, tau):
@@ -402,10 +406,38 @@ class VerifiedErasure:
     up_population_map: float
     up_population_oracle: float
 
+    columns = tuple(field.name for field in fields(ErasureBranch))
+
     @property
     def up_population_floor(self):
         """Fixed-point bound 1 - 2 |gamma_tilde|/gamma on the up population."""
         return 1 - 2 * self.suppression.ratio
+
+    def rows(self):
+        """The CSV rows, one per branch, in ``columns`` order."""
+        return [astuple(branch) for branch in self.branches]
+
+    def summary(self, feasibility, phi_tau_sigma):
+        """The erasure run's summary, with the nanowire ``feasibility``
+        report of its pulse and the phi tau sigma that set the pulse."""
+        suppression = self.suppression
+        return {
+            "gamma_rad2_per_ps2": float(suppression.gamma),
+            "flop_duration_ps": float(self.flop_duration),
+            "suppression": {
+                "phi_tau_sigma": float(phi_tau_sigma),
+                "discrete_ratio": float(suppression.ratio),
+                "continuum_ratio": float(suppression.continuum_ratio),
+            },
+            "branches": [asdict(branch) for branch in self.branches],
+            "up_population": {
+                "collective_map": float(self.up_population_map),
+                "oracle": float(self.up_population_oracle),
+                "floor": float(self.up_population_floor),
+            },
+            "feasibility": {key: float(value) for key, value
+                            in asdict(feasibility).items()},
+        }
 
 
 def verified_erasure_step(profile, tau):

@@ -177,7 +177,8 @@ def test_criterion_04_damping_ordering(stage_60, stage_150, stage_60_damped,
 
 def test_criterion_05_cycle_transfer(cycle_result):
     result = cycle_result
-    up, dn, exciton = result.electron_populations
+    traj = result.trajectory
+    dn, exciton = traj.rho_dn[-1], traj.rho_XX[-1]
     ok = (8.0 <= result.switch.time <= 10.0
           and result.switch.from_local_maximum
           and 0.40 <= dn <= 0.60 and exciton <= 0.05)

@@ -1,5 +1,6 @@
 """Config resolution and CLI artifact contracts."""
 
+import ast
 import contextlib
 import io
 import json
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import spinheat
 import spinheat.config as config_module
+import spinheat.pool as pool_module
 from spinheat.cli import _format_value, _write_csv, main
 from spinheat.constants import HBAR
 from spinheat.config import (MAX_GRID_BYTES, parameter_table, parse_config,
@@ -100,6 +102,17 @@ class TestParseConfig:
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="no-such-file"):
             parse_config("stage1", config_path="no-such-file.cfg")
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(b"\xff\xfe=1\n")
+        with pytest.raises(ConfigError, match="latin.cfg"):
+            parse_config("stage1", config_path=str(path))
+        assert main(["stage1", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file")
+        assert str(path) in err and "Traceback" not in err
 
     def test_engine_config_mapping(self):
         rc = parse_config("cycle", overrides=["temperature_K=75",
@@ -569,7 +582,7 @@ class TestCheckCommand:
         import spinheat.cli as cli_module
         monkeypatch.setattr(cli_module, "invariant_checks",
                             _failing_points(*failing))
-        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
         runs = [(main(["check"] + argv), capsys.readouterr())]
         assert len(forks) == 2
         monkeypatch.delattr(os, "fork")
@@ -596,7 +609,7 @@ class TestCheckCommand:
 
         invariant_checks = cli_module.invariant_checks
         monkeypatch.setattr(cli_module, "invariant_checks", dying)
-        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
         assert main(["check"] + TINY) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -608,8 +621,7 @@ class TestCheckCommand:
                                                 (8, 4)])
     def test_workers_capped_by_grid_and_cores(self, capsys, monkeypatch,
                                               forks, cores, workers):
-        import spinheat.cli as cli_module
-        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cores)
+        monkeypatch.setattr(pool_module, "usable_cpus", lambda: cores)
         assert main(["check"] + TINY) == 0
         assert len(forks) == workers
         assert capsys.readouterr().out.endswith("check: 16/16 passed\n")
@@ -666,14 +678,14 @@ class TestSweepCommand:
     def test_failed_point_recorded_and_sweep_continues(self, tmp_path,
                                                        monkeypatch):
         import spinheat.cli as cli_module
-        real = cli_module._stage1_artifacts
+        real = cli_module._run
 
-        def flaky(run_config, out_dir):
+        def flaky(run_config):
             if run_config.values["temperature_K"] == 150.0:
                 raise NumericalError("injected failure")
-            return real(run_config, out_dir)
+            return real(run_config)
 
-        monkeypatch.setattr(cli_module, "_stage1_artifacts", flaky)
+        monkeypatch.setattr(cli_module, "_run", flaky)
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out),
                      "--axis", "temperature_K=60,150"] + TINY) == 0
@@ -686,14 +698,14 @@ class TestSweepCommand:
     def test_unexpected_point_failure_recorded_and_exits_3(
             self, tmp_path, capsys, monkeypatch):
         import spinheat.cli as cli_module
-        real = cli_module._stage1_artifacts
+        real = cli_module._run
 
-        def broken(run_config, out_dir):
+        def broken(run_config):
             if run_config.values["temperature_K"] == 150.0:
                 raise RuntimeError("injected bug")
-            return real(run_config, out_dir)
+            return real(run_config)
 
-        monkeypatch.setattr(cli_module, "_stage1_artifacts", broken)
+        monkeypatch.setattr(cli_module, "_run", broken)
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out), "--jobs", "2",
                      "--axis", "temperature_K=60,150,90"] + TINY) == 3
@@ -712,16 +724,16 @@ class TestSweepCommand:
     def test_dead_worker_maps_to_error_and_exits_3(
             self, tmp_path, capsys, monkeypatch, die, message):
         import spinheat.cli as cli_module
-        real = cli_module._stage1_artifacts
+        real = cli_module._run
 
-        def dying(run_config, out_dir):
+        def dying(run_config):
             # runs in the second of two forked workers, never in pytest
             if run_config.values["temperature_K"] == 150.0:
                 die()
-            return real(run_config, out_dir)
+            return real(run_config)
 
-        monkeypatch.setattr(cli_module, "_stage1_artifacts", dying)
-        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli_module, "_run", dying)
+        monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out), "--jobs", "2",
                      "--axis", "temperature_K=60,150,90"] + TINY) == 3
@@ -733,13 +745,12 @@ class TestSweepCommand:
         assert f"point_001: {message}" in err and "Traceback" not in err
 
     def test_short_worker_result_maps_to_error(self, tmp_path, monkeypatch):
-        import spinheat.cli as cli_module
 
         def cut_short(obj, handle, protocol=None):
             handle.write(pickle.dumps(obj, protocol)[:20])
 
         monkeypatch.setattr(pickle, "dump", cut_short)
-        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out), "--jobs", "2",
                      "--axis", "temperature_K=60,150"] + TINY) == 3
@@ -749,13 +760,12 @@ class TestSweepCommand:
 
     def test_parent_failure_kills_and_reaps_workers(self, tmp_path,
                                                     monkeypatch):
-        import spinheat.cli as cli_module
 
         def fail(data):
             raise RuntimeError("parent failed")
 
         monkeypatch.setattr(pickle, "loads", fail)
-        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match="parent failed"):
             main(["sweep", "--out", str(tmp_path), "--jobs", "2",
                   "--axis", "temperature_K=60,150"] + TINY)
@@ -766,15 +776,25 @@ class TestSweepCommand:
         ("60,90,150", None), ("60", None), ("60,90,150", 1)])
     def test_workers_capped_by_points_and_cores(self, tmp_path, monkeypatch,
                                                 forks, temperatures, cores):
-        import spinheat.cli as cli_module
         if cores is not None:
-            monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cores)
+            monkeypatch.setattr(pool_module, "usable_cpus", lambda: cores)
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out), "--jobs", "100000",
                      "--axis", f"temperature_K={temperatures}"] + TINY) == 0
         workers = min(len(temperatures.split(",")),
-                      cli_module._usable_cpus())
+                      pool_module.usable_cpus())
         assert len(forks) == (workers if workers > 1 else 0)
+
+    def test_failed_fork_is_not_an_output_error(self, tmp_path,
+                                                monkeypatch):
+        def refuse():
+            raise BlockingIOError("no process left")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
+        with pytest.raises(BlockingIOError, match="no process left"):
+            main(["sweep", "--out", str(tmp_path), "--jobs", "2",
+                  "--axis", "temperature_K=60,150"] + TINY)
 
     @pytest.mark.parametrize("affinity", [True, False])
     def test_workers_capped_by_usable_cpus(self, tmp_path, monkeypatch,
@@ -872,6 +892,23 @@ class TestSweepCommand:
 
 
 class TestArgumentErrors:
+    @pytest.mark.parametrize("kind, argv", [
+        ("stage1", TINY), ("cycle", TINY), ("erasure", []),
+        ("sweep", ["--axis", "temperature_K=60,150"] + TINY)])
+    @pytest.mark.parametrize("under_file", [False, True],
+                             ids=["file", "under-file"])
+    def test_unusable_out_exits_2(self, tmp_path, capsys, kind, argv,
+                                  under_file):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        out = taken / "run" if under_file else taken
+        assert main([kind, "--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot use output directory "
+                              f"{out}: ")
+        assert len(err.splitlines()) == 1
+        assert taken.read_text() == "a file, not a directory\n"
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main([])
@@ -897,6 +934,19 @@ def test_csv_rows_are_written_as_format_value_writes_them(tmp_path):
     assert lines[-len(rows) - 1] == "# columns: a,b,c"
     assert lines[-len(rows):] == [
         ",".join(_format_value(v) for v in row) for row in rows]
+
+
+def test_cli_imports_no_numpy_and_defines_no_record():
+    # the CLI parses, calls the library and writes what the records build
+    # of themselves: no array arithmetic and no record classes of its own
+    tree = ast.parse(pathlib.Path(spinheat.__file__).with_name("cli.py")
+                     .read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert not imported & {"numpy", "scipy", "dataclasses", "typing"}
+    assert not any(isinstance(node, ast.ClassDef) for node in ast.walk(tree))
 
 
 def test_cli_import_leaves_out_scipy_integrate(tmp_path):

@@ -168,8 +168,8 @@ def test_cycle_reduced_truncation_smoke():
     assert result.ledger.W_work == result.ledger.Q_heat
     assert result.ledger.spinlabor == -result.ledger.spintherm
     # hand-off state for the erasure stage: diagonal electron mixture
-    assert result.electron_populations[1] > 0.3
-    assert result.electron_populations[2] < 0.1
+    assert result.trajectory.rho_dn[-1] > 0.3
+    assert result.trajectory.rho_XX[-1] < 0.1
     assert result.trajectory.times[-1] == pytest.approx(
         result.switch.time + result.stage2_duration, abs=0.06)
     # stage-2 grid continues the stage-1 clock

@@ -26,8 +26,10 @@ PACKAGE = pathlib.Path(spinheat.__file__).parent
 ALLOWED = set()
 # records whose fields the package reads without an attribute load
 FIELD_READERS = {
-    "ErasureBranch": "cli writes each branch through dataclasses.asdict",
-    "FeasibilityReport": "cli writes the report through dataclasses.asdict",
+    "ErasureBranch": "VerifiedErasure's rows and summary read each branch "
+                     "through dataclasses.astuple and asdict",
+    "FeasibilityReport": "VerifiedErasure.summary reads the report through "
+                         "dataclasses.asdict",
     "Shifted": "_taylor_steps unpacks it as a tuple",
 }
 
