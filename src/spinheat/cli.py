@@ -1,19 +1,19 @@
 """Command-line runner: single stages, full cycles, erasure studies, sweeps.
 
-The CLI parses arguments, calls the library, writes the records it gets
-back and maps errors to exit codes. Each record builds its own summary
-and CSV rows (``Trajectory``, ``CycleResult``, ``VerifiedErasure``), and
-one writer puts them out. Artifacts are deterministic: identical
-configuration produces byte-identical CSV and JSON output. Every file
-starts with a comment header listing the resolved parameters, marking
-each as a default or a user override, so a run is reproducible from its
-own header.
+The CLI parses arguments, makes one library call per run kind, writes the
+record it gets back and maps errors to exit codes. Each record builds its
+own summary and CSV rows (``Trajectory``, ``CycleResult``,
+``VerifiedErasure``), and one writer puts them out. Artifacts are
+deterministic: identical configuration produces byte-identical CSV and
+JSON output. Every file starts with a comment header listing the resolved
+parameters, marking each as a default or a user override, so a run is
+reproducible from its own header.
 
-A sweep runs its points, and ``check`` its four grid points, in the fork
-pool of :mod:`spinheat.pool` (``--jobs`` caps a sweep's workers), so the
-output does not depend on the worker count: a sweep's index entries and
-rho_XX traces, and a check point's records. The first error of the check
-points in grid order is raised, as an inline run would.
+A sweep runs its points in the fork pool of :mod:`spinheat.pool`
+(``--jobs`` caps its workers), and each worker writes its own points'
+artifacts, so the output does not depend on the worker count: the index
+entries and the rho_XX traces come back in point order. ``check`` calls
+``invariant_checks``, which runs the grid points in the same pool.
 """
 
 import argparse
@@ -25,18 +25,23 @@ import sys
 from . import __version__, blas_threads
 from .config import (SWEEP_AXES, parse_axes, parse_config,
                      sweep_point_config, to_engine_config, to_erasure_inputs)
-from .engine import (CHECK_GRID, heat_extraction_stage, initial_state,
-                     invariant_checks, run_cycle, run_stage,
+from .engine import (invariant_checks, run_cycle, run_stage1,
                      truncation_convergence)
 from .errors import ConfigError, NumericalError, PositivityError
-from .hyperfine import pulse_feasibility, verified_erasure_step
+from .hyperfine import run_erasure
 from .pool import pool_results
+
+# The outcome of each error class the library raises: the status of a
+# sweep point, and the exit code and stderr prefix of a run, that end in
+# it. Any other error of a sweep point gives the status "error", and the
+# sweep exit code 3.
+_OUTCOMES = {ConfigError: ("config-error", 2, "config error"),
+             PositivityError: ("positivity-abort", 4, "positivity abort"),
+             NumericalError: ("numerical-error", 3, "numerical failure")}
 
 
 def _format_value(value):
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def _write_csv(path, run_config, columns, rows):
@@ -57,94 +62,86 @@ def _write_csv(path, run_config, columns, rows):
 
 def _write_summary(path, run_config, summary):
     """Write ``summary`` as JSON after the run's identification, parameters
-    and provenance; return what was written."""
+    and provenance."""
     payload = {"tool": "spinheat", "version": __version__,
                "blas_threads": blas_threads(), "kind": run_config.kind,
                "parameters": dict(run_config.values),
                "provenance": dict(run_config.provenance), **summary}
     with open(path, "w", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _run(run_config):
     """The library record of a stage1, cycle or erasure run, and the
     summary it builds of itself."""
-    v = run_config.values
     if run_config.kind == "erasure":
-        profile, feasibility_pulse = to_erasure_inputs(run_config)
-        step = verified_erasure_step(profile, v["pulse_duration_ps"])
-        report = pulse_feasibility(feasibility_pulse, v["sigma_nm"],
-                                   v["wire_radius_nm"], v["standoff_nm"])
-        return step, step.summary(report, v["suppression_phi_tau_sigma"])
-    cfg = to_engine_config(run_config)
-    if run_config.kind == "cycle":
-        record = run_cycle(cfg)
-    else:
-        record = run_stage(initial_state(cfg), heat_extraction_stage(cfg), cfg)
+        return run_erasure(*to_erasure_inputs(run_config))
+    run = run_cycle if run_config.kind == "cycle" else run_stage1
+    record = run(to_engine_config(run_config))
     return record, record.summary()
 
 
-def _write_artifacts(run_config, out_dir, record, summary):
+def _write_artifacts(out_dir, run_config, record, summary):
     """Write ``<kind>.csv`` of the record's rows and ``<kind>_summary.json``
-    of its summary; return the summary as written."""
+    of its summary."""
     kind = run_config.kind
     _write_csv(os.path.join(out_dir, f"{kind}.csv"), run_config,
                record.columns, record.rows())
-    return _write_summary(os.path.join(out_dir, f"{kind}_summary.json"),
-                          run_config, summary)
+    _write_summary(os.path.join(out_dir, f"{kind}_summary.json"), run_config,
+                   summary)
 
 
-def _point_entry(index, values, status="ok", message=None):
-    return {"index": index, "values": values,
-            "directory": f"point_{index:03d}", "status": status,
-            "message": message}
+def _write_or_refuse(write, target, *args):
+    """``write(target, *args)``, a write of the parent process to the file
+    or directory ``target``. An OSError is a configuration error that
+    names the file the error names, or ``target`` where the error names
+    none (the file opened but its bytes did not land)."""
+    try:
+        write(target, *args)
+    except OSError as err:
+        raise ConfigError(
+            f"cannot write {err.filename or target}: {err}") from None
 
 
-def _sweep_point(run_config, values, index, out_dir):
-    entry = _point_entry(index, values)
-    rho_XX = None
+def _sweep_point(run_config, entry, out_dir):
+    """The index entry and rho_XX trace (None on an error, which the entry
+    records) of one sweep point, written under ``out_dir``."""
     try:
         point_dir = os.path.join(out_dir, entry["directory"])
         os.makedirs(point_dir, exist_ok=True)
-        point_config = sweep_point_config(run_config, values)
+        point_config = sweep_point_config(run_config, entry["values"])
         traj, summary = _run(point_config)
-        _write_artifacts(point_config, point_dir, traj, summary)
-        rho_XX = traj.rho_XX
-    except ConfigError as err:
-        entry.update(status="config-error", message=str(err))
-    except PositivityError as err:
-        entry.update(status="positivity-abort", message=str(err))
-    except NumericalError as err:
-        entry.update(status="numerical-error", message=str(err))
+        _write_artifacts(point_dir, point_config, traj, summary)
+        return entry, traj.rho_XX
+    except tuple(_OUTCOMES) as err:
+        status, message = _OUTCOMES[type(err)][0], str(err)
     except Exception as err:
         # any other failure is recorded too, so that the remaining points
         # and the index are still written; the sweep then exits 3
-        entry.update(status="error", message=f"{type(err).__name__}: {err}")
-    return entry, rho_XX
+        status, message = "error", f"{type(err).__name__}: {err}"
+    return {**entry, "status": status, "message": message}, None
 
 
-def _lost_point(task, reason):
+def _lost_point(entry, reason):
     """The ``error`` result of a sweep point whose worker died."""
-    _, values, index, _ = task
-    return _point_entry(index, values, "error", f"sweep worker {reason}"), None
+    return {**entry, "status": "error",
+            "message": f"sweep worker {reason}"}, None
 
 
 def _sweep(run_config, args):
-    axes = parse_axes(args.axes)
-    keys = [key for key, _ in axes]
-    points = list(itertools.product(*[values for _, values in axes]))
-    tasks = [(run_config, dict(zip(keys, combo)), index, args.out)
-             for index, combo in enumerate(points)]
-    results = pool_results(lambda task: _sweep_point(*task), tasks,
-                           args.jobs, _lost_point)
-    entries = [entry for entry, _ in results]
-    _write_summary(os.path.join(args.out, "sweep_index.json"), run_config, {
-        "axes": {key: list(values) for key, values in axes},
-        "points": entries,
-        "convergence": truncation_convergence(
-            keys, points, [trace for _, trace in results])})
+    axes = dict(parse_axes(args.axes))
+    points = list(itertools.product(*axes.values()))
+    starts = [{"index": index, "values": dict(zip(axes, combo)),
+               "directory": f"point_{index:03d}", "status": "ok",
+               "message": None} for index, combo in enumerate(points)]
+    results = pool_results(
+        lambda entry: _sweep_point(run_config, entry, args.out), starts,
+        args.jobs, _lost_point)
+    entries, traces = zip(*results)
+    index = {"axes": axes, "points": entries,
+             "convergence": truncation_convergence([*axes], points, traces)}
+    index_path = os.path.join(args.out, "sweep_index.json")
+    _write_or_refuse(_write_summary, index_path, run_config, index)
     ok = sum(entry["status"] == "ok" for entry in entries)
     print(f"sweep: {ok}/{len(entries)} points ok -> {args.out}")
     failed = [entry for entry in entries if entry["status"] == "error"]
@@ -154,22 +151,14 @@ def _sweep(run_config, args):
     return 3 if failed else 0
 
 
-def _lost_check_point(task, reason):
-    """The error that stands in for a check point whose worker died."""
-    return NumericalError(f"check worker {reason}")
-
-
-def _check_report(run_config, stream):
-    cfg = to_engine_config(run_config)
-    records = [record for point_records in pool_results(
-        lambda point: invariant_checks(cfg, grid=(point,)), CHECK_GRID,
-        len(CHECK_GRID), _lost_check_point) for record in point_records]
+def _check_report(run_config):
+    records = invariant_checks(to_engine_config(run_config))
     for record in records:
         status = "PASS" if record.passed else "FAIL"
-        stream.write(f"{record.label}: {record.name} = {record.value:.3e} "
-                     f"(tolerance {record.tolerance:g}) {status}\n")
+        print(f"{record.label}: {record.name} = {record.value:.3e} "
+              f"(tolerance {record.tolerance:g}) {status}")
     passed = sum(record.passed for record in records)
-    stream.write(f"check: {passed}/{len(records)} passed\n")
+    print(f"check: {passed}/{len(records)} passed")
     return 0 if passed == len(records) else 3
 
 
@@ -193,15 +182,15 @@ def build_parser():
                         default=[], dest="overrides",
                         help="override one config key (repeatable)")
     subparsers = parser.add_subparsers(dest="kind", required=True)
-    subparsers.add_parser("stage1", parents=[common],
-                          help="run the heat-extraction stage")
-    subparsers.add_parser("cycle", parents=[common],
-                          help="run a full two-stage cycle")
-    subparsers.add_parser("erasure", parents=[common],
-                          help="run one collective-erasure step with the "
-                               "exact verifier")
-    sweep = subparsers.add_parser("sweep", parents=[common],
-                                  help="grid of stage-1 runs")
+    for kind, text in (
+            ("stage1", "run the heat-extraction stage"),
+            ("cycle", "run a full two-stage cycle"),
+            ("erasure", "run one collective-erasure step with the exact "
+                        "verifier"),
+            ("sweep", "grid of stage-1 runs"),
+            ("check", "run the superoperator invariant suite")):
+        subparsers.add_parser(kind, parents=[common], help=text)
+    sweep = subparsers.choices["sweep"]
     sweep.add_argument("--axis", metavar="KEY=V1,V2,...", action="append",
                        default=[], dest="axes",
                        help=f"sweep axis over one of {', '.join(SWEEP_AXES)} "
@@ -210,8 +199,6 @@ def build_parser():
                        help="worker processes for the sweep points, at "
                             "most one per usable CPU and per point; points "
                             "run inline where os.fork is missing (default 1)")
-    subparsers.add_parser("check", parents=[common],
-                          help="run the superoperator invariant suite")
     return parser
 
 
@@ -219,7 +206,7 @@ def _dispatch(args):
     run_config = parse_config(args.kind, config_path=args.config,
                               overrides=args.overrides)
     if args.kind == "check":
-        return _check_report(run_config, sys.stdout)
+        return _check_report(run_config)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as err:
@@ -228,7 +215,7 @@ def _dispatch(args):
     if args.kind == "sweep":
         return _sweep(run_config, args)
     record, summary = _run(run_config)
-    summary = _write_artifacts(run_config, args.out, record, summary)
+    _write_or_refuse(_write_artifacts, args.out, run_config, record, summary)
     report = {
         "stage1": "stage1: peak rho_XX {trajectory[peak_rho_XX][value]:.4f} "
                   "at {trajectory[peak_rho_XX][time_ps]:.2f} ps",
@@ -245,15 +232,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except PositivityError as err:
-        print(f"positivity abort: {err}", file=sys.stderr)
-        return 4
-    except NumericalError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
+    except tuple(_OUTCOMES) as err:
+        _, code, prefix = _OUTCOMES[type(err)]
+        print(f"{prefix}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

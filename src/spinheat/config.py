@@ -340,8 +340,10 @@ def to_engine_config(run_config):
 
 @np.errstate(over="ignore", invalid="ignore")
 def to_erasure_inputs(run_config):
-    """Coupling profile, with the erasure pulse's precession rates, and
-    feasibility pulse of an erasure run. Valid keys can still give couplings
+    """The arguments of ``hyperfine.run_erasure`` for an erasure run: the
+    coupling profile, with the erasure pulse's precession rates, the pulse
+    duration in ps, its phi tau sigma, the feasibility pulse, and the
+    nanowire's radius and standoff in nm. Valid keys can still give couplings
     that underflow to zero, or an envelope, coupling sum, rates or pulse
     phases that overflow; these are configuration errors. The sum of |rates|
     times the pulse duration bounds every phase the pulse forms."""
@@ -385,4 +387,5 @@ def to_erasure_inputs(run_config):
     feasibility_pulse = PulseSpec(gradient=v["pulse_gradient_T_per_nm"],
                                   duration=v["pulse_duration_ns"],
                                   g_n=v["g_n"])
-    return profile, feasibility_pulse
+    return (profile, v["pulse_duration_ps"], v["suppression_phi_tau_sigma"],
+            feasibility_pulse, v["wire_radius_nm"], v["standoff_nm"])

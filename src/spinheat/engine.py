@@ -54,6 +54,7 @@ from .propagator import (
     diagonalize, evolve, from_hermitian, functional, prepare,
     principal_positions, propagate, to_hermitian,
 )
+from .pool import pool_results
 from .spectral import reorganization_energy, thermal_energy
 
 
@@ -347,6 +348,11 @@ def run_stage(rho0, stage, cfg):
     return _evolve_stage(rho0, stage, cfg, ops, prepare(v))[0]
 
 
+def run_stage1(cfg):
+    """The ``stage1`` run: the heat-extraction stage from its start state."""
+    return run_stage(initial_state(cfg), heat_extraction_stage(cfg), cfg)
+
+
 def find_switch_time(traj):
     """Hand-off point: the exciton maximum that coincides with the deepest
     phonon absorption.
@@ -466,41 +472,50 @@ def _trace_residual(blocks):
     return float(np.max(np.abs(np.concatenate(sums))))
 
 
-def invariant_checks(cfg, grid=CHECK_GRID):
+def _point_checks(cfg, point):
+    """The four invariant records of ``cfg`` at one (temperature K,
+    gamma_ph meV) point of CHECK_GRID."""
+    temperature, gamma_ph = point
+    point_cfg = replace(cfg, temperature=temperature, gamma_ph_energy=gamma_ph)
+    label = f"T={temperature:g}K gamma_ph={gamma_ph:g}meV"
+    _, v = stage_machinery(heat_extraction_stage(point_cfg), point_cfg)
+    blocks = prepare(v)
+    trace_residual = _trace_residual(blocks)
+    ep = diagonalize(blocks)
+    rho0 = initial_state(point_cfg)
+    times = _stage_grid(point_cfg.stage1_duration, point_cfg.grid_dt)
+    coords, _ = evolve(rho0, blocks, times)
+    # np.max, unlike max(), lets a NaN coordinate fail the check
+    agreement = float(np.max(np.abs(coords - propagate(rho0, ep, times))))
+    checks = (
+        ("trace_annihilation", trace_residual, 1e-10),
+        ("max_real_eigenvalue", float(np.max(ep.eigenvalues.real)), 1e-8),
+        ("biorthonormality", float(ep.biorthonormality_residual), 1e-8),
+        ("propagation_agreement", agreement, 1e-6),
+    )
+    return [InvariantCheck(label, name, value, tol, value <= tol)
+            for name, value, tol in checks]
+
+
+def invariant_checks(cfg):
     """Stage-1 generator invariants and oracle agreement at each
-    (temperature K, gamma_ph meV) point of ``grid``, four records per point
-    in grid order: trace annihilation, no growing mode, biorthonormal
+    (temperature K, gamma_ph meV) point of CHECK_GRID, four records per
+    point in grid order: trace annihilation, no growing mode, biorthonormal
     eigenvectors, and the production propagator matching the eigenmode
     oracle on the output grid. Every record reads the invariant blocks of
     the real W that ``evolve`` steps and the oracle decomposes: trace
     annihilation their rows of diagonal coordinates, and the eigenvalue
     and biorthonormality records take the largest value over the blocks,
     each decomposed on its own. A point's records depend on that point
-    alone, so the CLI checks ``CHECK_GRID`` one point per call, in forked
-    workers.
+    alone, so the points run in the fork pool of :mod:`spinheat.pool` and
+    give the records, or the first error in grid order, of an inline loop;
+    a worker that dies is a NumericalError.
     """
-    records = []
-    for temperature, gamma_ph in grid:
-        point = replace(cfg, temperature=temperature, gamma_ph_energy=gamma_ph)
-        label = f"T={temperature:g}K gamma_ph={gamma_ph:g}meV"
-        _, v = stage_machinery(heat_extraction_stage(point), point)
-        blocks = prepare(v)
-        trace_residual = _trace_residual(blocks)
-        ep = diagonalize(blocks)
-        rho0 = initial_state(point)
-        times = _stage_grid(point.stage1_duration, point.grid_dt)
-        coords, _ = evolve(rho0, blocks, times)
-        # np.max, unlike max(), lets a NaN coordinate fail the check
-        agreement = float(np.max(np.abs(coords - propagate(rho0, ep, times))))
-        checks = (
-            ("trace_annihilation", trace_residual, 1e-10),
-            ("max_real_eigenvalue", float(np.max(ep.eigenvalues.real)), 1e-8),
-            ("biorthonormality", float(ep.biorthonormality_residual), 1e-8),
-            ("propagation_agreement", agreement, 1e-6),
-        )
-        records.extend(InvariantCheck(label, name, value, tol, value <= tol)
-                       for name, value, tol in checks)
-    return records
+    return [record for records in pool_results(
+                lambda point: _point_checks(cfg, point), CHECK_GRID,
+                len(CHECK_GRID),
+                lambda point, reason: NumericalError(f"check worker {reason}"))
+            for record in records]
 
 
 def truncation_convergence(keys, points, traces):

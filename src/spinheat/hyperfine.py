@@ -533,3 +533,13 @@ def pulse_feasibility(pulse, sigma, wire_radius, standoff):
         f"feasibility of {pulse} at sigma {sigma:g} nm, wire radius "
         f"{wire_radius:g} nm, standoff {standoff:g} nm leaves "
         "floating-point range")
+
+
+def run_erasure(profile, tau, phi_tau_sigma, pulse, wire_radius, standoff):
+    """The erasure run: the step of a pulse of tau ps, which
+    ``phi_tau_sigma`` set, and its summary with the feasibility of the
+    physical ``pulse`` from a nanowire (radius and standoff in nm)."""
+    step = verified_erasure_step(profile, tau)
+    return step, step.summary(
+        pulse_feasibility(pulse, profile.sigma, wire_radius, standoff),
+        phi_tau_sigma)

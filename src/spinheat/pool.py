@@ -1,5 +1,5 @@
-"""A pool of worker processes made by ``os.fork``, for the CLI's sweep
-points and check grid points.
+"""A pool of worker processes made by ``os.fork``, for a sweep's points and
+for the grid points of ``engine.invariant_checks``.
 
 ``pool_results(run, tasks, jobs, lost)`` gives ``run(task)`` of every task
 in task order, as an inline loop would, and raises the first exception in

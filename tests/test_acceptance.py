@@ -16,7 +16,7 @@ from reference import integrate_direct, scipy_csr, spinlabor_bound
 
 from spinheat.config import parse_config, to_engine_config
 from spinheat.engine import (heat_extraction_stage, initial_state, run_cycle,
-                             run_stage, stage_machinery)
+                             run_stage1, stage_machinery)
 from spinheat.hyperfine import (ELECTRON_DN, ELECTRON_UP, CouplingProfile,
                                 PulseSpec, apply_pulse, collective_to_vector,
                                 flop_duration, gamma_tilde,
@@ -42,7 +42,7 @@ def verdict(number, ok, detail):
 
 def timed_stage(cfg):
     start = time.perf_counter()
-    traj = run_stage(initial_state(cfg), heat_extraction_stage(cfg), cfg)
+    traj = run_stage1(cfg)
     return traj, time.perf_counter() - start
 
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import spinheat
 import spinheat.config as config_module
+import spinheat.engine as engine_module
 import spinheat.pool as pool_module
 from spinheat.cli import _format_value, _write_csv, main
 from spinheat.constants import HBAR
@@ -527,16 +528,15 @@ def forks(monkeypatch):
 
 
 def _failing_points(*failing):
-    """invariant_checks that raises NumericalError, naming the point, at
-    the CHECK_GRID indices in ``failing``."""
-    from spinheat.engine import CHECK_GRID, invariant_checks
+    """engine._point_checks that raises NumericalError, naming the point,
+    at the CHECK_GRID indices in ``failing``."""
+    from spinheat.engine import CHECK_GRID, _point_checks
 
-    def checks(cfg, grid):
-        for point in grid:
-            if CHECK_GRID.index(point) in failing:
-                raise NumericalError(f"injected at point "
-                                     f"{CHECK_GRID.index(point)}")
-        return invariant_checks(cfg, grid)
+    def checks(cfg, point):
+        if CHECK_GRID.index(point) in failing:
+            raise NumericalError(f"injected at point "
+                                 f"{CHECK_GRID.index(point)}")
+        return _point_checks(cfg, point)
     return checks
 
 
@@ -579,8 +579,7 @@ class TestCheckCommand:
                                             argv, failing, code):
         # with two workers, points 0 and 2 run in one and 1 and 3 in the
         # other; the first error in grid order is reported
-        import spinheat.cli as cli_module
-        monkeypatch.setattr(cli_module, "invariant_checks",
+        monkeypatch.setattr(engine_module, "_point_checks",
                             _failing_points(*failing))
         monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
         runs = [(main(["check"] + argv), capsys.readouterr())]
@@ -598,17 +597,16 @@ class TestCheckCommand:
         (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
     ], ids=["exit-status", "signal"])
     def test_dead_worker_exits_3(self, capsys, monkeypatch, die, status):
-        import spinheat.cli as cli_module
         from spinheat.engine import CHECK_GRID
 
-        def dying(cfg, grid):
+        def dying(cfg, point):
             # runs in the second of two forked workers, never in pytest
-            if grid[0] == CHECK_GRID[1]:
+            if point == CHECK_GRID[1]:
                 die()
-            return invariant_checks(cfg, grid)
+            return point_checks(cfg, point)
 
-        invariant_checks = cli_module.invariant_checks
-        monkeypatch.setattr(cli_module, "invariant_checks", dying)
+        point_checks = engine_module._point_checks
+        monkeypatch.setattr(engine_module, "_point_checks", dying)
         monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
         assert main(["check"] + TINY) == 3
         captured = capsys.readouterr()
@@ -845,6 +843,22 @@ class TestSweepCommand:
                  for i in (0, 1, 3, 4)]
         assert dense == [True, True, False, True]
 
+    def test_unwritable_point_artifact_recorded_as_error(self, tmp_path,
+                                                         capsys):
+        # a point's own artifacts are written by the worker that runs it:
+        # a write that fails there is that point's error, not the sweep's
+        out = tmp_path / "sweep"
+        (out / "point_001" / "stage1.csv").mkdir(parents=True)
+        assert main(["sweep", "--out", str(out),
+                     "--axis", "temperature_K=60,150"] + TINY) == 3
+        index = json.loads((out / "sweep_index.json").read_text())
+        assert [p["status"] for p in index["points"]] == ["ok", "error"]
+        assert index["points"][1]["message"].startswith(
+            "IsADirectoryError: [Errno 21] ")
+        err = capsys.readouterr().err
+        assert "point_001: IsADirectoryError" in err
+        assert "Traceback" not in err
+
     def test_unrepresentable_point_recorded_and_index_written(self, tmp_path):
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out), "--set", "n_levels=3",
@@ -909,6 +923,24 @@ class TestArgumentErrors:
         assert len(err.splitlines()) == 1
         assert taken.read_text() == "a file, not a directory\n"
 
+    @pytest.mark.parametrize("kind, argv, artifact", [
+        ("stage1", TINY, "stage1.csv"),
+        ("cycle", TINY, "cycle_summary.json"),
+        ("erasure", [], "erasure_summary.json"),
+        ("sweep", ["--axis", "temperature_K=60,150"] + TINY,
+         "sweep_index.json")], ids=["stage1", "cycle", "erasure", "sweep"])
+    def test_unwritable_artifact_exits_2(self, tmp_path, capsys, kind, argv,
+                                         artifact):
+        taken = tmp_path / artifact
+        taken.mkdir()
+        assert main([kind, "--out", str(tmp_path)] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"config error: cannot write {taken}: [Errno 21] ")
+        assert len(captured.err.splitlines()) == 1
+        assert not any(taken.iterdir())
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main([])
@@ -949,6 +981,31 @@ def test_cli_imports_no_numpy_and_defines_no_record():
     assert not any(isinstance(node, ast.ClassDef) for node in ast.walk(tree))
 
 
+def test_cli_reads_no_config_key_and_assembles_no_run():
+    # each run kind is one library call: the CLI names no config key, so
+    # it reads no value by key, and no piece of a run
+    tree = ast.parse(pathlib.Path(spinheat.__file__).with_name("cli.py")
+                     .read_text())
+    keys = {key for kind in config_module.RUN_KINDS
+            for key in parameter_table(kind)}
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)}
+    assert not strings & keys
+    assert not any(isinstance(node, ast.Subscript)
+                   and isinstance(node.value, ast.Attribute)
+                   and node.value.attr == "values"
+                   for node in ast.walk(tree))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"initial_state", "heat_extraction_stage",
+                        "verified_erasure_step", "pulse_feasibility",
+                        "CHECK_GRID"}
+
+
 def test_cli_import_leaves_out_scipy_integrate(tmp_path):
     # scipy.linalg would also load scipy's own BLAS; the stage1 run at
     # n_levels=4 takes the dense steps, so a lazy import would show there
@@ -977,7 +1034,8 @@ def test_cli_main_imports_nothing(tmp_path):
         os.path.dirname(spinheat.__file__)))
     runs = [["erasure", "--set", "lattice_jitter_nm=0.2"],
             ["cycle", *TINY],
-            ["sweep", "--jobs", "2", "--axis", "temperature_K=60,90", *TINY]]
+            ["sweep", "--jobs", "2", "--axis", "temperature_K=60,90", *TINY],
+            ["check", *TINY]]
     script = (
         "import sys, spinheat.cli as cli\n"
         f"for argv in {runs!r}:\n"
@@ -993,8 +1051,8 @@ def test_cli_main_imports_nothing(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert [line for line in lines
-            if line.startswith(("erasure ", "cycle ", "sweep "))
-            ] == ["erasure 0 []", "cycle 0 []", "sweep 0 []"]
+            if line.startswith(("erasure ", "cycle ", "sweep ", "check "))
+            ] == ["erasure 0 []", "cycle 0 []", "sweep 0 []", "check 0 []"]
 
 
 def test_cli_import_leaves_out_process_pools():

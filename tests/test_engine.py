@@ -6,6 +6,7 @@ fast invariants at reduced truncation.
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -18,10 +19,10 @@ from spinheat.engine import (
     EIGVALSH_ROWS, _min_eigenvalues, _sample, _stage_grid, stage_machinery,
     EngineConfig, StageConfig, Trajectory, find_switch_time,
     heat_extraction_stage, initial_state, invariant_checks, make_ledger,
-    run_cycle, run_stage, stage_hamiltonian_spec,
+    run_cycle, run_stage, run_stage1, stage_hamiltonian_spec,
     truncation_convergence, work_output_stage,
 )
-from spinheat.errors import PositivityError
+from spinheat.errors import NumericalError, PositivityError
 from spinheat.propagator import evolve, from_hermitian, prepare
 from spinheat.quantum_core import (
     IDX_DN, IDX_UP, IDX_X, embed, level_projector, thermal_state,
@@ -180,7 +181,7 @@ def test_zero_duration_stage2_counts_no_transfer():
     # a cycle cut at the switch time: stage 1 alone moves almost no
     # population into the down state
     cfg = engine_config()
-    traj = run_stage(initial_state(cfg), heat_extraction_stage(cfg), cfg)
+    traj = run_stage1(cfg)
     k_switch = int(np.searchsorted(traj.times, find_switch_time(traj).time))
     assert abs(traj.rho_dn[k_switch] - traj.rho_dn[0]) < 5e-3
 
@@ -227,6 +228,52 @@ def test_invariant_checks_fail_on_non_finite_propagation(monkeypatch, name,
     assert len(records) == 16
     failed = [(r.label, r.name) for r in records if not r.passed]
     assert [name for _, name in failed] == ["propagation_agreement"] * 4
+
+
+def _check_bits(records):
+    return [(r.label, r.name, r.value.hex(), r.tolerance, r.passed)
+            for r in records]
+
+
+def test_invariant_checks_do_not_depend_on_the_worker_count(monkeypatch):
+    # one usable CPU runs the four grid points inline, four fork a worker
+    # per point
+    import spinheat.pool as pool_module
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    cfg = engine_config(n_levels=3, stage1_duration=1.0)
+    runs = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(pool_module, "usable_cpus", lambda: cpus)
+        runs.append(_check_bits(invariant_checks(cfg)))
+        assert len(forks) == (0 if cpus == 1 else 4)
+    assert len(runs[0]) == 16
+    assert runs[0] == runs[1]
+
+
+def test_invariant_checks_raise_for_a_dead_worker(monkeypatch):
+    import spinheat.engine as engine_module
+    import spinheat.pool as pool_module
+    from spinheat.engine import CHECK_GRID
+    point_checks = engine_module._point_checks
+
+    def dying(cfg, point):
+        # runs in the second of two forked workers, never in pytest
+        if point == CHECK_GRID[1]:
+            os._exit(7)
+        return point_checks(cfg, point)
+
+    monkeypatch.setattr(engine_module, "_point_checks", dying)
+    monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
+    with pytest.raises(NumericalError,
+                       match="^check worker exited with status 7$"):
+        invariant_checks(engine_config(n_levels=3, stage1_duration=1.0))
 
 
 def test_trace_record_reads_the_propagated_generator(monkeypatch):
