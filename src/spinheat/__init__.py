@@ -2,13 +2,26 @@
 
 Importing the package sets numpy's bundled OpenBLAS to one thread for the
 whole process, so that dense kernels give bits that do not depend on
-``OPENBLAS_NUM_THREADS``; ``blas_threads()`` reads the count back. The
-dynamic linker finds the symbols through numpy's ``_multiarray_umath``.
+``OPENBLAS_NUM_THREADS``; ``blas_threads()`` reads the count back. Where
+numpy is not yet loaded, it loads with ``OPENBLAS_NUM_THREADS=1`` set for
+the import alone, so OpenBLAS starts no worker thread, which would spin
+for about 0.1 s of CPU before it sleeps; the caller's value is restored.
+The setter call covers a process that imported numpy first. The dynamic
+linker finds the symbols through numpy's ``_multiarray_umath``.
 """
 
 import ctypes
+import os
 
-from numpy._core import _multiarray_umath
+_caller_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from numpy._core import _multiarray_umath
+finally:
+    if _caller_threads is None:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = _caller_threads
 
 __version__ = "0.1.0"
 

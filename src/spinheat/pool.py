@@ -7,11 +7,13 @@ task order as an inline loop would: a worker sends a task's exception back
 as its result. At most one worker runs per task, per job and per CPU this
 process may run on; the tasks run inline where ``os.fork`` does not exist
 or one worker would do. Each worker sends its results back by pickle over
-a pipe, so they do not depend on the worker count. Forking is safe with
-the threads ``import spinheat`` leaves (the main thread and OpenBLAS's idle
-worker): OpenBLAS shuts its pool down around ``fork`` itself, and a worker
-runs on the one BLAS thread that the package set. Python 3.12 and later
-may warn on forking a process that has threads.
+a pipe, so they do not depend on the worker count. Where ``import
+spinheat`` loaded numpy, as the CLI does, the process has one thread when
+it forks, and a worker runs on the one BLAS thread that the package set.
+Where numpy was imported first, OpenBLAS's idle worker thread is left as
+well: forking is still safe, as OpenBLAS shuts its pool down around
+``fork`` itself, but Python 3.12 and later may warn on forking a process
+that has threads.
 """
 
 import os

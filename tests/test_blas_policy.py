@@ -2,15 +2,18 @@
 
 Importing ``spinheat`` sets numpy's OpenBLAS to one thread, so the dense
 kernels (the expm steps, the oracle's eig and inv) give bits that do not
-depend on ``OPENBLAS_NUM_THREADS``. Each test runs fresh interpreters, the
-only place where the variable still reaches OpenBLAS's start-up, one at a
-time.
+depend on ``OPENBLAS_NUM_THREADS``; numpy loaded by ``import spinheat``
+starts OpenBLAS on one thread whatever the variable says. Each test runs
+fresh interpreters, one at a time: OpenBLAS reads the variable only when
+it starts.
 """
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import spinheat
 
@@ -44,6 +47,20 @@ def test_import_sets_one_thread_and_loads_only_the_kernel_module():
                   " if name.split('.')[0] == 'scipy'))\n",
                   "2").splitlines()
     assert lines == ["1 1", "['scipy.sparse._sparsetools']"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc/self/task to count threads in")
+@pytest.mark.parametrize("threads", [None, "2", "4"])
+def test_import_starts_no_openblas_worker_and_restores_the_variable(
+        threads):
+    # spinheat imported first: numpy's OpenBLAS loads on one thread
+    lines = fresh("import os, spinheat.cli\n"
+                  "print(len(os.listdir('/proc/self/task')))\n"
+                  "print(spinheat.blas_threads())\n"
+                  "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n",
+                  threads).splitlines()
+    assert lines == ["1", "1", str(threads)]
 
 
 def test_missing_thread_symbol_is_an_import_error_naming_it():
