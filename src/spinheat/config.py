@@ -320,22 +320,7 @@ def to_engine_config(run_config):
         _check_grid("stage-2", PI_WINDOW[1] * pi_time, v["grid_dt_ps"],
                     PI_CANDIDATES, v["n_levels"],
                     "raise hbar_omega2_meV or grid_dt_ps")
-    return EngineConfig(
-        temperature=v["temperature_K"],
-        n_levels=v["n_levels"],
-        omega1_energy=v["omega1_tilde_meV"],
-        omega_b_energy=v["omega_b_meV"],
-        alpha_p=v["alpha_p_over_4pi2_ps2"],
-        gamma_ph_energy=v["gamma_ph_meV"],
-        gamma_R_energy=v["gamma_R_meV"],
-        energy_gap=v["energy_gap_meV"],
-        rabi1_energy=v["hbar_omega1_meV"],
-        rabi2_energy=v["hbar_omega2_meV"],
-        stage1_duration=v["stage1_duration_ps"],
-        grid_dt=v["grid_dt_ps"],
-        detuning_reference=v["detuning_reference"],
-        positivity_abort=v["positivity_abort"],
-    )
+    return EngineConfig(**v)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -60,20 +60,21 @@ from .spectral import reorganization_energy, thermal_energy
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Physical and numerical parameters for one engine run. Energies in meV."""
+    """Physical and numerical parameters for one engine run, named by their
+    config keys (``config.parameter_table``), whose suffixes give the units."""
 
-    temperature: float  # K
+    temperature_K: float
+    gamma_ph_meV: float  # friction, as hbar*gamma
+    gamma_R_meV: float  # radiative decay, as hbar*gamma
+    omega_b_meV: float  # spectral cutoff
+    alpha_p_over_4pi2_ps2: float  # meV-normalized coupling parameter
+    omega1_tilde_meV: float  # effective-mode quantum
+    hbar_omega1_meV: float  # stage-1 Rabi energy
+    hbar_omega2_meV: float  # stage-2 Rabi energy
+    energy_gap_meV: float  # red detuning of stage 1; also the per-photon gain
     n_levels: int
-    omega1_energy: float  # effective-mode quantum
-    omega_b_energy: float  # spectral cutoff
-    alpha_p: float  # ps^2, meV-normalized coupling parameter
-    gamma_ph_energy: float  # friction, as hbar*gamma
-    gamma_R_energy: float  # radiative decay, as hbar*gamma
-    energy_gap: float  # red detuning of stage 1; also the per-photon gain
-    rabi1_energy: float
-    rabi2_energy: float
-    stage1_duration: float  # ps, stage-1 window and switch search range
-    grid_dt: float  # ps
+    stage1_duration_ps: float  # stage-1 window and switch search range
+    grid_dt_ps: float
     detuning_reference: str  # "relaxed" or "vertical"
     positivity_abort: float
 
@@ -190,15 +191,17 @@ class CycleResult:
 
 
 def heat_extraction_stage(cfg):
-    return StageConfig(driven_transition=IDX_UP, rabi_energy=cfg.rabi1_energy,
-                       detuning_energy=-cfg.energy_gap,
-                       duration=cfg.stage1_duration)
+    return StageConfig(driven_transition=IDX_UP,
+                       rabi_energy=cfg.hbar_omega1_meV,
+                       detuning_energy=-cfg.energy_gap_meV,
+                       duration=cfg.stage1_duration_ps)
 
 
 def work_output_stage(cfg, duration=None):
     if duration is None:
-        duration = np.pi * HBAR / cfg.rabi2_energy
-    return StageConfig(driven_transition=IDX_DN, rabi_energy=cfg.rabi2_energy,
+        duration = np.pi * HBAR / cfg.hbar_omega2_meV
+    return StageConfig(driven_transition=IDX_DN,
+                       rabi_energy=cfg.hbar_omega2_meV,
                        detuning_energy=0.0, duration=duration)
 
 
@@ -207,24 +210,26 @@ def stage_hamiltonian_spec(stage, cfg):
     coupling strength whose mode coupling leaves floating-point range are a
     configuration error; the reorganization energy, of lower order in the
     cutoff, is then finite too."""
-    omega_b = cfg.omega_b_energy / HBAR
+    omega_b = cfg.omega_b_meV / HBAR
     try:
-        coupling_d1 = np.sqrt(2 * cfg.alpha_p * omega_b**4)
+        coupling_d1 = np.sqrt(2 * cfg.alpha_p_over_4pi2_ps2 * omega_b**4)
     except OverflowError:  # omega_b**4 of a Python float
         coupling_d1 = math.inf
     if not math.isfinite(coupling_d1):
         raise ConfigError(
-            f"omega_b_meV = {cfg.omega_b_energy:g} with alpha_p_over_4pi2_ps2 "
-            f"= {cfg.alpha_p:g} gives a mode coupling that is not finite")
+            f"omega_b_meV = {cfg.omega_b_meV:g} with alpha_p_over_4pi2_ps2 "
+            f"= {cfg.alpha_p_over_4pi2_ps2:g} gives a mode coupling that is "
+            "not finite")
     exciton = -stage.detuning_energy
     if cfg.detuning_reference == "relaxed":
-        exciton += reorganization_energy(cfg.alpha_p, cfg.omega_b_energy)
+        exciton += reorganization_energy(cfg.alpha_p_over_4pi2_ps2,
+                                         cfg.omega_b_meV)
     elif cfg.detuning_reference != "vertical":
         raise ValueError(f"unknown detuning_reference {cfg.detuning_reference!r}")
     return StageHamiltonianSpec(
         driven_transition=stage.driven_transition,
         rabi_energy=stage.rabi_energy,
-        detuning_energy=exciton,
+        exciton_energy=exciton,
         coupling_D1=coupling_d1)
 
 
@@ -233,28 +238,28 @@ def _mode_frequency(cfg):
     quantum whose position scale sqrt(hbar / 2 omega1) or whose energy
     over the kept levels leaves floating-point range is refused before
     any state or operator is built from it."""
-    omega1 = cfg.omega1_energy / HBAR
-    if not (math.isfinite(cfg.omega1_energy * cfg.n_levels)
+    omega1 = cfg.omega1_tilde_meV / HBAR
+    if not (math.isfinite(cfg.omega1_tilde_meV * cfg.n_levels)
             and math.isfinite(HBAR / (2 * omega1))):
         raise NumericalError(
-            f"omega1_tilde_meV = {cfg.omega1_energy:g} gives a mode position "
-            "scale or level energy that is not finite")
+            f"omega1_tilde_meV = {cfg.omega1_tilde_meV:g} gives a mode "
+            "position scale or level energy that is not finite")
     return omega1
 
 
 def dissipation_spec(cfg):
     omega1 = _mode_frequency(cfg)
     return DissipationSpec(
-        gamma_R=cfg.gamma_R_energy / HBAR,
-        gamma_ph=cfg.gamma_ph_energy / HBAR,
-        E_th=thermal_energy(cfg.temperature, omega1))
+        gamma_R=cfg.gamma_R_meV / HBAR,
+        gamma_ph=cfg.gamma_ph_meV / HBAR,
+        E_th=thermal_energy(cfg.temperature_K, omega1))
 
 
 def initial_state(cfg):
     """Stage-1 start: electron spin-up, mode thermal at the lattice temperature."""
     omega1 = _mode_frequency(cfg)
     return embed(level_projector(IDX_UP),
-                 thermal_state(omega1, cfg.temperature, cfg.n_levels))
+                 thermal_state(omega1, cfg.temperature_K, cfg.n_levels))
 
 
 def stage_machinery(stage, cfg):
@@ -335,7 +340,7 @@ def _evolve_stage(rho0, stage, cfg, ops, blocks, occupation_ref=None):
     """Trajectory of one stage and its coordinates on the output grid, for
     the stage generator's invariant blocks; dN1 is measured from
     ``occupation_ref``, by default from the first sample."""
-    times = _stage_grid(stage.duration, cfg.grid_dt)
+    times = _stage_grid(stage.duration, cfg.grid_dt_ps)
     coords, used_dense = evolve(rho0, blocks, times)
     traj = _sample(coords, times, ops, occupation_ref, cfg.positivity_abort,
                    used_dense)
@@ -436,7 +441,7 @@ def run_cycle(cfg):
 
     transfer = combined.rho_dn[-1] - combined.rho_dn[0]
     return CycleResult(trajectory=combined,
-                       ledger=make_ledger(cfg.energy_gap, transfer),
+                       ledger=make_ledger(cfg.energy_gap_meV, transfer),
                        switch=switch, stage2_duration=stage2_duration)
 
 
@@ -476,14 +481,14 @@ def _point_checks(cfg, point):
     """The four invariant records of ``cfg`` at one (temperature K,
     gamma_ph meV) point of CHECK_GRID."""
     temperature, gamma_ph = point
-    point_cfg = replace(cfg, temperature=temperature, gamma_ph_energy=gamma_ph)
+    point_cfg = replace(cfg, temperature_K=temperature, gamma_ph_meV=gamma_ph)
     label = f"T={temperature:g}K gamma_ph={gamma_ph:g}meV"
     _, v = stage_machinery(heat_extraction_stage(point_cfg), point_cfg)
     blocks = prepare(v)
     trace_residual = _trace_residual(blocks)
     ep = diagonalize(blocks)
     rho0 = initial_state(point_cfg)
-    times = _stage_grid(point_cfg.stage1_duration, point_cfg.grid_dt)
+    times = _stage_grid(point_cfg.stage1_duration_ps, point_cfg.grid_dt_ps)
     coords, _ = evolve(rho0, blocks, times)
     # np.max, unlike max(), lets a NaN coordinate fail the check
     agreement = float(np.max(np.abs(coords - propagate(rho0, ep, times))))

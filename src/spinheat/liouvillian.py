@@ -35,14 +35,14 @@ class StageHamiltonianSpec:
     rabi_energy / hbar is the on-resonance Rabi frequency: the drive matrix
     element is rabi_energy / 2, the dressed splitting is
     sqrt(detuning^2 + rabi^2), and a resonant pi pulse lasts
-    pi hbar / rabi_energy. ``detuning_energy`` is the rotating-frame
+    pi hbar / rabi_energy. ``exciton_energy`` is the rotating-frame
     coefficient of the exciton projector. ``coupling_D1`` (rad/ps) scales the
     mass-weighted mode displacement on the exciton.
     """
 
     driven_transition: int
     rabi_energy: float
-    detuning_energy: float
+    exciton_energy: float
     coupling_D1: float
 
     def __post_init__(self):
@@ -69,7 +69,7 @@ def build_hamiltonian(spec, ops):
     """Assemble the stage Hamiltonian on the product space.
 
     H = (rabi/2)(raise + lower on the driven transition)
-        + |X><X| (detuning + hbar D1 Q1)
+        + |X><X| (exciton_energy + hbar D1 Q1)
         + hbar omega1 (a^dag a + 1/2),
 
     the mode frequency, in Q1 and the mode energy, being the one ``ops``
@@ -77,7 +77,7 @@ def build_hamiltonian(spec, ops):
     """
     lower = ops.lower_up if spec.driven_transition == IDX_UP else ops.lower_dn
     drive = (spec.rabi_energy / 2) * (lower + lower.conj().T)
-    exciton = ops.proj_x @ (spec.detuning_energy * ops.identity
+    exciton = ops.proj_x @ (spec.exciton_energy * ops.identity
                             + HBAR * spec.coupling_D1 * ops.q1)
     return drive + exciton + ops.mode_energy
 

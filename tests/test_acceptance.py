@@ -63,18 +63,18 @@ def stage_60(base_config):
 
 @pytest.fixture(scope="module")
 def stage_150(base_config):
-    return timed_stage(dataclasses.replace(base_config, temperature=150.0))
+    return timed_stage(dataclasses.replace(base_config, temperature_K=150.0))
 
 
 @pytest.fixture(scope="module")
 def stage_60_damped(base_config):
-    return timed_stage(dataclasses.replace(base_config, gamma_ph_energy=0.1))
+    return timed_stage(dataclasses.replace(base_config, gamma_ph_meV=0.1))
 
 
 @pytest.fixture(scope="module")
 def stage_150_damped(base_config):
     return timed_stage(dataclasses.replace(
-        base_config, temperature=150.0, gamma_ph_energy=0.1))
+        base_config, temperature_K=150.0, gamma_ph_meV=0.1))
 
 
 @pytest.fixture(scope="module")
@@ -89,14 +89,14 @@ def reduced_sets():
     results = []
     for temperature in (60.0, 150.0):
         for gamma_ph in (0.001, 0.1):
-            cfg = dataclasses.replace(base, temperature=temperature,
-                                      gamma_ph_energy=gamma_ph)
+            cfg = dataclasses.replace(base, temperature_K=temperature,
+                                      gamma_ph_meV=gamma_ph)
             start = time.perf_counter()
             _, v = stage_machinery(heat_extraction_stage(cfg), cfg)
             ep = diagonalize(prepare(v))
             rho0 = initial_state(cfg)
-            times, direct = integrate_direct(rho0, v, cfg.stage1_duration,
-                                             grid_dt=cfg.grid_dt)
+            times, direct = integrate_direct(rho0, v, cfg.stage1_duration_ps,
+                                             grid_dt=cfg.grid_dt_ps)
             gap = max(float(np.max(np.abs(
                 from_hermitian(propagate(rho0, ep, t)) - state)))
                 for t, state in zip(times, direct))

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -116,15 +117,17 @@ class TestParseConfig:
         assert str(path) in err and "Traceback" not in err
 
     def test_engine_config_mapping(self):
-        rc = parse_config("cycle", overrides=["temperature_K=75",
-                                              "grid_dt_ps=0.1"])
-        cfg = to_engine_config(rc)
-        assert cfg.temperature == 75.0
-        assert cfg.grid_dt == 0.1
-        assert cfg.rabi1_energy == 0.75
-        assert cfg.rabi2_energy == 4.316
-        assert cfg.omega1_energy == pytest.approx(math.sqrt(5.0))
-        assert cfg.detuning_reference == "relaxed"
+        # EngineConfig's fields are the dot keys, in table order, and each
+        # takes its key's resolved value
+        fields = [field.name
+                  for field in dataclasses.fields(engine_module.EngineConfig)]
+        for kind in ("stage1", "cycle", "sweep", "check"):
+            assert fields == list(parameter_table(kind))
+            rc = parse_config(kind, overrides=["grid_dt_ps=0.1",
+                                               "hbar_omega1_meV=0.5"])
+            cfg = to_engine_config(rc)
+            assert dataclasses.asdict(cfg) == rc.values
+            assert cfg.n_levels == (8 if kind == "check" else 15)
 
     def test_parameter_table_rejects_unknown_kind(self):
         with pytest.raises(ConfigError, match="fancy"):
@@ -356,7 +359,7 @@ class TestCycleCommand:
             run_config = parse_config("cycle", overrides=[
                 "n_levels=4", f"hbar_omega2_meV={omega2!r}"])
             if fits:
-                assert to_engine_config(run_config).rabi2_energy == omega2
+                assert to_engine_config(run_config).hbar_omega2_meV == omega2
             else:
                 with pytest.raises(ConfigError, match="stage-2 grid"):
                     to_engine_config(run_config)
@@ -364,7 +367,7 @@ class TestCycleCommand:
     @pytest.mark.parametrize("kind", ["stage1", "sweep"])
     def test_stage1_runs_accept_any_pi_time(self, kind):
         run_config = parse_config(kind, overrides=["hbar_omega2_meV=1e-320"])
-        assert to_engine_config(run_config).rabi2_energy == 1e-320
+        assert to_engine_config(run_config).hbar_omega2_meV == 1e-320
 
 
 class TestErasureCommand:

@@ -8,6 +8,7 @@ fast invariants at reduced truncation.
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from spinheat.config import parse_config, to_engine_config
 from spinheat.constants import HBAR
 from spinheat.engine import (
     EIGVALSH_ROWS, _min_eigenvalues, _sample, _stage_grid, stage_machinery,
-    EngineConfig, StageConfig, Trajectory, find_switch_time,
+    StageConfig, Trajectory, find_switch_time,
     heat_extraction_stage, initial_state, invariant_checks, make_ledger,
     run_cycle, run_stage, run_stage1, stage_hamiltonian_spec,
     truncation_convergence, work_output_stage,
@@ -30,24 +31,9 @@ from spinheat.quantum_core import (
 
 
 def engine_config(**overrides):
-    base = dict(
-        temperature=60.0,
-        n_levels=8,
-        omega1_energy=np.sqrt(5.0),
-        omega_b_energy=1.48,
-        alpha_p=0.06,
-        gamma_ph_energy=0.001,
-        gamma_R_energy=6.6e-4,
-        energy_gap=2.0,
-        rabi1_energy=0.75,
-        rabi2_energy=4.316,
-        stage1_duration=12.0,
-        grid_dt=0.05,
-        detuning_reference="relaxed",
-        positivity_abort=-1e-3,
-    )
-    base.update(overrides)
-    return EngineConfig(**base)
+    """The stage1 defaults at n_levels=8 over 12 ps, with ``overrides``."""
+    return replace(to_engine_config(parse_config("stage1")),
+                   **{"n_levels": 8, "stage1_duration_ps": 12.0, **overrides})
 
 
 def synthetic_trajectory(times, rho_xx, dn1):
@@ -65,11 +51,11 @@ def test_detuning_mapping_relaxed_reference():
     # exciton coefficient adds the full-bath reorganization energy.
     cfg = engine_config()
     spec = stage_hamiltonian_spec(heat_extraction_stage(cfg), cfg)
-    assert spec.detuning_energy == pytest.approx(2.0 + 0.24377902463017737, rel=1e-12)
+    assert spec.exciton_energy == pytest.approx(2.0 + 0.24377902463017737, rel=1e-12)
     assert spec.rabi_energy == pytest.approx(0.75)
     assert spec.driven_transition == IDX_UP
     # effective mode coupling energy, scheme-invariant combination
-    omega1 = cfg.omega1_energy / HBAR
+    omega1 = cfg.omega1_tilde_meV / HBAR
     hg = HBAR * spec.coupling_D1 * np.sqrt(HBAR / (2 * omega1))
     assert hg == pytest.approx(0.35880340426067636, rel=1e-9)
 
@@ -77,7 +63,7 @@ def test_detuning_mapping_relaxed_reference():
 def test_detuning_mapping_vertical_reference():
     cfg = engine_config(detuning_reference="vertical")
     spec = stage_hamiltonian_spec(heat_extraction_stage(cfg), cfg)
-    assert spec.detuning_energy == pytest.approx(2.0, rel=1e-12)
+    assert spec.exciton_energy == pytest.approx(2.0, rel=1e-12)
 
 
 def test_work_stage_resonant_on_down_transition():
@@ -86,15 +72,15 @@ def test_work_stage_resonant_on_down_transition():
     assert stage.driven_transition == IDX_DN
     assert stage.detuning_energy == 0.0
     spec = stage_hamiltonian_spec(stage, cfg)
-    assert spec.detuning_energy == pytest.approx(0.24377902463017737, rel=1e-12)
+    assert spec.exciton_energy == pytest.approx(0.24377902463017737, rel=1e-12)
 
 
 def test_undriven_stage_is_stationary_for_populations():
-    cfg = engine_config(n_levels=6, stage1_duration=4.0)
+    cfg = engine_config(n_levels=6, stage1_duration_ps=4.0)
     stage = StageConfig(driven_transition=IDX_UP, rabi_energy=0.0,
-                        detuning_energy=-cfg.energy_gap, duration=4.0)
+                        detuning_energy=-cfg.energy_gap_meV, duration=4.0)
     rho0 = embed(level_projector(IDX_UP),
-                 thermal_state(cfg.omega1_energy / HBAR, cfg.temperature, 6))
+                 thermal_state(cfg.omega1_tilde_meV / HBAR, cfg.temperature_K, 6))
     traj = run_stage(rho0, stage, cfg)
     assert np.allclose(traj.rho_up, 1.0, atol=1e-8)
     assert np.allclose(traj.rho_XX, 0.0, atol=1e-10)
@@ -102,9 +88,9 @@ def test_undriven_stage_is_stationary_for_populations():
 
 
 def test_trajectory_population_conservation_and_grid():
-    cfg = engine_config(n_levels=6, stage1_duration=6.0)
+    cfg = engine_config(n_levels=6, stage1_duration_ps=6.0)
     rho0 = embed(level_projector(IDX_UP),
-                 thermal_state(cfg.omega1_energy / HBAR, cfg.temperature, 6))
+                 thermal_state(cfg.omega1_tilde_meV / HBAR, cfg.temperature_K, 6))
     traj = run_stage(rho0, heat_extraction_stage(cfg), cfg)
     total = traj.rho_up + traj.rho_dn + traj.rho_XX
     assert np.max(np.abs(total - 1.0)) < 1e-8
@@ -164,7 +150,7 @@ def test_cycle_reduced_truncation_smoke():
     cfg = engine_config()
     result = run_cycle(cfg)
     assert 8.0 <= result.switch.time <= 10.5
-    t_pi = np.pi * HBAR / cfg.rabi2_energy
+    t_pi = np.pi * HBAR / cfg.hbar_omega2_meV
     assert 0.8 * t_pi <= result.stage2_duration <= 1.2 * t_pi
     assert result.ledger.W_work == result.ledger.Q_heat
     assert result.ledger.spinlabor == -result.ledger.spintherm
@@ -224,7 +210,7 @@ def test_invariant_checks_fail_on_non_finite_propagation(monkeypatch, name,
     import spinheat.engine as engine_module
     monkeypatch.setattr(engine_module, name,
                         poison(getattr(engine_module, name)))
-    records = invariant_checks(engine_config(n_levels=3, stage1_duration=1.0))
+    records = invariant_checks(engine_config(n_levels=3, stage1_duration_ps=1.0))
     assert len(records) == 16
     failed = [(r.label, r.name) for r in records if not r.passed]
     assert [name for _, name in failed] == ["propagation_agreement"] * 4
@@ -247,7 +233,7 @@ def test_invariant_checks_do_not_depend_on_the_worker_count(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    cfg = engine_config(n_levels=3, stage1_duration=1.0)
+    cfg = engine_config(n_levels=3, stage1_duration_ps=1.0)
     runs = []
     for cpus in (1, 4):
         monkeypatch.setattr(pool_module, "usable_cpus", lambda: cpus)
@@ -273,7 +259,7 @@ def test_invariant_checks_raise_for_a_dead_worker(monkeypatch):
     monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
     with pytest.raises(NumericalError,
                        match="^check worker exited with status 7$"):
-        invariant_checks(engine_config(n_levels=3, stage1_duration=1.0))
+        invariant_checks(engine_config(n_levels=3, stage1_duration_ps=1.0))
 
 
 def test_trace_record_reads_the_propagated_generator(monkeypatch):
@@ -292,7 +278,7 @@ def test_trace_record_reads_the_propagated_generator(monkeypatch):
         return w
 
     monkeypatch.setattr(propagator_module, "_real_form", leaking)
-    records = invariant_checks(engine_config(n_levels=3, stage1_duration=1.0))
+    records = invariant_checks(engine_config(n_levels=3, stage1_duration_ps=1.0))
     trace = [r for r in records if r.name == "trace_annihilation"]
     assert len(trace) == 4
     assert not any(r.passed for r in trace)
@@ -318,9 +304,9 @@ def test_spinlabor_bound_rejects_unpolarized():
 def stage1_stack(n_levels=4, duration=2.0):
     """Stage-1 coordinates on the output grid, their times and the
     operators."""
-    cfg = engine_config(n_levels=n_levels, stage1_duration=duration)
+    cfg = engine_config(n_levels=n_levels, stage1_duration_ps=duration)
     ops, v = stage_machinery(heat_extraction_stage(cfg), cfg)
-    times = _stage_grid(cfg.stage1_duration, cfg.grid_dt)
+    times = _stage_grid(cfg.stage1_duration_ps, cfg.grid_dt_ps)
     coords, _ = evolve(initial_state(cfg), prepare(v), times)
     return coords, times, ops
 
@@ -404,7 +390,7 @@ def test_stage1_run_stays_within_the_grid_price(n_levels):
         "stage1", overrides=[f"n_levels={n_levels}"]))
     rho0 = initial_state(cfg)
     stage = heat_extraction_stage(cfg)
-    points = cfg.stage1_duration / cfg.grid_dt + 2
+    points = cfg.stage1_duration_ps / cfg.grid_dt_ps + 2
     tracemalloc.start()
     try:
         run_stage(rho0, stage, cfg)
@@ -424,7 +410,7 @@ def test_evolve_steps_straight_into_its_stack(n_levels):
     stage = heat_extraction_stage(cfg)
     blocks = prepare(stage_machinery(stage, cfg)[1])
     rho0 = initial_state(cfg)
-    times = _stage_grid(stage.duration, cfg.grid_dt)
+    times = _stage_grid(stage.duration, cfg.grid_dt_ps)
     tracemalloc.start()
     try:
         coords, _ = evolve(rho0, blocks, times)

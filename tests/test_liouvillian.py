@@ -36,7 +36,7 @@ OMEGA1 = np.sqrt(5.0) / HBAR
 D1 = 1.7513886028084389  # rad/ps, zeroth-moment coupling at default parameters
 
 STAGE1 = StageHamiltonianSpec(
-    driven_transition=IDX_UP, rabi_energy=0.75, detuning_energy=2.0,
+    driven_transition=IDX_UP, rabi_energy=0.75, exciton_energy=2.0,
     coupling_D1=D1)
 
 
@@ -215,9 +215,9 @@ def test_superoperator_matches_term_by_term_reference(n_levels):
     cfg = to_engine_config(parse_config(
         "check", overrides=[f"n_levels={n_levels}"]))
     for temperature, gamma_ph in CHECK_GRID:
-        point = replace(cfg, temperature=temperature,
-                        gamma_ph_energy=gamma_ph)
-        ops = product_operators(point.n_levels, point.omega1_energy / HBAR)
+        point = replace(cfg, temperature_K=temperature,
+                        gamma_ph_meV=gamma_ph)
+        ops = product_operators(point.n_levels, point.omega1_tilde_meV / HBAR)
         for stage in (heat_extraction_stage(point), work_output_stage(point)):
             h = build_hamiltonian(stage_hamiltonian_spec(stage, point), ops)
             d = dissipation_spec(point)

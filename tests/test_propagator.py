@@ -52,7 +52,7 @@ OMEGA1 = np.sqrt(5.0) / HBAR
 D1 = 1.7513886028084389
 
 STAGE1 = StageHamiltonianSpec(
-    driven_transition=IDX_UP, rabi_energy=0.75, detuning_energy=2.0,
+    driven_transition=IDX_UP, rabi_energy=0.75, exciton_energy=2.0,
     coupling_D1=D1)
 
 
@@ -372,13 +372,13 @@ def test_taylor_steps_match_the_reference_loop(monkeypatch, stage_id,
     stage1 = heat_extraction_stage(cfg)
     blocks = prepare(stage_machinery(stage1, cfg)[1])
     rho0 = stage1_start(cfg)
-    times = _stage_grid(stage1.duration, cfg.grid_dt)
+    times = _stage_grid(stage1.duration, cfg.grid_dt_ps)
     if stage_id == "work_output":
         # from a switch state, which occupies both blocks of stage 2
         rho0 = from_hermitian(evolve(rho0, blocks, np.array([0.0, 9.75]))[0][-1])
         stage2 = work_output_stage(cfg)
         blocks = prepare(stage_machinery(stage2, cfg)[1])
-        times = _stage_grid(stage2.duration, cfg.grid_dt)
+        times = _stage_grid(stage2.duration, cfg.grid_dt_ps)
     assert_steps_match_the_reference_loop(monkeypatch, blocks, rho0, times)
 
 
@@ -386,12 +386,12 @@ def test_taylor_steps_match_the_reference_loop(monkeypatch, stage_id,
 def test_taylor_steps_match_the_reference_loop_on_the_check_grid(
         monkeypatch, temperature, gamma_ph):
     cfg = replace(to_engine_config(parse_config("check")),
-                  temperature=temperature, gamma_ph_energy=gamma_ph)
+                  temperature_K=temperature, gamma_ph_meV=gamma_ph)
     stage = heat_extraction_stage(cfg)
     blocks = prepare(stage_machinery(stage, cfg)[1])
     assert_steps_match_the_reference_loop(
         monkeypatch, blocks, stage1_start(cfg),
-        _stage_grid(stage.duration, cfg.grid_dt))
+        _stage_grid(stage.duration, cfg.grid_dt_ps))
 
 
 def test_csr_kernel_matches_the_sparse_product():
@@ -425,10 +425,10 @@ def test_expm_matches_scipy_on_check_grid_steps(n_levels):
     cfg = to_engine_config(parse_config(
         "check", overrides=[f"n_levels={n_levels}"]))
     for temperature, gamma_ph in CHECK_GRID:
-        point = replace(cfg, temperature=temperature,
-                        gamma_ph_energy=gamma_ph)
+        point = replace(cfg, temperature_K=temperature,
+                        gamma_ph_meV=gamma_ph)
         _, v = stage_machinery(heat_extraction_stage(point), point)
-        step = (scipy_csr(v) * point.grid_dt).toarray()
+        step = (scipy_csr(v) * point.grid_dt_ps).toarray()
         assert relative_error(expm(step), reference_expm(step)) <= 1e-12
 
 
@@ -635,7 +635,7 @@ def test_default_stage_branch(gamma_ph, stiff):
         "stage1", overrides=[f"gamma_ph_meV={gamma_ph}"]))
     _, v = stage_machinery(heat_extraction_stage(cfg), cfg)
     population = prepare(v)[0]
-    assert is_stiff(_shift(population.w), cfg.stage1_duration) is stiff
+    assert is_stiff(_shift(population.w), cfg.stage1_duration_ps) is stiff
 
 
 def test_evolve_rejects_non_finite_generator():

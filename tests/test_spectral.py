@@ -40,23 +40,23 @@ def mode_coupling_squared(cfg):
 def test_coupling_moment_closed_form_and_quadrature():
     # The engine's mode coupling is the zeroth moment of J with w_b in
     # rad/ps: D1^2 = 2 alpha_p w_b^4.
-    omega_b = DEFAULTS.omega_b_energy / HBAR
+    omega_b = DEFAULTS.omega_b_meV / HBAR
     closed = mode_coupling_squared(DEFAULTS)
     assert closed == pytest.approx(2 * 0.06 * omega_b**4, rel=1e-14)
     assert closed == pytest.approx(3.0673620380472957, rel=1e-10)
-    assert density_moment(DEFAULTS.alpha_p, omega_b, 0) == pytest.approx(
+    assert density_moment(DEFAULTS.alpha_p_over_4pi2_ps2, omega_b, 0) == pytest.approx(
         closed, rel=1e-8)
 
 
 def test_coupling_moment_zero_coupling():
-    cfg = dataclasses.replace(DEFAULTS, alpha_p=0.0)
+    cfg = dataclasses.replace(DEFAULTS, alpha_p_over_4pi2_ps2=0.0)
     assert mode_coupling_squared(cfg) == 0.0
-    assert density_moment(0.0, cfg.omega_b_energy / HBAR, 0) == 0.0
+    assert density_moment(0.0, cfg.omega_b_meV / HBAR, 0) == 0.0
 
 
 def test_coupling_moment_quartic_scaling():
     doubled = dataclasses.replace(DEFAULTS,
-                                  omega_b_energy=2 * DEFAULTS.omega_b_energy)
+                                  omega_b_meV=2 * DEFAULTS.omega_b_meV)
     assert mode_coupling_squared(doubled) == pytest.approx(
         16 * mode_coupling_squared(DEFAULTS), rel=1e-12)
 
@@ -64,7 +64,8 @@ def test_coupling_moment_quartic_scaling():
 @given(st.floats(0.01, 5.0), st.floats(0.5, 6.0))
 @settings(max_examples=25, deadline=None)
 def test_moment_property_quadrature_matches_closed_forms(alpha, wb_mev):
-    cfg = dataclasses.replace(DEFAULTS, alpha_p=alpha, omega_b_energy=wb_mev)
+    cfg = dataclasses.replace(DEFAULTS, alpha_p_over_4pi2_ps2=alpha,
+                              omega_b_meV=wb_mev)
     assert mode_coupling_squared(cfg) == pytest.approx(
         density_moment(alpha, wb_mev / HBAR, 0), rel=1e-6)
     # reorganization energy: integral of J(w)/w, evaluated in meV
