@@ -1,18 +1,19 @@
-"""Committed output reference: the artifacts of five dot-dynamics runs and
+"""Committed output reference: the artifacts of six dot-dynamics runs and
 two erasure runs, regenerated in process and compared with
 ``tests/output_reference.json``.
 
-The runs are ``cycle`` at n_levels 8 and 15, a dense-stepped ``stage1``
-(n_levels=8, gamma_ph 3 meV), the benchmark-shaped sweep (n_levels 5 and
-7 x 60 and 150 K, ``--jobs 1``), the ``check`` records at n_levels=6, the
-default ``erasure`` and the benchmark-shaped one (9 nuclei, jittered
-lattice, fixed seed). Every summary value and every 10th CSV row is
-compared, column by column. A value must equal the reference bit for bit,
-except in the columns and
-summary values fed by BLAS and LAPACK kernels (BLAS_FED), whose bits may
-depend on the CPU kernel OpenBLAS picks: there it may move by at most
-BLAS_TOLERANCE. Times, row counts, the switch time, the work-pulse
-duration, flags, statuses and tolerances stay exact.
+The runs are ``cycle`` at n_levels 8 and 15, a ``cycle`` whose long work
+pulse (n_levels=6, hbar_omega2 1 meV) takes Taylor steps after a
+dense-stepped stage 1, a dense-stepped ``stage1`` (n_levels=8, gamma_ph
+3 meV), the benchmark-shaped sweep (n_levels 5 and 7 x 60 and 150 K,
+``--jobs 1``), the ``check`` records at n_levels=6, the default
+``erasure`` and the benchmark-shaped one (9 nuclei, jittered lattice,
+fixed seed). Every summary value and every 10th CSV row is compared,
+column by column. A value must equal the reference bit for bit, except in
+the columns and summary values fed by BLAS and LAPACK kernels (BLAS_FED),
+whose bits may depend on the CPU kernel OpenBLAS picks: there it may move
+by at most BLAS_TOLERANCE. Times, row counts, the switch time, the
+work-pulse duration, flags, statuses and tolerances stay exact.
 
 Regenerate the reference after a change that is meant to move outputs:
 
@@ -35,6 +36,8 @@ REFERENCE = pathlib.Path(__file__).with_name("output_reference.json")
 RUNS = {
     "cycle_8": ["cycle", "--set", "n_levels=8"],
     "cycle_15": ["cycle", "--set", "n_levels=15"],
+    "cycle_long_pulse": ["cycle", "--set", "n_levels=6",
+                         "--set", "hbar_omega2_meV=1.0"],
     "stage1_dense_8": ["stage1", "--set", "n_levels=8",
                        "--set", "gamma_ph_meV=3"],
     "sweep": ["sweep", "--jobs", "1", "--axis", "n_levels=5,7",
