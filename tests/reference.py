@@ -14,6 +14,9 @@ writes T and T^-1 out entry by entry, the reference of the real generator
 W = T V T^-1 and of the gathers between states and coordinates;
 ``graph_components`` takes scipy's connected components of |W| + |W|^T,
 the reference of the invariant blocks that ``propagator.prepare`` finds;
+``unitary_expectations`` and ``unitary_state`` propagate a stage without
+dissipation exactly, from one ``eigh`` of its Hamiltonian, the reference of
+the Taylor steps and the sampling at any ``n_levels``;
 ``basis_index`` spells out the composite-basis ordering in closed form, and
 ``spinlabor_bound`` is the analytic erasure cost that criterion 11 anchors
 the ledger against. ``csr_record`` and ``scipy_csr`` convert between
@@ -128,6 +131,38 @@ def taylor_terms(a, z, span, terms):
             break
         previous = current
     return terms[:p + 1]
+
+
+def _energy_basis(h, rho0):
+    """Energies E and eigenvectors U of a Hamiltonian h (meV), and rho0 in
+    the energy basis, U^dag rho0 U."""
+    energies, u = np.linalg.eigh(h)
+    return energies, u, u.conj().T @ rho0 @ u
+
+
+def unitary_state(h, rho0, t):
+    """exp(-i h t / hbar) rho0 exp(i h t / hbar) at one time ``t`` (ps)."""
+    energies, u, r = _energy_basis(h, rho0)
+    phase = np.exp(-1j * energies * t / HBAR)
+    return u @ (phase[:, None] * r * phase.conj()) @ u.conj().T
+
+
+def unitary_expectations(h, rho0, ops, times):
+    """Tr(op rho(t)) for each of ``ops`` (rows) at each of ``times`` (ps,
+    columns) under rho(t) = exp(-i h t / hbar) rho0 exp(i h t / hbar),
+    exact up to rounding at any time.
+
+    In the energy basis rho(t)_jl = a_j R_jl conj(a_l), with R = U^dag rho0 U
+    and the phases a_j = exp(-i E_j t / hbar); so with M = U^dag op U,
+    Tr(op rho(t)) = sum_jl a_j G_jl conj(a_l) for G = M^T * R (entrywise):
+    one product of the phase matrix A (one row per time) with G, summed
+    against conj(A).
+    """
+    energies, u, r = _energy_basis(h, rho0)
+    phases = np.exp(-1j * np.outer(times, energies) / HBAR)
+    return np.array([
+        np.sum(phases @ ((u.conj().T @ op @ u).T * r) * phases.conj(),
+               axis=1).real for op in ops])
 
 
 def integrate_direct(rho0, v, t_end, tol=1e-9, grid_dt=0.05):

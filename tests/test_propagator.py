@@ -28,7 +28,7 @@ from spinheat.config import parse_config, to_engine_config
 from spinheat.constants import HBAR
 from spinheat.engine import (
     CHECK_GRID, _stage_grid, heat_extraction_stage, initial_state as
-    stage1_start, stage_machinery, work_output_stage,
+    stage1_start, run_cycle, stage_machinery, work_output_stage,
 )
 from spinheat.errors import NumericalError
 from spinheat.quantum_core import (
@@ -40,8 +40,8 @@ from spinheat.liouvillian import (
     build_superoperator,
 )
 from spinheat.propagator import (
-    MAX_LOG2_STEP_NORM, TAYLOR_THETA, THETA13, _dense_steps, _one_norm,
-    _real_form, _scaling_exponent, _shift, _taylor_parameters,
+    MAX_LOG2_STEP_NORM, TAYLOR_DEGREE, THETA13, THETA55, _dense_steps,
+    _one_norm, _real_form, _scaling_exponent, _shift, _taylor_blocks,
     _taylor_steps, _taylor_terms, csr_matvec, diagonalize, evolve, expm,
     from_hermitian, functional, is_stiff, prepare, principal_positions,
     propagate, to_hermitian,
@@ -305,7 +305,7 @@ def test_taylor_steps_match_eigenmode_propagation_off_the_stage_grid(times):
     shifted = _shift(w)
     # the first output step needs several blocks: it is cut into sub-steps
     steps = np.diff(times, prepend=0.0)
-    assert _taylor_parameters(steps[steps > 0][0] * shifted.norm)[1] > 1
+    assert _taylor_blocks(steps[steps > 0][0] * shifted.norm) > 1
     vecs = vectors(stepped_rows(_taylor_steps, shifted, y, times))
     assert np.max(np.abs(vecs - eigenmode_vectors(rho0, v, times))) <= 1e-10
 
@@ -394,6 +394,24 @@ def test_taylor_steps_match_the_reference_loop_on_the_check_grid(
         _stage_grid(stage.duration, cfg.grid_dt_ps))
 
 
+@pytest.mark.parametrize("overrides", [
+    ["n_levels=8"], ["n_levels=15"], ["n_levels=6", "hbar_omega2_meV=1.0"],
+], ids=["cycle-8", "cycle-15", "cycle-long-pulse"])
+def test_every_taylor_series_of_a_cycle_stops_before_its_buffer_is_full(
+        monkeypatch, overrides):
+    # the stopping test, not TAYLOR_DEGREE, ends every series: the longest
+    # fill 36, 27 and 41 of their TAYLOR_DEGREE + 1 rows (35, 26 and 40
+    # products); BLAS-fed bits may move a stop by a term across CPUs, so
+    # no tighter bound is asserted
+    import spinheat.propagator as propagator_module
+    counts = []
+    monkeypatch.setattr(propagator_module, "_taylor_terms",
+                        counting(_taylor_terms, counts))
+    run_cycle(to_engine_config(parse_config("cycle", overrides=overrides)))
+    assert counts
+    assert max(counts) < TAYLOR_DEGREE + 1
+
+
 def test_csr_kernel_matches_the_sparse_product():
     # the Taylor terms call the kernel that ``a @ x`` ends in directly: a
     # scipy that changes or removes it fails here
@@ -410,10 +428,12 @@ def test_csr_kernel_matches_the_sparse_product():
 @settings(max_examples=300, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1e12))
 @example(2762.1000000000004)  # t_norm / theta_55 rounds down to exactly 279
-def test_taylor_parameters_keep_each_block_within_theta(t_norm):
-    m_star, s = _taylor_parameters(t_norm)
-    assert s >= 1
-    assert t_norm / s <= TAYLOR_THETA[m_star]
+@example(306.90000000000003)  # rounds up past 31, yet t_norm / 31 <= theta_55
+@example(100.0)  # 11 blocks: 100 / 11 <= theta_55 < 100 / 10
+def test_taylor_blocks_are_the_fewest_within_theta(t_norm):
+    s = _taylor_blocks(t_norm)
+    assert t_norm / s <= THETA55
+    assert s == 1 or t_norm / (s - 1) > THETA55
 
 
 def relative_error(result, reference):
