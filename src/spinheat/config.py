@@ -253,7 +253,9 @@ def parse_config(kind, config_path=None, overrides=()):
 
 
 def parse_axes(axis_args):
-    """The (key, values) of each sweep ``--axis key=v1,v2,...``, in order."""
+    """The (key, values) of each sweep ``--axis key=v1,v2,...``, in order.
+    An axis that lists one value twice, compared after conversion, is a
+    configuration error: its points would be one run."""
     table = parameter_table("stage1")
     axes = []
     for text in axis_args:
@@ -266,7 +268,11 @@ def parse_axes(axis_args):
         items = [item.strip() for item in raw.split(",") if item.strip()]
         if not items:
             raise ConfigError(f"--axis {key} lists no values")
-        axes.append((key, [convert_value(table[key], item) for item in items]))
+        values = [convert_value(table[key], item) for item in items]
+        for k, value in enumerate(values):
+            if value in values[:k]:
+                raise ConfigError(f"--axis {key} lists {value!r} twice")
+        axes.append((key, values))
     return axes
 
 

@@ -28,9 +28,13 @@ so stage 2 steps the coherence block too. ``evolve`` returns the real
 Hermitian-basis coordinates of the grid states; the observables are linear
 functionals of them (``propagator.functional``), read in one product per
 stage. The positivity monitor gathers, ``EIGVALSH_ROWS`` states at a time,
-only the principal blocks it diagonalizes (whole states only when a stack
-holds a dn-{up, X} coherence), and the cycle's hand-off gathers one
-state.
+only the principal blocks it reads (whole states only when a stack holds a
+dn-{up, X} coherence). It diagonalizes the smallest block, dn x bath, and
+certifies that block's smallest eigenvalue as the state's by one Cholesky
+factorization of the {up, X} x bath block shifted by it, which costs far
+less than that block's eigenvalues; it diagonalizes the larger block too
+only in a chunk where a factorization fails. The cycle's hand-off gathers
+one state.
 
 The invariant checks of the stage-1 generator and the truncation-convergence
 report of an n_levels sweep verify the dot dynamics.
@@ -292,7 +296,22 @@ def _min_eigenvalues(coords):
     diagonal: only its dn x bath and {up, X} x bath principal blocks are
     gathered from the coordinates, and the smaller of their smallest
     eigenvalues is the state's. Otherwise each whole state is gathered.
-    Product-space index m holds electronic level m % N_ELECTRONIC."""
+    Product-space index m holds electronic level m % N_ELECTRONIC.
+
+    Only the smallest block, dn x bath, is diagonalized outright, giving
+    each state's candidate lambda. Each larger block B, {up, X} x bath, is
+    certified instead, by one batched Cholesky factorization of B - lambda I
+    per chunk. In floating point Cholesky succeeds only on a matrix within
+    its backward error, a few ulps of ||B||, of a positive definite one, so
+    a success shows lambda_min(B) >= lambda to within that error, the
+    accuracy eigvalsh has itself: lambda is the state's smallest eigenvalue
+    to a few ulps, and on every stack tested it equals the smaller of both
+    blocks' eigvalsh values bit for bit. numpy refuses the whole batch when
+    one factorization fails (a state whose blocks tie, as at the start of
+    stage 1, or whose B holds the smaller eigenvalue); such a chunk takes
+    the smaller of both blocks' eigvalsh values. Whole states are one
+    block, diagonalized with no certificate.
+    """
     count, size = coords.shape
     dim = math.isqrt(size)
     bath = dim // N_ELECTRONIC
@@ -302,16 +321,26 @@ def _min_eigenvalues(coords):
     whole = any(np.any(split[:, :, IDX_DN, :, x])
                 or np.any(split[:, :, x, :, IDX_DN]) for x in (IDX_UP, IDX_X))
     level = np.arange(dim) % N_ELECTRONIC
+    # the smallest block first
     subsets = ([np.arange(dim)] if whole
                else [np.flatnonzero(level == IDX_DN),
                      np.flatnonzero(level != IDX_DN)])
-    blocks = [principal_positions(subset, dim) for subset in subsets]
+    smallest, *larger = [principal_positions(subset, dim)
+                         for subset in subsets]
     lowest = np.empty(count)
     for start in range(0, count, EIGVALSH_ROWS):
         rows = slice(start, start + EIGVALSH_ROWS)
-        lowest[rows] = np.min([
-            np.linalg.eigvalsh(from_hermitian(coords[rows, at]))[:, 0]
-            for at in blocks], axis=0)
+        low = np.linalg.eigvalsh(from_hermitian(coords[rows, smallest]))[:, 0]
+        for at in larger:
+            shifted = from_hermitian(coords[rows, at])
+            diagonal = np.arange(shifted.shape[-1])
+            shifted[:, diagonal, diagonal] -= low[:, None]
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                low = np.minimum(low, np.linalg.eigvalsh(
+                    from_hermitian(coords[rows, at]))[:, 0])
+        lowest[rows] = low
     return lowest
 
 

@@ -43,11 +43,11 @@ random probes) is ever needed and repeated runs give the same bits. The
 degree only caps the series: the stopping test ends each one first.
 Each product is one direct call of scipy's CSR kernel, the one ``a @ x``
 ends in, into a preallocated row, so the terms carry the bits of
-``a @ x`` without its dispatch and allocation. The stopping test reads the
-norm of the partial sum only when it can pass against twice the running
-sum of the term norms, which bounds that norm up to rounding far below the
-factor 2, so the series is truncated at the term where a test that reads
-the norm at every term would truncate it.
+``a @ x`` without its dispatch and allocation. The stopping test forms
+the partial sum and reads its norm only when it can pass against twice the
+running sum of the term norms, which bounds that norm up to rounding far
+below the factor 2, so the series is truncated at the term where a test
+that reads the norm at every term would truncate it.
 The other blocks form exp(W h) once per run with :func:`expm`, a Pade
 [13/13] approximant with scaling and squaring (Higham, SIAM J. Matrix
 Anal. Appl. 26, 1179, 2005) written in numpy, and step with dense
@@ -75,6 +75,7 @@ Hermitian basis, the invariant blocks (exact similarities) and the gather
 invariant checks compare it with, coordinate by coordinate.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -292,6 +293,7 @@ def _dense(m):
     return m.toarray()
 
 
+@functools.lru_cache
 def _hermitian_layout(n):
     """The Hermitian basis of column-stacked matrices of n entries. T
     vec(rho) holds rho's diagonal, Re rho_ij at (i, j) and Im rho_ij at
@@ -300,7 +302,8 @@ def _hermitian_layout(n):
     coordinate k only with its transpose partner p(k) (p(k) = k on the
     diagonal, where the partner factors are 0). Returns, each of shape
     (2, n), the pairs (k, p(k)), T's column k as (T[k, k], T[p(k), k]) and
-    T^-1's row k as (T^-1[k, k], T^-1[k, p(k)])."""
+    T^-1's row k as (T^-1[k, k], T^-1[k, p(k)]). Built once per n and
+    shared by every caller, so the three arrays are read-only."""
     dim = math.isqrt(n)
     # 32-bit indices, as the assembled generator has: W and W - mu keep
     # them, which halves the index traffic of the Taylor steps' products
@@ -310,7 +313,10 @@ def _hermitian_layout(n):
     side = np.sign(col - row) + 1
     t = np.array([[0.5j, 1.0, 0.5], [0.5, 0.0, -0.5j]])[:, side]
     t_inv = np.array([[-1j, 1.0, 1.0], [1.0, 0.0, 1j]])[:, side]
-    return np.array([own, row * dim + col]), t, t_inv
+    layout = np.array([own, row * dim + col]), t, t_inv
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def _real_form(v):
@@ -449,36 +455,38 @@ def _taylor_blocks(t_norm):
 
 
 def _taylor_terms(a, z, span, terms):
-    """Fill rows p = 0, 1, ... of ``terms`` with (span A)^p / p! z until the
-    series of exp(span A) z passes the stopping test of Al-Mohy & Higham
-    (two consecutive terms below u ||partial sum||_inf) or ``terms`` is
-    full; return the rows filled.
+    """Fill rows p = 0, 1, ... of ``terms``, all zero on entry, with
+    (span A)^p / p! z until the series of exp(span A) z passes the
+    stopping test of Al-Mohy & Higham (two consecutive terms below
+    u ||partial sum||_inf) or ``terms`` is full; return the rows filled.
 
     Each product is one call of the CSR kernel that ``a @ x`` ends in,
-    into the zeroed row, so the terms carry the bits ``a @ x`` gives. The
-    running sum of the term norms bounds ||partial sum||_inf from above;
-    rounding can carry the computed norm past that bound by a relative
-    O(p u) only, far below the factor 2, so while the test fails against
-    twice the bound it fails against the norm too, and the norm is read
-    only when the test can pass: the series stops at the same term.
+    adding into the zero row, so the terms carry the bits ``a @ x`` gives.
+    The running sum of the term norms bounds ||partial sum||_inf from
+    above; rounding can carry the computed norm past that bound by a
+    relative O(p u) only, far below the factor 2, so while the test fails
+    against twice the bound it fails against the norm too, and the partial
+    sum is formed only when the test can pass: the series stops at the
+    same term. Its axis-0 reduce adds the rows in order, the bits of a
+    running total.
     """
     n = z.size
     terms[0] = z
-    total = z.copy()
     scratch = np.empty_like(z)
-    previous = bound = np.abs(z, out=scratch).max()
+    # np.maximum.reduce, not ndarray.max, skips a Python wrapper per term
+    previous = bound = np.maximum.reduce(np.abs(z, out=scratch))
     for p in range(1, len(terms)):
         term = terms[p]
-        term.fill(0.0)
         csr_matvec(n, n, a.indptr, a.indices, a.data, terms[p - 1], term)
         term *= span / p
-        total += term
-        current = np.abs(term, out=scratch).max()
+        current = np.maximum.reduce(np.abs(term, out=scratch))
         bound += current
         tail = previous + current
-        if (tail <= 2 * UNIT_ROUNDOFF * bound
-                and tail <= UNIT_ROUNDOFF * np.abs(total, out=scratch).max()):
-            break
+        if tail <= 2 * UNIT_ROUNDOFF * bound:
+            total = np.add.reduce(terms[:p + 1], axis=0)
+            if tail <= UNIT_ROUNDOFF * np.maximum.reduce(
+                    np.abs(total, out=total)):
+                break
         previous = current
     return terms[:p + 1]
 
@@ -494,13 +502,14 @@ def _taylor_steps(shifted, x, times, out, index):
     ceil(s / count) sub-steps when s > count, and the run's q sub-steps
     into blocks of floor(q / s), so that a block's span times the norm
     stays within THETA55. A block's Taylor terms, in rows of one buffer of
-    TAYLOR_DEGREE + 1 allocated per call, are summed until the series at
-    the block's end converges, which bounds every earlier sample of the
-    block too; all its samples then come from one matrix product,
-    exp(k delta mu) sum_p (k / d)^p K_p for K_p = (d delta A)^p / p! z.
+    TAYLOR_DEGREE + 1 allocated zero per call and zeroed again after each
+    block, are summed until the series at the block's end converges,
+    which bounds every earlier sample of the block too; all its samples
+    then come from one matrix product, exp(k delta mu) sum_p (k / d)^p K_p
+    for K_p = (d delta A)^p / p! z.
     """
     a, mu, norm = shifted
-    terms = np.empty((TAYLOR_DEGREE + 1, x.size))
+    terms = np.zeros((TAYLOR_DEGREE + 1, x.size))
     i = 0
     for h, count in _equal_step_runs(times):
         if h == 0:
@@ -518,6 +527,7 @@ def _taylor_steps(shifted, x, times, out, index):
             used = _taylor_terms(a, x, d * delta, terms)
             weights = (k / d)[:, None] ** np.arange(len(used))
             ys = weights @ used
+            used.fill(0.0)  # the next series adds its products into zeros
             ys *= np.exp(k * delta * mu)[:, None]
             x = ys[-1]
             # blocks hold whole output steps (sub = 1) or, as q < 2 s then,

@@ -907,6 +907,19 @@ class TestSweepCommand:
                      "--axis", "temperature_K=80"])
         assert code == 2
 
+    @pytest.mark.parametrize("axis, repeated", [
+        ("n_levels=3,3", "3"), ("temperature_K=60,150,60.0", "60.0")])
+    def test_repeated_axis_value_rejected(self, tmp_path, capsys, axis,
+                                          repeated):
+        # one point run twice would enter the convergence report as a
+        # drift of 0 between equal n_levels
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--axis", axis]) == 2
+        key = axis.split("=")[0]
+        assert capsys.readouterr().err == (
+            f"config error: --axis {key} lists {repeated} twice\n")
+        assert not (out / "sweep_index.json").exists()
+
 
 class TestArgumentErrors:
     @pytest.mark.parametrize("kind, argv", [

@@ -375,6 +375,88 @@ def test_positivity_monitor_gathers_no_whole_state_of_a_stage1_stack(
     assert max(shape[0] for shape in gathered) == EIGVALSH_ROWS
 
 
+def default_stage1_stack(overrides):
+    """Stage-1 coordinates of the stage1 defaults with ``overrides`` on
+    their whole 401-point grid: 13 chunks of EIGVALSH_ROWS states."""
+    cfg = to_engine_config(parse_config("stage1", overrides=overrides))
+    stage = heat_extraction_stage(cfg)
+    times = _stage_grid(stage.duration, cfg.grid_dt_ps)
+    return evolve(initial_state(cfg),
+                  prepare(stage_machinery(stage, cfg)[1]), times)[0]
+
+
+def all_blocks_minimum(states):
+    """np.minimum of the smallest eigvalsh value of the dn x bath and
+    {up, X} x bath principal blocks of each state, taken from the whole
+    state."""
+    level = np.arange(states.shape[-1]) % 3
+    blocks = [np.flatnonzero(level == IDX_DN), np.flatnonzero(level != IDX_DN)]
+    return np.minimum(*[np.linalg.eigvalsh(states[:, at[:, None], at])[:, 0]
+                        for at in blocks])
+
+
+@pytest.mark.parametrize("overrides", [
+    ["n_levels=8"],
+    ["n_levels=8", "gamma_ph_meV=0", "gamma_R_meV=0"],
+    ["n_levels=10", "gamma_R_meV=1"],
+    ["n_levels=8", "temperature_K=5"],
+], ids=["default-8", "dissipation-free-8", "radiative-10", "cold-8"])
+def test_positivity_monitor_equals_its_all_blocks_reference(overrides):
+    # the default stack certifies its {up, X} x bath blocks by Cholesky in
+    # all chunks but the first; the other three certify none and take both
+    # blocks' eigvalsh in every chunk
+    coords = default_stage1_stack(overrides)
+    assert len(coords) == 401
+    assert np.array_equal(_min_eigenvalues(coords),
+                          all_blocks_minimum(from_hermitian(coords)))
+
+
+def test_positivity_monitor_certifies_the_chunks_of_a_default_stack(
+        monkeypatch):
+    # the first ~15-20 states of a stack hold no exciton yet, so both of
+    # their blocks have the smallest eigenvalue 0 and the first chunk's
+    # certificate fails; every later chunk's succeeds
+    coords = default_stage1_stack(["n_levels=8"])
+    factorize = np.linalg.cholesky
+    outcomes = []
+
+    def counted(b):
+        try:
+            factor = factorize(b)
+        except np.linalg.LinAlgError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return factor
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    _min_eigenvalues(coords)
+    assert len(outcomes) == 13
+    assert sum(outcomes) >= 12
+
+
+def test_positivity_monitor_diagonalizes_whole_states_of_stage2(
+        monkeypatch):
+    # the long work pulse of the output reference, from a stage-1 state
+    # that holds up-X coherences: 44 states with dn-{up, X} coherences,
+    # diagonalized whole with no certificate
+    cfg = to_engine_config(parse_config(
+        "cycle", overrides=["n_levels=6", "hbar_omega2_meV=1.0"]))
+    stage1 = heat_extraction_stage(cfg)
+    rho0 = from_hermitian(evolve(
+        initial_state(cfg), prepare(stage_machinery(stage1, cfg)[1]),
+        np.array([0.0, 9.75]))[0][-1])
+    stage2 = work_output_stage(cfg)
+    coords, _ = evolve(rho0, prepare(stage_machinery(stage2, cfg)[1]),
+                       _stage_grid(stage2.duration, cfg.grid_dt_ps))
+    assert len(coords) > EIGVALSH_ROWS
+    states = from_hermitian(coords)
+    assert np.any(states[:, IDX_DN::3, IDX_UP::3])
+    monkeypatch.setattr(np.linalg, "cholesky", None)
+    assert np.array_equal(_min_eigenvalues(coords),
+                          np.linalg.eigvalsh(states)[:, 0])
+
+
 @pytest.mark.parametrize("k", [0, 17, 40])
 def test_sampling_names_the_first_non_positive_state(k):
     coords, times, ops = stage1_stack()

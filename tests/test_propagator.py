@@ -41,10 +41,10 @@ from spinheat.liouvillian import (
 )
 from spinheat.propagator import (
     MAX_LOG2_STEP_NORM, TAYLOR_DEGREE, THETA13, THETA55, _dense_steps,
-    _one_norm, _real_form, _scaling_exponent, _shift, _taylor_blocks,
-    _taylor_steps, _taylor_terms, csr_matvec, diagonalize, evolve, expm,
-    from_hermitian, functional, is_stiff, prepare, principal_positions,
-    propagate, to_hermitian,
+    _hermitian_layout, _one_norm, _real_form, _scaling_exponent, _shift,
+    _taylor_blocks, _taylor_steps, _taylor_terms, csr_matvec, diagonalize,
+    evolve, expm, from_hermitian, functional, is_stiff, prepare,
+    principal_positions, propagate, to_hermitian,
 )
 from spinheat.spectral import thermal_energy
 
@@ -184,6 +184,18 @@ def test_completeness_reconstructs_random_state():
             block.inverse @ y[block.index])
     recon = from_hermitian(coordinates)
     assert np.max(np.abs(recon - rho)) < 1e-8
+
+
+def test_hermitian_layout_is_built_once_per_size_and_read_only():
+    # every gather and functional of a run shares one layout per size, so
+    # no caller may write into it
+    layout = _hermitian_layout(144)
+    assert _hermitian_layout(144) is layout
+    assert _hermitian_layout(16) is not layout
+    for array in layout:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
 
 
 def test_direct_integrator_constant_under_zero_generator():
